@@ -134,8 +134,7 @@ def cmd_linearize(args) -> int:
 
 
 def _component_shape(space) -> str:
-    from .complexes import _KIND_NCOMP
-    return str(sum(_KIND_NCOMP[s.kind] for s in space.slots))
+    return str(sum(s.ncomp for s in space.slots))
 
 
 def _print_complex_report(report) -> bool:

@@ -8,21 +8,25 @@ from the coupled-connection complex by that cancellation.
 
 Bases are ordered component-major: for each slot, for each component in its
 canonical order, monomials ascend in graded lex order with x1 > x2 > x3.
+
+Every operator is given as a stencil, a table of constant-coefficient
+terms (see `stencils`).  A derivative sends a monomial to a single monomial,
+so `LinOpMatrix.from_operator` builds each column by index arithmetic on the
+monomial positions; no field operator is applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import exactlin
-from .calculus import curl, curl_curl, div, div_sym, grad, sym_grad
-from .connection import WField, WOneForm, w_curl, w_div, w_grad
 from .errors import SingularBlockError
-from .fields import (AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, VecField,
-                     axial_vector, skew_from_axial, _seeded_rng)
+from .fields import AXES, _seeded_rng
 from .poly import Poly3, monomials_up_to
+from .stencils import (OPERATOR_IDS, coupled_split_stencils, make_stencil,
+                       operator_stencil)
 
 _KIND_NCOMP = {"scalar": 1, "vec": 3, "sym": 6, "mat": 9, "skew": 3}
 _MAT_PAIRS = tuple((i, j) for i in AXES for j in AXES)
@@ -36,28 +40,6 @@ def _slot_polys(kind: str, value) -> list[Poly3]:
     if kind == "sym":
         return list(value.upper)
     return [value.entry(i, j) for i, j in _MAT_PAIRS]
-
-
-def _one_hot_value(kind: str, comp: int, poly: Poly3):
-    if kind == "scalar":
-        return poly
-    if kind in ("vec", "skew"):
-        return VecField(tuple(poly if c == comp else Poly3() for c in range(3)))
-    if kind == "sym":
-        i, j = SYM_INDEX_PAIRS[comp]
-        return SymField.unit(i, j, poly)
-    i, j = _MAT_PAIRS[comp]
-    return Mat3Field.unit(i, j, poly)
-
-
-def _zero_value(kind: str):
-    if kind == "scalar":
-        return Poly3()
-    if kind in ("vec", "skew"):
-        return VecField.zero()
-    if kind == "sym":
-        return SymField.zero()
-    return Mat3Field.zero()
 
 
 @dataclass(frozen=True)
@@ -140,18 +122,6 @@ class GradedSpace:
                     coords[base + c * nmono + where] = coef
         return coords
 
-    def basis_values(self) -> Iterable[tuple[int, tuple]]:
-        """Yield (global index, one-hot value tuple) over the whole basis."""
-        zeros = tuple(_zero_value(s.kind) for s in self.slots)
-        index = 0
-        for k, slot in enumerate(self.slots):
-            for c in range(slot.ncomp):
-                for exp in self._monos[k]:
-                    values = list(zeros)
-                    values[k] = _one_hot_value(slot.kind, c, Poly3.monomial(exp))
-                    yield index, tuple(values)
-                    index += 1
-
     def describe(self) -> list[dict]:
         return [{"label": s.label, "kind": s.kind, "bound": s.bound, "dim": s.dim}
                 for s in self.slots]
@@ -172,10 +142,44 @@ class LinOpMatrix:
 
     @classmethod
     def from_operator(cls, domain: GradedSpace, codomain: GradedSpace,
-                      fn: Callable[[tuple], tuple], name: str = "") -> "LinOpMatrix":
-        cols = []
-        for _, values in domain.basis_values():
-            cols.append(codomain.to_coords(fn(values)))
+                      stencil: Iterable[Sequence], name: str = "") -> "LinOpMatrix":
+        """Assemble the matrix of a constant-coefficient operator from its stencil.
+
+        Raises ValueError when a term refers to a slot or component the
+        spaces lack, or lands above the bound of its codomain slot.
+        """
+        by_input: dict[tuple[int, int], list] = {}
+        for s, c, t, d, alpha, factor in make_stencil(stencil):
+            if not (0 <= s < len(domain.slots) and 0 <= c < domain.slots[s].ncomp
+                    and 0 <= t < len(codomain.slots)
+                    and 0 <= d < codomain.slots[t].ncomp):
+                raise ValueError(f"stencil term {(s, c, t, d)} does not fit "
+                                 f"{domain!r} -> {codomain!r}")
+            base = codomain.offsets[t] + d * len(codomain._monos[t])
+            by_input.setdefault((s, c), []).append(
+                (base, codomain._mono_pos[t], codomain.slots[t], alpha, factor))
+        cols: list[exactlin.Column] = []
+        for k, slot in enumerate(domain.slots):
+            for c in range(slot.ncomp):
+                targets = by_input.get((k, c), ())
+                for e in domain._monos[k]:
+                    col: exactlin.Column = {}
+                    for base, pos, out_slot, alpha, factor in targets:
+                        # falling factorials: d^alpha x^e = n x^(e - alpha)
+                        n = 1
+                        for a, m in zip(e, alpha):
+                            for r in range(m):
+                                n *= a - r
+                        if not n:
+                            continue
+                        where = pos.get((e[0] - alpha[0], e[1] - alpha[1],
+                                         e[2] - alpha[2]))
+                        if where is None:
+                            raise ValueError(
+                                f"term of degree {sum(e) - sum(alpha)} exceeds bound "
+                                f"{out_slot.bound} in slot {out_slot.label!r}")
+                        col[base + where] = factor * n if n != 1 else factor
+                    cols.append(col)
         return cls(domain, codomain, cols, name=name)
 
     @property
@@ -415,128 +419,67 @@ def schur_reduce(c: ChainComplex, stage: int,
 
 # -- the standard complexes -------------------------------------------------
 
-OPERATOR_IDS = ("grad", "curl", "div", "sym_grad", "curl_curl", "div_sym",
-                "w_grad", "w_curl", "w_div")
+# Domain and codomain slots per operator as (label, kind, bound - degree).
+# Codomain bounds drop by the differential order; purely algebraic
+# contributions keep their degree, which for the coupled operators means
+# per-slot bounds (and, for the connection divergence, a codomain equal in
+# bound to the domain).
+_OPERATOR_SLOTS = {
+    "grad": ([("f", "scalar", 0)], [("v", "vec", -1)]),
+    "curl": ([("v", "vec", 0)], [("w", "vec", -1)]),
+    "div": ([("v", "vec", 0)], [("f", "scalar", -1)]),
+    "sym_grad": ([("v", "vec", 0)], [("s", "sym", -1)]),
+    "curl_curl": ([("s", "sym", 0)], [("t", "sym", -2)]),
+    "div_sym": ([("s", "sym", 0)], [("v", "vec", -1)]),
+    "w_grad": ([("x", "vec", 0), ("y", "vec", 0)],
+               [("sigma", "mat", 0), ("xi", "mat", -1)]),
+    "w_curl": ([("sigma", "mat", 0), ("xi", "mat", 0)],
+               [("sigma", "mat", 0), ("xi", "mat", -1)]),
+    "w_div": ([("sigma", "mat", 0), ("xi", "mat", 0)],
+              [("x", "vec", 0), ("y", "vec", 0)]),
+}
+
+
+def _spaces(name: str, degree: int, slot_lists) -> list[GradedSpace]:
+    """Graded spaces at a degree; every bound must be at least 0."""
+    least = -min(shift for slots in slot_lists for _, _, shift in slots)
+    if degree < least:
+        raise ValueError(f"{name} needs degree >= {least}")
+    return [GradedSpace([Slot(label, kind, degree + shift) for label, kind, shift in slots])
+            for slots in slot_lists]
 
 
 def matrix_of(op_id: str, degree: int) -> LinOpMatrix:
-    """Matrix of a named operator on fields truncated at the given degree.
+    """Matrix of a named operator on fields truncated at the given degree."""
+    stencil = operator_stencil(op_id)
+    dom, cod = _spaces(op_id, degree, _OPERATOR_SLOTS[op_id])
+    return LinOpMatrix.from_operator(dom, cod, stencil, name=op_id)
 
-    Codomain bounds drop by the differential order; purely algebraic
-    contributions keep their degree, which for the coupled operators means
-    per-slot bounds (and, for the connection divergence, a codomain equal in
-    bound to the domain).
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    d = degree
-    if op_id == "grad":
-        dom = GradedSpace([Slot("f", "scalar", d)])
-        cod = GradedSpace([Slot("v", "vec", d - 1)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (grad(v[0]),), name=op_id)
-    if op_id == "curl":
-        dom = GradedSpace([Slot("v", "vec", d)])
-        cod = GradedSpace([Slot("w", "vec", d - 1)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (curl(v[0]),), name=op_id)
-    if op_id == "div":
-        dom = GradedSpace([Slot("v", "vec", d)])
-        cod = GradedSpace([Slot("f", "scalar", d - 1)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (div(v[0]),), name=op_id)
-    if op_id == "sym_grad":
-        dom = GradedSpace([Slot("v", "vec", d)])
-        cod = GradedSpace([Slot("s", "sym", d - 1)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (sym_grad(v[0]),), name=op_id)
-    if op_id == "curl_curl":
-        if degree < 2:
-            raise ValueError("curl_curl needs degree >= 2")
-        dom = GradedSpace([Slot("s", "sym", d)])
-        cod = GradedSpace([Slot("t", "sym", d - 2)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (curl_curl(v[0]),),
-                                         name=op_id)
-    if op_id == "div_sym":
-        dom = GradedSpace([Slot("s", "sym", d)])
-        cod = GradedSpace([Slot("v", "vec", d - 1)])
-        return LinOpMatrix.from_operator(dom, cod, lambda v: (div_sym(v[0]),), name=op_id)
-    if op_id == "w_grad":
-        dom = GradedSpace([Slot("x", "vec", d), Slot("y", "vec", d)])
-        cod = GradedSpace([Slot("sigma", "mat", d), Slot("xi", "mat", d - 1)])
 
-        def apply_grad(vals):
-            form = w_grad(WField(vals[0], vals[1]))
-            return (form.sigma, form.xi)
-
-        return LinOpMatrix.from_operator(dom, cod, apply_grad, name=op_id)
-    if op_id == "w_curl":
-        dom = GradedSpace([Slot("sigma", "mat", d), Slot("xi", "mat", d)])
-        cod = GradedSpace([Slot("sigma", "mat", d), Slot("xi", "mat", d - 1)])
-
-        def apply_curl(vals):
-            form = w_curl(WOneForm(vals[0], vals[1]))
-            return (form.sigma, form.xi)
-
-        return LinOpMatrix.from_operator(dom, cod, apply_curl, name=op_id)
-    if op_id == "w_div":
-        dom = GradedSpace([Slot("sigma", "mat", d), Slot("xi", "mat", d)])
-        cod = GradedSpace([Slot("x", "vec", d), Slot("y", "vec", d)])
-
-        def apply_div(vals):
-            f = w_div(WOneForm(vals[0], vals[1]))
-            return (f.x, f.y)
-
-        return LinOpMatrix.from_operator(dom, cod, apply_div, name=op_id)
-    raise ValueError(f"unknown operator id {op_id!r}; expected one of {OPERATOR_IDS}")
+def _chain(name: str, degree: int, slots: list, op_ids: Sequence[str],
+           stencils: Sequence | None = None) -> ChainComplex:
+    """Complex of the named operators; stencils default to the operator tables."""
+    spaces = _spaces(f"the {name} complex", degree, slots)
+    stencils = stencils or [operator_stencil(op_id) for op_id in op_ids]
+    maps = [LinOpMatrix.from_operator(spaces[k], spaces[k + 1], stencil, name=op_id)
+            for k, (op_id, stencil) in enumerate(zip(op_ids, stencils))]
+    return ChainComplex(name=f"{name}(d={degree})", spaces=spaces, maps=maps)
 
 
 def build_elasticity_complex(degree: int) -> ChainComplex:
     """displacement -> strain -> stress -> load with bounds (d+1, d, d-2, d-3)."""
-    if degree < 3:
-        raise ValueError("the elasticity complex needs degree >= 3")
-    d = degree
-    spaces = [
-        GradedSpace([Slot("displacement", "vec", d + 1)]),
-        GradedSpace([Slot("strain", "sym", d)]),
-        GradedSpace([Slot("stress", "sym", d - 2)]),
-        GradedSpace([Slot("load", "vec", d - 3)]),
-    ]
-    maps = [
-        LinOpMatrix.from_operator(spaces[0], spaces[1],
-                                  lambda v: (sym_grad(v[0]),), name="sym_grad"),
-        LinOpMatrix.from_operator(spaces[1], spaces[2],
-                                  lambda v: (curl_curl(v[0]),), name="curl_curl"),
-        LinOpMatrix.from_operator(spaces[2], spaces[3],
-                                  lambda v: (div_sym(v[0]),), name="div_sym"),
-    ]
-    return ChainComplex(name=f"elasticity(d={d})", spaces=spaces, maps=maps)
+    return _chain("elasticity", degree,
+                  [[("displacement", "vec", 1)], [("strain", "sym", 0)],
+                   [("stress", "sym", -2)], [("load", "vec", -3)]],
+                  ("sym_grad", "curl_curl", "div_sym"))
 
 
 def build_grad_curl_div_complex(degree: int) -> ChainComplex:
     """potential -> field -> flux -> density with bounds (d+1, d, d-1, d-2)."""
-    if degree < 2:
-        raise ValueError("the grad-curl-div complex needs degree >= 2")
-    d = degree
-    spaces = [
-        GradedSpace([Slot("potential", "scalar", d + 1)]),
-        GradedSpace([Slot("field", "vec", d)]),
-        GradedSpace([Slot("flux", "vec", d - 1)]),
-        GradedSpace([Slot("density", "scalar", d - 2)]),
-    ]
-    maps = [
-        LinOpMatrix.from_operator(spaces[0], spaces[1], lambda v: (grad(v[0]),),
-                                  name="grad"),
-        LinOpMatrix.from_operator(spaces[1], spaces[2], lambda v: (curl(v[0]),),
-                                  name="curl"),
-        LinOpMatrix.from_operator(spaces[2], spaces[3], lambda v: (div(v[0]),),
-                                  name="div"),
-    ]
-    return ChainComplex(name=f"grad_curl_div(d={d})", spaces=spaces, maps=maps)
-
-
-def _split_mat(m: Mat3Field) -> tuple[VecField, SymField]:
-    return axial_vector(m), SymField.from_entries(m.sym_part().entry)
-
-
-def _unsplit_mat(ax: VecField, sym: SymField) -> Mat3Field:
-    return skew_from_axial(ax) + sym.as_matrix()
+    return _chain("grad_curl_div", degree,
+                  [[("potential", "scalar", 1)], [("field", "vec", 0)],
+                   [("flux", "vec", -1)], [("density", "scalar", -2)]],
+                  ("grad", "curl", "div"))
 
 
 def build_w_complex(degree: int) -> ChainComplex:
@@ -547,42 +490,15 @@ def build_w_complex(degree: int) -> ChainComplex:
     what makes the Schur reduction land on the elasticity complex bounds.
     The matrix slots whose cancellation drives the reduction are split into
     axial (skew) and symmetric parts so each cancellation selects whole
-    slots.
+    slots; the split is composed into the stencils as constant maps.
     """
-    if degree < 3:
-        raise ValueError("the coupled complex needs degree >= 3")
-    d = degree
-    spaces = [
-        GradedSpace([Slot("x", "vec", d + 1), Slot("y", "vec", d)]),
-        GradedSpace([Slot("sigma_skew", "skew", d), Slot("sigma_sym", "sym", d),
-                     Slot("xi", "mat", d - 1)]),
-        GradedSpace([Slot("theta1", "mat", d - 1), Slot("theta2_sym", "sym", d - 2),
-                     Slot("theta2_skew", "skew", d - 2)]),
-        GradedSpace([Slot("z1", "vec", d - 2), Slot("z2", "vec", d - 3)]),
-    ]
-
-    def map0(vals):
-        form = w_grad(WField(vals[0], vals[1]))
-        ax, sym = _split_mat(form.sigma)
-        return (ax, sym, form.xi)
-
-    def map1(vals):
-        sigma = _unsplit_mat(vals[0], vals[1])
-        out = w_curl(WOneForm(sigma, vals[2]))
-        ax, sym = _split_mat(out.xi)
-        return (out.sigma, sym, ax)
-
-    def map2(vals):
-        theta2 = _unsplit_mat(vals[2], vals[1])
-        f = w_div(WOneForm(vals[0], theta2))
-        return (f.x, f.y)
-
-    maps = [
-        LinOpMatrix.from_operator(spaces[0], spaces[1], map0, name="w_grad"),
-        LinOpMatrix.from_operator(spaces[1], spaces[2], map1, name="w_curl"),
-        LinOpMatrix.from_operator(spaces[2], spaces[3], map2, name="w_div"),
-    ]
-    return ChainComplex(name=f"coupled(d={d})", spaces=spaces, maps=maps)
+    return _chain("coupled", degree,
+                  [[("x", "vec", 1), ("y", "vec", 0)],
+                   [("sigma_skew", "skew", 0), ("sigma_sym", "sym", 0), ("xi", "mat", -1)],
+                   [("theta1", "mat", -1), ("theta2_sym", "sym", -2),
+                    ("theta2_skew", "skew", -2)],
+                   [("z1", "vec", -2), ("z2", "vec", -3)]],
+                  ("w_grad", "w_curl", "w_div"), coupled_split_stencils())
 
 
 @dataclass

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import curl, curl_curl, curl_row, homotopy_antiderivative
+from .calculus import curl_curl, curl_row, homotopy_antiderivative
 from .errors import CompatibilityError
-from .fields import (AXES, Mat3Field, SymField, VecField, axial_vector, delta,
-                     eps, random_field, skew_from_axial)
+from .fields import AXES, Mat3Field, SymField, VecField, delta, eps, random_field
 from .poly import Poly3
 
 

@@ -53,7 +53,8 @@ def _poly_from_terms(raw, where: str) -> Poly3:
             raise FieldFormatError(f"malformed term in component {where!r}")
         exp = item["exp"]
         if (not isinstance(exp, list) or len(exp) != 3
-                or any(not isinstance(a, int) or a < 0 for a in exp)):
+                or any(not isinstance(a, int) or isinstance(a, bool) or a < 0
+                       for a in exp)):
             raise FieldFormatError(f"bad exponent {exp!r} in component {where!r}")
         raw_coef = item["coef"]
         if not isinstance(raw_coef, str) or not _COEF_RE.fullmatch(raw_coef):

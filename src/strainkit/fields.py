@@ -11,9 +11,9 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .poly import Poly3, Scalar, grlex_key, monomials_up_to
+from .poly import Poly3, Scalar, monomials_up_to
 
 AXES = (1, 2, 3)
 

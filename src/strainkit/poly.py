@@ -20,7 +20,7 @@ ZERO_EXP: Exponent = (0, 0, 0)
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
@@ -121,7 +121,7 @@ class Poly3:
         return self * (Fraction(1) / c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = _coerce(other)
         if not isinstance(other, Poly3):
             return NotImplemented

@@ -24,12 +24,8 @@ from typing import Sequence
 
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
-from .fields import AXES, Mat3Field, SymField, delta
+from .fields import AXES, Mat3Field, SymField, _as_poly, delta
 from .poly import Poly3, Scalar
-
-
-def _as_poly(value: Poly3 | Scalar) -> Poly3:
-    return value if isinstance(value, Poly3) else Poly3.constant(value)
 
 
 @dataclass(frozen=True)
@@ -46,10 +42,6 @@ class JetPoly:
     @classmethod
     def constant(cls, c: Scalar) -> "JetPoly":
         return cls(Poly3.constant(c), Poly3())
-
-    @classmethod
-    def eps_times(cls, p: Poly3) -> "JetPoly":
-        return cls(Poly3(), p)
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
         return JetPoly(self.p0 + other.p0, self.p1 + other.p1)

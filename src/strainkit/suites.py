@@ -573,10 +573,10 @@ def _check_matrix_operator_agreement(cfg: SuiteConfig) -> str:
     plain = {"grad": ("scalar", grad), "curl": ("vec", curl),
              "div": ("vec", div), "sym_grad": ("vec", sym_grad),
              "curl_curl": ("sym", curl_curl), "div_sym": ("sym", div_sym)}
+    matrices = {op_id: matrix_of(op_id, d) for op_id in OPERATOR_IDS}
     for t in range(cfg.trials):
         seed = _trial_seed(cfg, 41, t)
-        for op_id in OPERATOR_IDS:
-            m = matrix_of(op_id, d)
+        for op_id, m in matrices.items():
             if op_id in plain:
                 kind, fn = plain[op_id]
                 f = random_field(kind, d, seed)

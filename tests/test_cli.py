@@ -127,6 +127,17 @@ def test_reconstruct_rejects_wrong_field_kind(tmp_path, capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_boolean_exponent(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"kind": "sym", "components": '
+                    '{"11": [{"exp": [true, 0, false], "coef": "1"}]}}')
+    rc = main(["reconstruct", "--input", str(path),
+               "--output", str(tmp_path / "x.json")])
+    assert rc == 65
+    assert "bad exponent" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 # -- linearize ----------------------------------------------------------------
 
 

@@ -15,8 +15,9 @@ from strainkit.complexes import (ChainComplex, GradedSpace, LinOpMatrix,
                                  wedge_with_vector)
 from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
 from strainkit.errors import SingularBlockError
-from strainkit.fields import random_field
-from strainkit.poly import Poly3
+from strainkit.fields import SymField, VecField, random_field
+from strainkit.poly import Poly3, monomials_up_to
+from strainkit.stencils import operator_stencil
 
 F = Fraction
 
@@ -76,14 +77,21 @@ def test_graded_space_layout():
 
 
 def test_basis_and_coords_are_inverse():
+    """One-hot fields land on consecutive indices in component-major order."""
     space = GradedSpace([Slot("u", "vec", 1), Slot("s", "sym", 1),
                          Slot("f", "scalar", 0)])
-    seen = set()
-    for index, values in space.basis_values():
-        coords = space.to_coords(values)
-        assert coords == {index: F(1)}
-        seen.add(index)
-    assert seen == set(range(space.dim))
+    zeros = (VecField.zero(), SymField.zero(), Poly3())
+    wrap = {"vec": VecField, "sym": SymField, "scalar": lambda parts: parts[0]}
+    index = 0
+    for k, slot in enumerate(space.slots):
+        for c in range(slot.ncomp):
+            for exp in monomials_up_to(slot.bound):
+                parts = tuple(Poly3.monomial(exp) if i == c else Poly3()
+                              for i in range(slot.ncomp))
+                values = zeros[:k] + (wrap[slot.kind](parts),) + zeros[k + 1:]
+                assert space.to_coords(values) == {index: F(1)}
+                index += 1
+    assert index == space.dim
 
 
 def test_to_coords_rejects_out_of_bound_terms():
@@ -263,10 +271,10 @@ def test_verify_complex_reports_nonzero_composition():
         GradedSpace([Slot("g", "scalar", d - 1)]),
     ]
     maps = [
-        LinOpMatrix.from_operator(spaces[0], spaces[1],
-                                  lambda v: (grad(v[0]),), name="grad"),
-        LinOpMatrix.from_operator(spaces[1], spaces[2],
-                                  lambda v: (div(v[0]),), name="div"),
+        LinOpMatrix.from_operator(spaces[0], spaces[1], operator_stencil("grad"),
+                                  name="grad"),
+        LinOpMatrix.from_operator(spaces[1], spaces[2], operator_stencil("div"),
+                                  name="div"),
     ]
     report = verify_complex(ChainComplex(name="laplace", spaces=spaces, maps=maps))
     assert not report.compositions_zero

@@ -72,6 +72,17 @@ def test_scalar_operations():
     assert 1 + p - 1 == p
 
 
+def test_boolean_coefficients_rejected():
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            Poly3.constant(flag)
+        with pytest.raises(TypeError):
+            Poly3({(1, 0, 0): flag})
+        with pytest.raises(TypeError):
+            X1 * flag
+        assert ONE != flag
+
+
 def test_partial_derivatives():
     p = X1 * X1 * X2 + 3 * X3
     assert p.partial(1) == 2 * X1 * X2

@@ -92,6 +92,15 @@ def test_bad_exponent_raises():
         fieldio.field_from_doc(doc)
 
 
+def test_boolean_exponent_raises():
+    doc = {"kind": "scalar", "components": {"": [{"exp": [True, 0, False], "coef": "1"}]}}
+    with pytest.raises(FieldFormatError):
+        fieldio.field_from_doc(doc)
+    text = '{"kind": "scalar", "components": {"": [{"exp": [true, 0, 0], "coef": "1"}]}}'
+    with pytest.raises(FieldFormatError):
+        fieldio.loads(text)
+
+
 def test_bad_coefficient_raises():
     for bad in ("0.5", "1e3", "", "1/0", 2):
         doc = {"kind": "scalar",

@@ -1,0 +1,140 @@
+"""Stencil assembly against the hand-written field operators, and its outputs."""
+
+import hashlib
+from functools import cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strainkit.calculus import curl, curl_curl, div, div_sym, grad, sym_grad
+from strainkit.cli import main
+from strainkit.complexes import (GradedSpace, LinOpMatrix, OPERATOR_IDS, Slot,
+                                 build_w_complex, matrix_of)
+from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
+from strainkit.fields import SymField, axial_vector, random_field, skew_from_axial
+from strainkit.stencils import compose, make_stencil, operator_stencil
+
+
+def _sym(m):
+    return SymField.from_entries(m.sym_part().entry)
+
+
+# Reference for each matrix: the field operator on per-slot value tuples.
+_REFERENCE = {
+    "grad": lambda v: (grad(v[0]),),
+    "curl": lambda v: (curl(v[0]),),
+    "div": lambda v: (div(v[0]),),
+    "sym_grad": lambda v: (sym_grad(v[0]),),
+    "curl_curl": lambda v: (curl_curl(v[0]),),
+    "div_sym": lambda v: (div_sym(v[0]),),
+    "w_grad": lambda v: (lambda f: (f.sigma, f.xi))(w_grad(WField(*v))),
+    "w_curl": lambda v: (lambda f: (f.sigma, f.xi))(w_curl(WOneForm(*v))),
+    "w_div": lambda v: (lambda f: (f.x, f.y))(w_div(WOneForm(*v))),
+}
+
+# The coupled complex in split coordinates, through axial_vector/skew_from_axial.
+_SPLIT_REFERENCE = [
+    lambda v: (lambda f: (axial_vector(f.sigma), _sym(f.sigma), f.xi))(
+        w_grad(WField(*v))),
+    lambda v: (lambda f: (f.sigma, _sym(f.xi), axial_vector(f.xi)))(
+        w_curl(WOneForm(skew_from_axial(v[0]) + v[1].as_matrix(), v[2]))),
+    lambda v: (lambda f: (f.x, f.y))(
+        w_div(WOneForm(v[0], skew_from_axial(v[2]) + v[1].as_matrix()))),
+]
+
+
+@cache
+def _matrix(op_id, degree):
+    return matrix_of(op_id, degree)
+
+
+@cache
+def _coupled(degree):
+    return build_w_complex(degree)
+
+
+def _random_values(space, seed):
+    return tuple(random_field("vec" if s.kind == "skew" else s.kind, s.bound, seed + k)
+                 for k, s in enumerate(space.slots))
+
+
+def _agrees(mat, reference, seed):
+    values = _random_values(mat.domain, seed)
+    got = mat.apply_coords(mat.domain.to_coords(values))
+    return got == mat.codomain.to_coords(reference(values))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(degree=st.integers(3, 6), seed=st.integers(0, 10**6))
+def test_operator_stencils_match_field_operators(degree, seed):
+    for op_id in OPERATOR_IDS:
+        assert _agrees(_matrix(op_id, degree), _REFERENCE[op_id], seed), op_id
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(degree=st.integers(3, 6), seed=st.integers(0, 10**6))
+def test_split_stencils_match_field_operators(degree, seed):
+    for stage, reference in enumerate(_SPLIT_REFERENCE):
+        assert _agrees(_coupled(degree).maps[stage], reference, seed), stage
+
+
+def test_stencil_below_codomain_bound_raises():
+    dom = GradedSpace([Slot("f", "scalar", 2)])
+    with pytest.raises(ValueError, match="exceeds bound 0"):
+        LinOpMatrix.from_operator(dom, GradedSpace([Slot("v", "vec", 0)]),
+                                  operator_stencil("grad"))
+    # with a bound that fits, the same stencil assembles
+    fits = LinOpMatrix.from_operator(dom, GradedSpace([Slot("v", "vec", 1)]),
+                                     operator_stencil("grad"))
+    assert fits.rank() == 9
+
+
+def test_stencil_term_outside_the_spaces_raises():
+    dom = GradedSpace([Slot("f", "scalar", 1)])
+    with pytest.raises(ValueError):
+        LinOpMatrix.from_operator(dom, GradedSpace([Slot("v", "vec", 0)]),
+                                  operator_stencil("div"))
+    with pytest.raises(ValueError):
+        operator_stencil("hessian")
+
+
+def test_make_stencil_merges_and_drops_zeros():
+    terms = [(0, 0, 0, 0, (1, 0, 0), 1), (0, 0, 0, 0, (1, 0, 0), -1),
+             (0, 0, 0, 1, (0, 1, 0), 1), (0, 0, 0, 1, (0, 1, 0), 2)]
+    assert make_stencil(terms) == ((0, 0, 0, 1, (0, 1, 0), 3),)
+
+
+def test_composed_stencils_give_composed_matrices():
+    # div o grad is the Laplacian: three second derivatives
+    laplace = compose(operator_stencil("div"), operator_stencil("grad"))
+    assert sorted(t[4] for t in laplace) == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
+    # curl o grad vanishes term by term
+    assert compose(operator_stencil("curl"), operator_stencil("grad")) == ()
+
+
+# sha256 of `complex --report` files, frozen from the one-hot operator
+# assembly that the stencils replaced.
+_FROZEN_REPORTS = {
+    (3, "none"): "b25a25038b6b2aa98e60008cfc9069f4686aa2331efb2fcdd5d999e2747eff6b",
+    (3, "halfway"): "ee74815a8c247a7c61d318c7e4cde74484f698c2ab92a4e6e1fc357a91e71d36",
+    (3, "elasticity"): "d538d2ab000549afb57608f2f8fbc9d3924957977e4656133515135038969fd0",
+    (4, "none"): "365836f15cbf7dda8dc392ffaabe4f77b014b493f01b59183d10bf0a671378b4",
+    (4, "halfway"): "e36a69e1d2fb8d902e84d2a6071a5c15c32aacf85bc1610267b4388ca3037d71",
+    (4, "elasticity"): "5abd74ba0aa8d5d2e4a781f43852664b31084745938c1d5c44cd76c49e96024f",
+    (5, "none"): "ebe93b21c055addfd1fa19103b482ee2a2b66e827ca1aba3ed937be3bb7585bd",
+    (5, "halfway"): "4dd506771c9b9bb1ea0f72d907cd60556a2d5391c266ecfb8cce60881f50e0d0",
+    (5, "elasticity"): "a5c52f81d79e421b3e7b639b68ec1afdad0a6a7a9b6e5aabb1b3d76cee552b67",
+    (6, "none"): "b118a16ad44726bfeb890547afde6266b948c23f3c6facca3ad438ddb805c44f",
+    (6, "halfway"): "3ebce6814c396e89f36e75bfcf51de93ef701fef5ad2f3afc4877f7cd70361c9",
+    (6, "elasticity"): "43f98399248c305e690286d2de1e1570a4127f1dbc80bd4e5f695c8a12e67f4d",
+}
+
+
+@pytest.mark.parametrize("degree,derive", sorted(_FROZEN_REPORTS))
+def test_complex_report_is_byte_identical(tmp_path, capsys, degree, derive):
+    path = tmp_path / "report.json"
+    rc = main(["complex", "--degree", str(degree), "--derive", derive,
+               "--report", str(path)])
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        _FROZEN_REPORTS[degree, derive]
