@@ -13,6 +13,7 @@ Exit codes distinguish failure classes so scripts can react:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -209,7 +210,9 @@ def cmd_ricci(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="strainkit",
                      description="Exact tensor calculus for linear elasticity.")
     parser.add_argument("--version", action="version", version=__version__)

@@ -1,96 +1,168 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices live as lists of sparse columns ({row: Fraction}).  Rank uses
-fraction-free (division-controlled) elimination: rows are scaled to integers,
-cross-multiplication updates keep them integral, and a gcd division after
-every update bounds coefficient growth.  Square solves use sparse
-Gauss-Jordan elimination over Fractions with a fill-aware pivot choice.
+Matrices live as lists of sparse columns ({row: Fraction}).  `sparse_rank`
+runs fraction-free elimination: rows are scaled to integers, each update
+``row = a*row - b*pivot_row`` keeps them integral, and a gcd division after
+every update bounds coefficient growth.  `solve_square` runs sparse
+Gauss-Jordan elimination over Fractions on phi and the right-hand sides.
+
+Both keep their pivot bookkeeping in a `_PivotIndex` that lives across the
+elimination: for every column the list of rows holding it, and the rows
+not yet used as pivots bucketed by length.  A step touches only the rows listed
+under its pivot column and updates both maps for those rows alone, so no
+step rescans the matrix.  The pivot is a shortest waiting row and, in it,
+the column held by the fewest rows (a column held by one row ends the
+search): a cheap Markowitz-style bound on fill.
+
+The pivot order changes only the work, never the answer.  Elimination runs
+until no waiting row is nonzero, and the number of pivots is the rank
+whatever their order.  An invertible block has exactly one solution, so the
+Gauss-Jordan result is the same for every order, exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Column = dict[int, Fraction]
 
 
-def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
-    """Transpose sparse columns into integer rows, clearing denominators."""
-    rows: dict[int, dict[int, Fraction]] = {}
+def _rows_of(cols: list[Column]) -> dict[int, Column]:
+    """Transpose sparse columns into sparse rows, dropping zero entries."""
+    rows: dict[int, Column] = {}
     for j, col in enumerate(cols):
         for i, value in col.items():
             if value:
                 rows.setdefault(i, {})[j] = value
+    return rows
+
+
+def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
+    """Transpose sparse columns into integer rows, clearing denominators."""
     out = []
-    for entries in rows.values():
-        denom_lcm = 1
-        for value in entries.values():
-            denom_lcm = denom_lcm * value.denominator // gcd(denom_lcm, value.denominator)
-        ints = {j: int(v * denom_lcm) for j, v in entries.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
+    for entries in _rows_of(cols).values():
+        denom = lcm(*(v.denominator for v in entries.values()))
+        ints = {j: v.numerator * (denom // v.denominator) for j, v in entries.items()}
+        g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
         out.append(ints)
     return out
 
 
-def _divide_by_gcd(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
+class _PivotIndex:
+    """Rows holding each column, and the waiting rows bucketed by length.
+
+    A waiting row is one not yet used as a pivot.  Callers report every
+    entry a step adds to or removes from a row (`holders`) and every row
+    whose length changed (`resize`), so both maps stay exact.
+    """
+
+    __slots__ = ("rows", "holders", "by_len", "shortest", "waiting")
+
+    def __init__(self, rows: dict[int, dict]):
+        self.rows = rows
+        self.holders: dict[int, list[int]] = {}
+        self.by_len: dict[int, set[int]] = {}
+        self.shortest = 1  # no waiting row is shorter
+        self.waiting = len(rows)
+        for i, row in rows.items():
+            for j in row:
+                if j in self.holders:
+                    self.holders[j].append(i)
+                else:
+                    self.holders[j] = [i]
+            self.by_len.setdefault(len(row), set()).add(i)
+
+    def choose(self) -> tuple[int, int] | None:
+        """A shortest waiting row and its least-held column; None if none wait."""
+        if not self.waiting:
+            return None
+        n = self.shortest
+        while not self.by_len.get(n):
+            n += 1
+        self.shortest = n
+        i = next(iter(self.by_len[n]))
+        best, fewest = -1, 0
+        for j in self.rows[i]:
+            held = len(self.holders[j])
+            if held == 1:
+                return i, j
+            if best < 0 or held < fewest:
+                best, fewest = j, held
+        return i, best
+
+    def retire(self, i: int) -> None:
+        """Row i, as last resized, stops waiting: it is the next pivot row."""
+        self.by_len[len(self.rows[i])].remove(i)
+        self.waiting -= 1
+
+    def resize(self, i: int, old: int, n: int) -> None:
+        """Row i went from old to n entries; re-bucket it if it is waiting.
+
+        A waiting row that became zero stops waiting.
+        """
+        if old == n or i not in self.by_len.get(old, ()):
+            return
+        self.by_len[old].remove(i)
+        if not n:
+            self.waiting -= 1
+            return
+        self.by_len.setdefault(n, set()).add(i)
+        if n < self.shortest:
+            self.shortest = n
+
+
+def _subtract(row: dict, i: int, factor, pivot_items: list, holders: dict) -> None:
+    """row i -= factor * pivot row, keeping `holders` current.
+
+    The pivot column is not in `pivot_items`; the caller has popped it.
+    """
+    for j, v in pivot_items:
+        old = row.get(j)
+        if old is None:
+            row[j] = -factor * v
+            holders[j].append(i)
+        else:
+            s = old - factor * v
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+                holders[j].remove(i)
 
 
 def sparse_rank(cols: list[Column], nrows: int) -> int:
     """Exact rank via fraction-free elimination with gcd control."""
-    rows = columns_to_int_rows(cols)
-    active = [r for r in rows if r]
+    rows = dict(enumerate(columns_to_int_rows(cols)))
+    index = _PivotIndex(rows)
+    holders = index.holders
     rank = 0
-    while active:
-        # Markowitz-style pivot: cheapest fill estimate first.
-        col_count: dict[int, int] = {}
-        for row in active:
-            for j in row:
-                col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        best_cost = None
-        for idx, row in enumerate(active):
-            r_extra = len(row) - 1
-            for j in row:
-                cost = r_extra * (col_count[j] - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (idx, j), cost
-            if best_cost == 0:
-                break
-        idx, pivot_col = best
-        pivot_row = active.pop(idx)
-        pivot_val = pivot_row[pivot_col]
+    while (pivot := index.choose()) is not None:
+        p, pcol = pivot
+        index.retire(p)
+        pivot_row = rows.pop(p)
+        for j in pivot_row:
+            holders[j].remove(p)
+        pivot_val = pivot_row.pop(pcol)
+        pivot_items = list(pivot_row.items())
         rank += 1
-        updated = []
-        for row in active:
-            if pivot_col in row:
-                factor = row.pop(pivot_col)
-                new = {j: pivot_val * v for j, v in row.items()}
-                for j, v in pivot_row.items():
-                    if j == pivot_col:
-                        continue
-                    s = new.get(j, 0) - factor * v
-                    if s:
-                        new[j] = s
-                    else:
-                        new.pop(j, None)
-                if new:
-                    updated.append(_divide_by_gcd(new))
-            elif row:
-                updated.append(row)
-        active = updated
+        for i in holders.pop(pcol):
+            row = rows[i]
+            old = len(row)
+            factor = row.pop(pcol)
+            g = gcd(pivot_val, factor)
+            scale = pivot_val // g
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+            _subtract(row, i, factor // g, pivot_items, holders)
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+            index.resize(i, old, len(row))
     return rank
 
 
@@ -101,77 +173,46 @@ def solve_square(phi_cols: list[Column], size: int,
     Returns the solution columns.  Raises ValueError carrying the rank when
     phi is singular; callers wrap this into a domain error.
     """
-    nrhs = len(rhs_cols)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(phi_cols):
-        for i, value in col.items():
-            if value:
-                rows.setdefault(i, {})[j] = value
-    rhs_rows: dict[int, dict[int, Fraction]] = {}
-    for k, col in enumerate(rhs_cols):
-        for i, value in col.items():
-            if value:
-                rhs_rows.setdefault(i, {})[k] = value
-
-    row_ids = list(range(size))
-    work = {i: dict(rows.get(i, {})) for i in row_ids}
-    rhs = {i: dict(rhs_rows.get(i, {})) for i in row_ids}
-    col_of_pivot: dict[int, int] = {}
-    unused = set(row_ids)
-    remaining_cols = set(range(size))
-
-    for _ in range(size):
-        # Fill-aware pivot choice among untouched rows and columns.
-        col_count: dict[int, int] = {}
-        for i in unused:
-            for j in work[i]:
-                if j in remaining_cols:
-                    col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        best_cost = None
-        for i in unused:
-            live = [j for j in work[i] if j in remaining_cols]
-            for j in live:
-                cost = (len(live) - 1) * (col_count[j] - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
-            if best_cost == 0:
-                break
-        if best is None:
-            raise ValueError(f"singular block: rank {len(col_of_pivot)} of {size}")
-        pi, pj = best
-        pval = work[pi][pj]
-        # Normalize the pivot row.
-        work[pi] = {j: v / pval for j, v in work[pi].items()}
-        rhs[pi] = {k: v / pval for k, v in rhs[pi].items()}
-        # Eliminate the pivot column everywhere else (Gauss-Jordan).
-        for i in row_ids:
-            if i == pi:
-                continue
-            factor = work[i].get(pj)
-            if not factor:
-                continue
-            for j, v in work[pi].items():
-                s = work[i].get(j, Fraction(0)) - factor * v
+    rows = _rows_of(phi_cols)
+    rhs = _rows_of(rhs_cols)
+    index = _PivotIndex(rows)
+    holders = index.holders
+    row_of_pivot: dict[int, int] = {}
+    while (pivot := index.choose()) is not None:
+        p, pcol = pivot
+        index.retire(p)
+        pivot_row, pivot_rhs = rows[p], rhs.setdefault(p, {})
+        pivot_val = pivot_row[pcol]
+        if pivot_val != 1:
+            pivot_row = rows[p] = {j: v / pivot_val for j, v in pivot_row.items()}
+            pivot_rhs = rhs[p] = {k: v / pivot_val for k, v in pivot_rhs.items()}
+        pivot_items = [(j, v) for j, v in pivot_row.items() if j != pcol]
+        # Gauss-Jordan: clear pcol from every other row, used ones included.
+        # Waiting rows hold no used column, so neither does the pivot row,
+        # and clearing pcol brings no used column back into any row.
+        targets = holders.pop(pcol)
+        targets.remove(p)
+        for i in targets:
+            row = rows[i]
+            old = len(row)
+            factor = row.pop(pcol)
+            _subtract(row, i, factor, pivot_items, holders)
+            row_rhs = rhs.setdefault(i, {})
+            for k, v in pivot_rhs.items():
+                s = row_rhs.get(k, 0) - factor * v
                 if s:
-                    work[i][j] = s
+                    row_rhs[k] = s
                 else:
-                    work[i].pop(j, None)
-            for k, v in rhs[pi].items():
-                s = rhs[i].get(k, Fraction(0)) - factor * v
-                if s:
-                    rhs[i][k] = s
-                else:
-                    rhs[i].pop(k, None)
-        col_of_pivot[pj] = pi
-        unused.discard(pi)
-        remaining_cols.discard(pj)
+                    row_rhs.pop(k, None)
+            index.resize(i, old, len(row))
+        row_of_pivot[pcol] = p
+    if len(row_of_pivot) < size:
+        raise ValueError(f"singular block: rank {len(row_of_pivot)} of {size}")
 
-    solutions: list[Column] = [dict() for _ in range(nrhs)]
-    for j, i in col_of_pivot.items():
-        for k, v in rhs[i].items():
-            if v:
-                solutions[k][j] = v
+    solutions: list[Column] = [dict() for _ in rhs_cols]
+    for j in sorted(row_of_pivot):
+        for k, v in rhs[row_of_pivot[j]].items():
+            solutions[k][j] = v
     return solutions
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .poly import Poly3, Scalar, monomials_up_to
+from .poly import Poly3, Scalar, _check_axis, monomials_up_to
 
 AXES = (1, 2, 3)
 
@@ -36,12 +36,6 @@ def _as_poly(value: Poly3 | Scalar) -> Poly3:
     if isinstance(value, Poly3):
         return value
     return Poly3.constant(value)
-
-
-def _check_axis(i: int) -> int:
-    if i not in AXES:
-        raise ValueError(f"index must be 1, 2 or 3, got {i}")
-    return i
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,16 @@ class Poly3:
         cleaned: dict[Exponent, Fraction] = {}
         if terms:
             for exp, coef in terms.items():
-                e = (int(exp[0]), int(exp[1]), int(exp[2]))
-                if e[0] < 0 or e[1] < 0 or e[2] < 0:
+                if len(exp) != 3:
+                    raise ValueError(f"exponent needs 3 entries, got {exp!r}")
+                a1, a2, a3 = exp
+                if type(a1) is not int or type(a2) is not int or type(a3) is not int:
+                    raise TypeError(f"exponent entries must be ints, got {exp!r}")
+                if a1 < 0 or a2 < 0 or a3 < 0:
                     raise ValueError(f"negative exponent in {exp}")
                 c = _as_fraction(coef)
                 if c:
-                    cleaned[e] = c
+                    cleaned[(a1, a2, a3)] = c
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
@@ -211,9 +215,11 @@ def _coerce(value: "Poly3 | Scalar") -> Poly3:
     return Poly3.constant(value)
 
 
-def _check_axis(axis: int) -> None:
+def _check_axis(axis: int) -> int:
+    """Return axis if it is 1, 2 or 3; raise ValueError otherwise."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
+    return axis
 
 
 ZERO = Poly3()

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from strainkit import fieldio
+from strainkit import cli, fieldio
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.cli import main
 from strainkit.fields import SymField, VecField
@@ -221,6 +221,27 @@ def test_ricci_rejects_malformed_point(tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["ricci", "--metric", metric, "--point", bad])
         assert info.value.code == 64
+
+
+# -- parser -------------------------------------------------------------------
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    parser = cli.build_parser()
+    seen = []
+    parse_args = type(parser).parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(parser), "parse_args", recording)
+    assert main(["complex", "--degree", "3"]) == 0
+    assert "complex grad_curl_div(d=3)" in capsys.readouterr().out
+    metric = _write(_example_metric(), tmp_path / "metric.json")
+    assert main(["ricci", "--metric", metric, "--point", "0,0,0"]) == 0
+    assert "scalar: 2" in capsys.readouterr().out
+    assert seen == [parser, parser]
 
 
 # -- error plumbing -----------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strainkit import exactlin
 
@@ -131,3 +132,90 @@ def test_columns_to_int_rows_clears_denominators():
     for row in rows:
         for v in row.values():
             assert isinstance(v, int)
+
+
+# -- properties over sparse matrices up to 40 x 40 -----------------------------
+
+nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(bool)
+
+
+@st.composite
+def sparse_dense(draw, nrows=None, max_dim=40):
+    """A dense Fraction matrix with at most five nonzeros per row, planted
+    dependent rows and some rows and columns forced to zero."""
+    if nrows is None:
+        nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    row_ids, col_ids = st.integers(0, nrows - 1), st.integers(0, ncols - 1)
+    rows = []
+    for _ in range(nrows):
+        entries = draw(st.dictionaries(col_ids, nonzero, max_size=5))
+        rows.append([entries.get(j, Fraction(0)) for j in range(ncols)])
+    # row t := a * row s + b * row u
+    for t, s, u, a, b in draw(st.lists(
+            st.tuples(row_ids, row_ids, row_ids, nonzero, nonzero),
+            max_size=nrows // 3)):
+        rows[t] = [a * x + b * y for x, y in zip(rows[s], rows[u])]
+    for i in draw(st.sets(row_ids, max_size=3)):
+        rows[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(col_ids, max_size=3)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+@st.composite
+def invertible_dense(draw, max_dim=40):
+    """A sparse invertible matrix: a scaled permutation under a few row
+    operations row t += c * row s."""
+    n = draw(st.integers(1, max_dim))
+    perm = draw(st.permutations(range(n)))
+    scale = draw(st.lists(nonzero, min_size=n, max_size=n))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][perm[i]] = scale[i]
+    ids = st.integers(0, n - 1)
+    for t, s, c in draw(st.lists(st.tuples(ids, ids, nonzero), max_size=2 * n)):
+        if t != s:
+            rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+    return rows
+
+
+def apply_cols(phi, sol):
+    acc = {}
+    for j, c in sol.items():
+        for i, v in phi[j].items():
+            acc[i] = acc.get(i, Fraction(0)) + c * v
+    return {i: v for i, v in acc.items() if v != 0}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=sparse_dense())
+def test_sparse_rank_matches_dense_rank(rows):
+    assert exactlin.sparse_rank(cols_from_dense(rows), len(rows)) == dense_rank(rows)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_solve_square_round_trips(data):
+    rows = data.draw(invertible_dense())
+    rhs = cols_from_dense(data.draw(sparse_dense(nrows=len(rows), max_dim=6)))
+    phi = cols_from_dense(rows)
+    sols = exactlin.solve_square(phi, len(rows), rhs)
+    assert [apply_cols(phi, sol) for sol in sols] == rhs
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_solve_square_singular_names_dense_rank(data):
+    rows = data.draw(invertible_dense())
+    n = len(rows)
+    t = data.draw(st.integers(0, n - 1))
+    s = data.draw(st.integers(0, n - 1))
+    a = data.draw(nonzero)
+    # Row t becomes a multiple of row s, or zero when t == s.
+    rows[t] = [a * x for x in rows[s]] if s != t else [Fraction(0)] * n
+    want = dense_rank(rows)
+    assert want < n
+    with pytest.raises(ValueError, match=fr"^singular block: rank {want} of {n}$"):
+        exactlin.solve_square(cols_from_dense(rows), n, [{0: Fraction(1)}])

@@ -83,6 +83,19 @@ def test_boolean_coefficients_rejected():
         assert ONE != flag
 
 
+def test_malformed_exponents_rejected():
+    for exp in ((1.7, 0, 0), (True, 0, 0), (0, 0, False), (Fraction(1), 0, 0),
+                ("1", 0, 0)):
+        with pytest.raises(TypeError):
+            Poly3({exp: 1})
+    for exp in ((1, 0, 0, 5), (1, 0), ()):
+        with pytest.raises(ValueError):
+            Poly3({exp: 1})
+    with pytest.raises(ValueError):
+        Poly3({(0, -1, 0): 1})
+    assert Poly3({(1, 0, 0): 1}) == X1
+
+
 def test_partial_derivatives():
     p = X1 * X1 * X2 + 3 * X3
     assert p.partial(1) == 2 * X1 * X2
