@@ -1,6 +1,6 @@
 """strainkit: exact rational tensor calculus for linear elasticity.
 
-Polynomial vector and matrix fields on R^3 with Fraction coefficients,
+Polynomial vector and matrix fields on R^3 with exact rational coefficients,
 the first-order differential operators of small-strain elasticity, the
 Saint-Venant compatibility operator and its integration, the matching
 Riemann-curvature linearization, and finite-degree chain-complex

@@ -20,14 +20,15 @@ from fractions import Fraction
 
 from . import __version__, fieldio
 from .calculus import curl_curl, sym_grad
-from .complexes import (build_elasticity_complex, build_grad_curl_div_complex,
-                        build_w_complex, derive_elasticity, schur_reduce,
-                        verify_complex)
+from .complexes import (MIN_COMPLEX_DEGREE, build_elasticity_complex,
+                        build_grad_curl_div_complex, build_w_complex,
+                        derive_elasticity, schur_reduce, verify_complex)
 from .connection import normalize_rigid, saint_venant_reconstruct
 from .errors import (CompatibilityError, FieldFormatError, SingularBlockError,
                      SingularMetricError)
 from .riemannian import PolyMetric, linearized_einstein, pointwise_curvature
-from .suites import (SUITE_NAMES, SuiteConfig, residual_text, run_suite)
+from .suites import (MIN_DEGREE, MIN_TRIALS, SUITE_NAMES, SuiteConfig,
+                     residual_text, run_suite)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,6 +50,22 @@ def _rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _int_at_least(name: str, least: int):
+    """Parser of an integer flag that must be at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text!r}") from exc
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}")
+        return value
+
+    return parse
 
 
 def _point(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -220,8 +237,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[], help="run identity-check suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--degree", type=_int_at_least("degree", MIN_DEGREE), default=3)
+    p.add_argument("--trials", type=_int_at_least("trials", MIN_TRIALS), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write a machine-readable report")
@@ -247,14 +264,9 @@ def build_parser() -> _Parser:
                    help="compare against the compatibility tensor")
     p.set_defaults(func=cmd_linearize)
 
-    def _complex_degree(text: str) -> int:
-        value = int(text)
-        if value < 3:
-            raise argparse.ArgumentTypeError("degree must be >= 3")
-        return value
-
     p = sub.add_parser("complex", help="exactness and derivation reports")
-    p.add_argument("--degree", type=_complex_degree, default=3)
+    p.add_argument("--degree", type=_int_at_least("degree", MIN_COMPLEX_DEGREE),
+                   default=3)
     p.add_argument("--derive", choices=("none", "halfway", "elasticity"),
                    default="none")
     p.add_argument("--report", metavar="PATH", default=None,

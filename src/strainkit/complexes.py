@@ -440,6 +440,11 @@ _OPERATOR_SLOTS = {
 }
 
 
+# The least degree at which every standard complex has nonnegative bounds:
+# the elasticity and coupled complexes end in bound d - 3.
+MIN_COMPLEX_DEGREE = 3
+
+
 def _spaces(name: str, degree: int, slot_lists) -> list[GradedSpace]:
     """Graded spaces at a degree; every bound must be at least 0."""
     least = -min(shift for slots in slot_lists for _, _, shift in slots)

@@ -1,6 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices live as lists of sparse columns ({row: Fraction}).  `sparse_rank`
+Matrices live as lists of sparse columns ({row: value}); a value is an int
+or a Fraction, as `Poly3` coefficients and field coordinates are.  `sparse_rank`
 runs fraction-free elimination: rows are scaled to integers, each update
 ``row = a*row - b*pivot_row`` keeps them integral, and a gcd division after
 every update bounds coefficient growth.  `solve_square` runs sparse
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Column = dict[int, Fraction]
+Column = dict[int, int | Fraction]
 
 
 def _rows_of(cols: list[Column]) -> dict[int, Column]:
@@ -182,7 +183,7 @@ def solve_square(phi_cols: list[Column], size: int,
         p, pcol = pivot
         index.retire(p)
         pivot_row, pivot_rhs = rows[p], rhs.setdefault(p, {})
-        pivot_val = pivot_row[pcol]
+        pivot_val = Fraction(pivot_row[pcol])
         if pivot_val != 1:
             pivot_row = rows[p] = {j: v / pivot_val for j, v in pivot_row.items()}
             pivot_rhs = rhs[p] = {k: v / pivot_val for k, v in pivot_rhs.items()}

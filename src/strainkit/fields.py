@@ -282,7 +282,7 @@ def _random_poly(rng: random.Random, degree: int) -> Poly3:
     for exp in monomials_up_to(degree):
         c = rng.randint(*_COEF_RANGE)
         if c:
-            terms[exp] = Fraction(c)
+            terms[exp] = c
     return Poly3(terms)
 
 

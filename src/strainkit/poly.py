@@ -1,14 +1,21 @@
 """Sparse polynomials in three variables over exact rationals.
 
 A polynomial is a finite map from exponent triples (a1, a2, a3) to nonzero
-Fraction coefficients.  The zero polynomial is the empty map and has degree -1
-by convention.  Monomials are ordered graded-lexicographically with
-x1 > x2 > x3; display lists the leading term first.
+rational coefficients.  A coefficient is stored as an int when it is
+integral and as a Fraction with denominator > 1 otherwise; `_canonical`
+enforces this form on every path that stores a coefficient, so integer
+polynomials are added, multiplied and differentiated without building any
+Fraction.  An int compares and hashes like the equal Fraction, and
+`coefficient`/`evaluate` return Fractions.  The zero polynomial is the empty
+map and has degree -1 by convention.  Monomials are ordered
+graded-lexicographically with x1 > x2 > x3; display lists the leading term
+first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponent = tuple[int, int, int]
@@ -17,11 +24,14 @@ Scalar = Union[int, Fraction]
 ZERO_EXP: Exponent = (0, 0, 0)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _canonical(value: Scalar) -> Scalar:
+    """A rational as an int when integral, else as a Fraction with denominator > 1."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
 
@@ -31,12 +41,12 @@ def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
 
 
 class Poly3:
-    """Sparse polynomial in x1, x2, x3 with Fraction coefficients."""
+    """Sparse polynomial in x1, x2, x3 with exact rational coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
+        cleaned: dict[Exponent, Scalar] = {}
         if terms:
             for exp, coef in terms.items():
                 if len(exp) != 3:
@@ -46,7 +56,7 @@ class Poly3:
                     raise TypeError(f"exponent entries must be ints, got {exp!r}")
                 if a1 < 0 or a2 < 0 or a3 < 0:
                     raise ValueError(f"negative exponent in {exp}")
-                c = _as_fraction(coef)
+                c = _canonical(coef)
                 if c:
                     cleaned[(a1, a2, a3)] = c
         self.terms = cleaned
@@ -75,9 +85,9 @@ class Poly3:
         other = _coerce(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
-            s = out.get(exp, Fraction(0)) + coef
+            s = out.get(exp, 0) + coef
             if s:
-                out[exp] = s
+                out[exp] = _canonical(s)
             else:
                 out.pop(exp, None)
         res = Poly3.__new__(Poly3)
@@ -99,17 +109,18 @@ class Poly3:
 
     def __mul__(self, other: "Poly3 | Scalar") -> "Poly3":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _canonical(other)
             res = Poly3.__new__(Poly3)
-            res.terms = {exp: coef * c for exp, coef in self.terms.items()} if c else {}
+            res.terms = ({exp: _canonical(coef * c) for exp, coef in self.terms.items()}
+                         if c else {})
             return res
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(exp, Fraction(0)) + c1 * c2
+                s = out.get(exp, 0) + c1 * c2
                 if s:
-                    out[exp] = s
+                    out[exp] = _canonical(s)
                 else:
                     out.pop(exp, None)
         res = Poly3.__new__(Poly3)
@@ -119,7 +130,7 @@ class Poly3:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Poly3":
-        c = _as_fraction(other)
+        c = _canonical(other)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
         return self * (Fraction(1) / c)
@@ -150,33 +161,51 @@ class Poly3:
         return max(a + b + c for a, b, c in self.terms)
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.terms.get(tuple(exp), 0))
 
     def partial(self, axis: int) -> "Poly3":
         """Exact partial derivative with respect to x_axis (axis in 1..3)."""
         _check_axis(axis)
         i = axis - 1
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for exp, coef in self.terms.items():
             a = exp[i]
             if a == 0:
                 continue
             new = list(exp)
             new[i] = a - 1
-            out[tuple(new)] = coef * a
+            out[tuple(new)] = _canonical(coef * a)
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (p1, p2, p3)."""
+        """Exact value at a rational point (p1, p2, p3).
+
+        Runs in integers over one common denominator: with p_i = n_i/d_i,
+        D_i the largest exponent of x_i and L the lcm of the coefficient
+        denominators, the value is
+        sum (L c) prod_i n_i^a_i d_i^(D_i - a_i) / (L prod_i d_i^D_i).
+        Powers are taken only for the exponents the terms use.
+        """
         if len(point) != 3:
             raise ValueError("a point must have exactly three coordinates")
-        p = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for (a, b, c), coef in self.terms.items():
-            total += coef * p[0] ** a * p[1] ** b * p[2] ** c
-        return total
+        p = [_canonical(v) for v in point]
+        terms = self.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        denom = scale
+        powers = []
+        for i, v in enumerate(p):
+            used = {exp[i] for exp in terms}
+            top = max(used, default=0)
+            n, d = v.numerator, v.denominator
+            powers.append({a: n ** a * d ** (top - a) for a in used})
+            denom *= d ** top
+        pw1, pw2, pw3 = powers
+        total = 0
+        for (a, b, c), coef in terms.items():
+            total += coef.numerator * (scale // coef.denominator) * pw1[a] * pw2[b] * pw3[c]
+        return Fraction(total, denom)
 
     # -- display -----------------------------------------------------------
 
@@ -247,12 +276,12 @@ def monomials_up_to(bound: int) -> list[Exponent]:
 
 def poly_from_terms(pairs: Iterable[tuple[Exponent, Scalar]]) -> Poly3:
     """Build a polynomial by accumulating (exponent, coefficient) pairs."""
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Scalar] = {}
     for exp, coef in pairs:
         e = tuple(exp)
-        s = out.get(e, Fraction(0)) + _as_fraction(coef)
+        s = out.get(e, 0) + _canonical(coef)
         if s:
-            out[e] = s
+            out[e] = _canonical(s)
         else:
             out.pop(e, None)
     res = Poly3.__new__(Poly3)

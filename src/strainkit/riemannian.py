@@ -338,25 +338,25 @@ def pointwise_curvature(metric: PolyMetric, point: Sequence[Scalar]) -> Curvatur
         inner = _mat3_mul(_mat3_mul(ginv, dg[m]), ginv)
         dginv[m] = _mat3(lambda i, j: -inner[i - 1][j - 1])
 
-    def bracket(i: int, j: int, l: int) -> Fraction:
-        return (dg[i][j - 1][l - 1] + dg[j][i - 1][l - 1] - dg[l][i - 1][j - 1])
-
-    def dbracket(m: int, i: int, j: int, l: int) -> Fraction:
-        return (ddg[(m, i)][j - 1][l - 1] + ddg[(m, j)][i - 1][l - 1]
-                - ddg[(m, l)][i - 1][j - 1])
-
-    def gamma(i: int, j: int, k: int) -> Fraction:
-        return sum(ginv[k - 1][l - 1] * bracket(i, j, l) for l in AXES) / 2
-
-    def dgamma(m: int, i: int, j: int, k: int) -> Fraction:
-        return sum(dginv[m][k - 1][l - 1] * bracket(i, j, l)
-                   + ginv[k - 1][l - 1] * dbracket(m, i, j, l)
-                   for l in AXES) / 2
+    # The brackets d_i g_jl + d_j g_il - d_l g_ij and their derivatives, then
+    # Gamma_ij^k and d_m Gamma_ij^k: each value is computed once per point.
+    triples = [(i, j, l) for i in AXES for j in AXES for l in AXES]
+    bracket = {(i, j, l): dg[i][j - 1][l - 1] + dg[j][i - 1][l - 1] - dg[l][i - 1][j - 1]
+               for i, j, l in triples}
+    dbracket = {(m, i, j, l): (ddg[m, i][j - 1][l - 1] + ddg[m, j][i - 1][l - 1]
+                               - ddg[m, l][i - 1][j - 1])
+                for m in AXES for i, j, l in triples}
+    gamma = {(i, j, k): sum(ginv[k - 1][l - 1] * bracket[i, j, l] for l in AXES) / 2
+             for i, j, k in triples}
+    dgamma = {(m, i, j, k): sum(dginv[m][k - 1][l - 1] * bracket[i, j, l]
+                                + ginv[k - 1][l - 1] * dbracket[m, i, j, l]
+                                for l in AXES) / 2
+              for m in AXES for i, j, k in triples}
 
     def ricci_entry(i: int, j: int) -> Fraction:
-        lead = sum(dgamma(i, j, k, k) - dgamma(k, i, j, k) for k in AXES)
-        quad = sum(gamma(i, k, m) * gamma(j, m, k) for k in AXES for m in AXES) \
-            - sum(gamma(i, j, m) * gamma(m, k, k) for k in AXES for m in AXES)
+        lead = sum(dgamma[i, j, k, k] - dgamma[k, i, j, k] for k in AXES)
+        quad = sum(gamma[i, k, m] * gamma[j, m, k] for k in AXES for m in AXES) \
+            - sum(gamma[i, j, m] * gamma[m, k, k] for k in AXES for m in AXES)
         return lead + quad
 
     ricci = _mat3(ricci_entry)

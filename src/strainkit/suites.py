@@ -16,9 +16,9 @@ from fractions import Fraction
 from . import exactlin, fieldio
 from .calculus import (curl, curl_curl, curl_curl_direct, div, div_sym, grad,
                        homotopy_antiderivative, sym_grad)
-from .complexes import (GradedSpace, Slot, SkewMat4, build_elasticity_complex,
-                        build_grad_curl_div_complex, build_w_complex,
-                        derive_elasticity, lambda2_split, matrix_of,
+from .complexes import (MIN_COMPLEX_DEGREE, GradedSpace, Slot, SkewMat4,
+                        build_elasticity_complex, build_grad_curl_div_complex,
+                        build_w_complex, derive_elasticity, lambda2_split, matrix_of,
                         random_skew4, random_vec4, verify_complex,
                         wedge_with_vector, interior_product, OPERATOR_IDS)
 from .connection import (WField, WOneForm, flat_sections_basis,
@@ -33,6 +33,10 @@ from .riemannian import (MetricJet, PolyMetric, bianchi_check, jet_inverse,
                          linearized_einstein, pointwise_curvature, ricci_jet)
 
 SUITE_NAMES = ("calculus", "connection", "riemannian", "complex")
+# Smallest accepted field degree and trial count of a run; checks on
+# complexes raise the degree to MIN_COMPLEX_DEGREE.
+MIN_DEGREE = 1
+MIN_TRIALS = 1
 
 
 @dataclass(frozen=True)
@@ -516,8 +520,7 @@ def _check_curvature_example(cfg: SuiteConfig) -> str:
 # -- complex suite -----------------------------------------------------------
 
 def _complex_degree(cfg: SuiteConfig) -> int:
-    # complex constructions need all truncation bounds nonnegative
-    return max(cfg.degree, 3)
+    return max(cfg.degree, MIN_COMPLEX_DEGREE)
 
 
 def _report_residual(report) -> str:
@@ -688,10 +691,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     if config.suite != "all" and config.suite not in _CHECKS:
         raise ValueError(f"unknown suite {config.suite!r}; expected one of "
                          f"{SUITE_NAMES + ('all',)}")
-    if config.degree < 1:
-        raise ValueError("degree must be >= 1")
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
+    if config.degree < MIN_DEGREE:
+        raise ValueError(f"degree must be >= {MIN_DEGREE}")
+    if config.trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}")
     suites = SUITE_NAMES if config.suite == "all" else (config.suite,)
     pairs = []
     for s in suites:

@@ -192,6 +192,24 @@ def test_complex_rejects_low_degree():
     assert info.value.code == 64
 
 
+@pytest.mark.parametrize("flags", [
+    ["--degree", "0"], ["--degree", "-3"], ["--trials", "0"], ["--trials", "-1"],
+    ["--degree", "two"], ["--trials", "1.5"],
+])
+def test_verify_rejects_bad_degree_and_trials(flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "calculus"] + flags)
+    assert info.value.code == 64
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}:" in err
+    assert "Traceback" not in err
+
+
+def test_verify_accepts_smallest_degree_and_trials(capsys):
+    assert main(["verify", "--suite", "calculus", "--degree", "1", "--trials", "1"]) == 0
+    assert "(suite=calculus, degree=1, trials=1, seed=0)" in capsys.readouterr().out
+
+
 # -- ricci --------------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from strainkit import fieldio
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
                             monomials_up_to)
 
@@ -168,3 +170,162 @@ def test_coefficient_lookup():
     assert p.coefficient((1, 0, 1)) == 5
     assert p.coefficient((0, 2, 0)) == Fraction(-2, 7)
     assert p.coefficient((4, 4, 4)) == 0
+
+
+# -- properties against a plain dict[exponent, Fraction] reference -------------
+
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+term_maps = st.dictionaries(exponents, rationals, max_size=8)
+# Zero, negative and non-unit-denominator coordinates, as ints and Fractions.
+points = st.tuples(*[st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)] * 3)
+PROPS = settings(max_examples=150, deadline=None, database=None)
+
+
+def ref_of(terms):
+    return {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+
+def as_ref(p):
+    assert_canonical(p)
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def assert_canonical(p):
+    for coef in p.terms.values():
+        assert coef != 0
+        assert type(coef) is int or (type(coef) is Fraction and coef.denominator > 1)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a, s):
+    return {e: c * s for e, c in a.items() if c * s}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_partial(a, axis):
+    out = {}
+    for e, c in a.items():
+        if e[axis - 1]:
+            new = list(e)
+            new[axis - 1] -= 1
+            out[tuple(new)] = c * e[axis - 1]
+    return out
+
+
+def ref_evaluate(a, point):
+    p = [Fraction(v) for v in point]
+    return sum((c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e, c in a.items()),
+               Fraction(0))
+
+
+@PROPS
+@given(ta=term_maps, tb=term_maps, s=rationals)
+@example(ta={}, tb={}, s=0)
+@example(ta={(0, 0, 0): Fraction(3, 2)}, tb={(0, 0, 0): Fraction(1, 2)}, s=Fraction(2, 3))
+def test_arithmetic_matches_reference(ta, tb, s):
+    a, b = Poly3(ta), Poly3(tb)
+    ra, rb = ref_of(ta), ref_of(tb)
+    assert as_ref(a) == ra
+    assert as_ref(a + b) == ref_add(ra, rb)
+    assert as_ref(a - b) == ref_add(ra, ref_scale(rb, -1))
+    assert as_ref(-a) == ref_scale(ra, -1)
+    assert as_ref(a * b) == ref_mul(ra, rb)
+    assert as_ref(a * s) == as_ref(s * a) == ref_scale(ra, Fraction(s))
+    assert as_ref(a + s) == ref_add(ra, ref_of({(0, 0, 0): s}))
+    if s:
+        assert as_ref(a / s) == ref_scale(ra, 1 / Fraction(s))
+    for axis in (1, 2, 3):
+        assert as_ref(a.partial(axis)) == ref_partial(ra, axis)
+
+
+@PROPS
+@given(ta=term_maps, point=points)
+@example(ta={}, point=(0, 0, 0))
+@example(ta={(0, 0, 0): 5}, point=(Fraction(1, 3), -2, 0))
+@example(ta={(3, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(-1, 3)},
+         point=(Fraction(-2, 3), 0, Fraction(5, 4)))
+def test_evaluate_and_coefficient_match_reference(ta, point):
+    p = Poly3(ta)
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == ref_evaluate(ref_of(ta), point)
+    for exp in list(ta) + [(3, 3, 3)]:
+        coef = p.coefficient(exp)
+        assert type(coef) is Fraction
+        assert coef == Fraction(ta.get(exp, 0))
+
+
+@PROPS
+@given(ta=term_maps, tb=term_maps, tc=term_maps)
+def test_ring_axioms_and_leibniz(ta, tb, tc):
+    a, b, c = Poly3(ta), Poly3(tb), Poly3(tc)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert (a - a).is_zero()
+    for axis in (1, 2, 3):
+        assert (a * b).partial(axis) == a.partial(axis) * b + a * b.partial(axis)
+
+
+@PROPS
+@given(ta=term_maps)
+def test_int_and_fraction_coefficients_agree(ta):
+    as_fractions = Poly3({e: Fraction(c) for e, c in ta.items()})
+    p = Poly3(ta)
+    assert p == as_fractions
+    assert hash(p) == hash(as_fractions)
+    assert str(p) == str(as_fractions)
+    assert p.terms == as_fractions.terms
+    assert_canonical(as_fractions)
+
+
+@PROPS
+@given(ta=term_maps)
+def test_fieldio_round_trip_is_byte_stable(ta):
+    p = Poly3(ta)
+    text = fieldio.dumps(p)
+    back = fieldio.loads(text, expect_kind="scalar")
+    assert back == p
+    assert_canonical(back)
+    assert fieldio.dumps(back) == text
+
+
+def test_integral_results_are_ints():
+    half = Poly3.constant(Fraction(1, 2))
+    assert (half + half).terms == {(0, 0, 0): 1}
+    assert type((half * 2).coefficient((0, 0, 0))) is Fraction
+    assert type((half * 2).terms[(0, 0, 0)]) is int
+    assert type((Fraction(1, 2) * X1 * X1).partial(1).terms[(1, 0, 0)]) is int
+    assert type((X1 / 3 * 3).terms[(1, 0, 0)]) is int
+    assert type(Poly3({(0, 0, 0): Fraction(4, 2)}).terms[(0, 0, 0)]) is int
+
+
+def test_evaluate_huge_exponent_is_not_sized_by_degree():
+    # Powers are taken per term: a list indexed by the degree would not fit.
+    p = Poly3.monomial((10 ** 12, 0, 0)) - Poly3.monomial((0, 0, 10 ** 12 + 1), 3)
+    assert p.evaluate((1, 0, -1)) == Fraction(4)
+    assert p.evaluate((-1, Fraction(1, 2), 1)) == Fraction(-2)
