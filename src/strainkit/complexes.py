@@ -23,23 +23,14 @@ from typing import Iterable, Sequence
 
 from . import exactlin
 from .errors import SingularBlockError
-from .fields import AXES, _seeded_rng
+from .fields import Mat3Field, SymField, VecField, _seeded_rng
 from .poly import Poly3, monomials_up_to
 from .stencils import (OPERATOR_IDS, coupled_split_stencils, make_stencil,
                        operator_stencil)
 
-_KIND_NCOMP = {"scalar": 1, "vec": 3, "sym": 6, "mat": 9, "skew": 3}
-_MAT_PAIRS = tuple((i, j) for i in AXES for j in AXES)
-
-
-def _slot_polys(kind: str, value) -> list[Poly3]:
-    if kind == "scalar":
-        return [value]
-    if kind in ("vec", "skew"):
-        return list(value.components)
-    if kind == "sym":
-        return list(value.upper)
-    return [value.entry(i, j) for i, j in _MAT_PAIRS]
+# A skew slot holds the axial vector of a skew matrix, a VecField.
+_KIND_NCOMP = {"scalar": 1, "skew": len(VecField.KEYS),
+               **{t.KIND: len(t.KEYS) for t in (VecField, SymField, Mat3Field)}}
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,11 @@ class GradedSpace:
             base = self.offsets[k]
             nmono = len(self._monos[k])
             pos = self._mono_pos[k]
-            for c, poly in enumerate(_slot_polys(slot.kind, value)):
+            parts = (value,) if isinstance(value, Poly3) else value.parts
+            if len(parts) != slot.ncomp:
+                raise ValueError(f"a {slot.kind} slot takes {slot.ncomp} components, "
+                                 f"got {len(parts)} in slot {slot.label!r}")
+            for c, poly in enumerate(parts):
                 for exp, coef in poly.terms.items():
                     where = pos.get(exp)
                     if where is None:
@@ -190,15 +185,7 @@ class LinOpMatrix:
         return self.cols[j].get(i, Fraction(0))
 
     def apply_coords(self, coords: exactlin.Column) -> exactlin.Column:
-        out: exactlin.Column = {}
-        for j, c in coords.items():
-            for i, v in self.cols[j].items():
-                s = out.get(i, Fraction(0)) + c * v
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+        return exactlin.mul_cols(self.cols, [coords])[0]
 
     def compose(self, inner: "LinOpMatrix", name: str = "") -> "LinOpMatrix":
         """self o inner."""
@@ -384,12 +371,7 @@ def schur_reduce(c: ChainComplex, stage: int,
     for a_col, z_col in zip(a_block, z_cols):
         acc = dict(a_col)
         for k, w in z_col.items():
-            for i, v in b_block[k].items():
-                s = acc.get(i, Fraction(0)) - w * v
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+            exactlin.accumulate(acc, -w, b_block[k])
         reduced_cols.append(acc)
 
     new_spaces = list(c.spaces)

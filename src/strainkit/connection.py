@@ -14,57 +14,52 @@ from fractions import Fraction
 
 from .calculus import curl_curl, curl_row, homotopy_antiderivative
 from .errors import CompatibilityError
-from .fields import AXES, Mat3Field, SymField, VecField, delta, eps, random_field
+from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
+                     random_field)
 from .poly import Poly3
 
 
 @dataclass(frozen=True)
-class WField:
+class WField(_Field):
     """Section (X, Y) of the coupled bundle."""
+
+    KIND = "w"
+    KEYS = tuple("x" + k for k in VecField.KEYS) + tuple("y" + k for k in VecField.KEYS)
 
     x: VecField
     y: VecField
 
+    @property
+    def parts(self) -> tuple[Poly3, ...]:
+        return self.x.parts + self.y.parts
+
     @classmethod
-    def zero(cls) -> "WField":
-        return cls(VecField.zero(), VecField.zero())
-
-    def __add__(self, other: "WField") -> "WField":
-        return WField(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "WField") -> "WField":
-        return WField(self.x - other.x, self.y - other.y)
-
-    def scaled(self, c) -> "WField":
-        return WField(self.x.scaled(c), self.y.scaled(c))
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero()
+    def from_parts(cls, parts) -> "WField":
+        return cls(VecField.from_parts(parts[:3]), VecField.from_parts(parts[3:]))
 
 
 @dataclass(frozen=True)
-class WOneForm:
+class WOneForm(_Field):
     """Bundle-valued one-form: matrices (sigma, xi).
 
     Entry (j, l) carries form index j (the direction of differentiation) and
     bundle index l, i.e. rows are form indices and columns bundle indices.
     """
 
+    KIND = "wform"
+    KEYS = (tuple("sigma" + k for k in Mat3Field.KEYS)
+            + tuple("xi" + k for k in Mat3Field.KEYS))
+
     sigma: Mat3Field
     xi: Mat3Field
 
+    @property
+    def parts(self) -> tuple[Poly3, ...]:
+        return self.sigma.parts + self.xi.parts
+
     @classmethod
-    def zero(cls) -> "WOneForm":
-        return cls(Mat3Field.zero(), Mat3Field.zero())
-
-    def __add__(self, other: "WOneForm") -> "WOneForm":
-        return WOneForm(self.sigma + other.sigma, self.xi + other.xi)
-
-    def __sub__(self, other: "WOneForm") -> "WOneForm":
-        return WOneForm(self.sigma - other.sigma, self.xi - other.xi)
-
-    def is_zero(self) -> bool:
-        return self.sigma.is_zero() and self.xi.is_zero()
+    def from_parts(cls, parts) -> "WOneForm":
+        return cls(Mat3Field.from_parts(parts[:9]), Mat3Field.from_parts(parts[9:]))
 
 
 def w_grad(f: WField) -> WOneForm:

@@ -115,6 +115,22 @@ class _PivotIndex:
             self.shortest = n
 
 
+def accumulate(acc: Column, factor, col: Column) -> None:
+    """acc += factor * col in place; entries that become zero are dropped."""
+    for i, v in col.items():
+        old = acc.get(i)
+        if old is None:
+            p = factor * v
+            if p:
+                acc[i] = p
+        else:
+            s = old + factor * v
+            if s:
+                acc[i] = s
+            else:
+                del acc[i]
+
+
 def _subtract(row: dict, i: int, factor, pivot_items: list, holders: dict) -> None:
     """row i -= factor * pivot row, keeping `holders` current.
 
@@ -198,13 +214,7 @@ def solve_square(phi_cols: list[Column], size: int,
             old = len(row)
             factor = row.pop(pcol)
             _subtract(row, i, factor, pivot_items, holders)
-            row_rhs = rhs.setdefault(i, {})
-            for k, v in pivot_rhs.items():
-                s = row_rhs.get(k, 0) - factor * v
-                if s:
-                    row_rhs[k] = s
-                else:
-                    row_rhs.pop(k, None)
+            accumulate(rhs.setdefault(i, {}), -factor, pivot_rhs)
             index.resize(i, old, len(row))
         row_of_pivot[pcol] = p
     if len(row_of_pivot) < size:
@@ -223,12 +233,7 @@ def mul_cols(a_cols: list[Column], b_cols: list[Column]) -> list[Column]:
     for bcol in b_cols:
         acc: Column = {}
         for k, coeff in bcol.items():
-            for i, v in a_cols[k].items():
-                s = acc.get(i, Fraction(0)) + coeff * v
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+            accumulate(acc, coeff, a_cols[k])
         out.append(acc)
     return out
 

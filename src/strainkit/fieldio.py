@@ -19,22 +19,14 @@ from typing import IO
 
 from .connection import WField, WOneForm
 from .errors import FieldFormatError
-from .fields import AXES, Mat3Field, SymField, VecField
+from .fields import Mat3Field, SymField, VecField, _Field
 from .poly import Poly3, grlex_key
 
 _COEF_RE = re.compile(r"-?\d+(/\d+)?")
 
-_SYM_KEYS = ("11", "12", "13", "22", "23", "33")
-_MAT_KEYS = tuple(f"{i}{j}" for i in AXES for j in AXES)
-
-KIND_COMPONENT_KEYS = {
-    "scalar": ("",),
-    "vec": ("1", "2", "3"),
-    "sym": _SYM_KEYS,
-    "mat": _MAT_KEYS,
-    "w": tuple(f"x{i}" for i in AXES) + tuple(f"y{i}" for i in AXES),
-    "wform": tuple(f"sigma{k}" for k in _MAT_KEYS) + tuple(f"xi{k}" for k in _MAT_KEYS),
-}
+# Field type of every kind; a scalar is a bare Poly3 with the one key "".
+FIELD_TYPES = {t.KIND: t for t in (VecField, SymField, Mat3Field, WField, WOneForm)}
+KIND_COMPONENT_KEYS = {"scalar": ("",), **{k: t.KEYS for k, t in FIELD_TYPES.items()}}
 
 
 def _poly_to_terms(p: Poly3) -> list[dict]:
@@ -73,33 +65,17 @@ def _poly_from_terms(raw, where: str) -> Poly3:
     return Poly3(terms)
 
 
-def _components_of(field) -> tuple[str, dict[str, Poly3]]:
-    if isinstance(field, Poly3):
-        return "scalar", {"": field}
-    if isinstance(field, VecField):
-        return "vec", {str(i): field.comp(i) for i in AXES}
-    if isinstance(field, SymField):
-        return "sym", {f"{i}{j}": field.entry(i, j)
-                       for i in AXES for j in AXES if i <= j}
-    if isinstance(field, Mat3Field):
-        return "mat", {f"{i}{j}": field.entry(i, j) for i in AXES for j in AXES}
-    if isinstance(field, WField):
-        out = {f"x{i}": field.x.comp(i) for i in AXES}
-        out.update({f"y{i}": field.y.comp(i) for i in AXES})
-        return "w", out
-    if isinstance(field, WOneForm):
-        out = {f"sigma{i}{j}": field.sigma.entry(i, j) for i in AXES for j in AXES}
-        out.update({f"xi{i}{j}": field.xi.entry(i, j) for i in AXES for j in AXES})
-        return "wform", out
-    raise TypeError(f"cannot serialize object of type {type(field).__name__}")
-
-
 def field_to_doc(field) -> dict:
     """Serializable document for any supported field type."""
-    kind, comps = _components_of(field)
+    if isinstance(field, Poly3):
+        kind, parts = "scalar", (field,)
+    elif isinstance(field, _Field):
+        kind, parts = field.KIND, field.parts
+    else:
+        raise TypeError(f"cannot serialize object of type {type(field).__name__}")
     return {"kind": kind,
-            "components": {key: _poly_to_terms(comps[key])
-                           for key in KIND_COMPONENT_KEYS[kind]}}
+            "components": {key: _poly_to_terms(p)
+                           for key, p in zip(KIND_COMPONENT_KEYS[kind], parts)}}
 
 
 def field_from_doc(doc, expect_kind: str | None = None):
@@ -119,22 +95,11 @@ def field_from_doc(doc, expect_kind: str | None = None):
     if unknown:
         raise FieldFormatError(f"unknown component keys for kind {kind!r}: "
                                f"{sorted(unknown)}")
-    comps = {key: _poly_from_terms(raw[key], key) if key in raw else Poly3()
-             for key in allowed}
+    parts = tuple(_poly_from_terms(raw[key], key) if key in raw else Poly3()
+                  for key in allowed)
     if kind == "scalar":
-        return comps[""]
-    if kind == "vec":
-        return VecField(tuple(comps[str(i)] for i in AXES))
-    if kind == "sym":
-        return SymField(tuple(comps[k] for k in _SYM_KEYS))
-    if kind == "mat":
-        return Mat3Field(tuple(tuple(comps[f"{i}{j}"] for j in AXES) for i in AXES))
-    if kind == "w":
-        return WField(VecField(tuple(comps[f"x{i}"] for i in AXES)),
-                      VecField(tuple(comps[f"y{i}"] for i in AXES)))
-    return WOneForm(
-        Mat3Field(tuple(tuple(comps[f"sigma{i}{j}"] for j in AXES) for i in AXES)),
-        Mat3Field(tuple(tuple(comps[f"xi{i}{j}"] for j in AXES) for i in AXES)))
+        return parts[0]
+    return FIELD_TYPES[kind].from_parts(parts)
 
 
 def dumps(field, indent: int | None = 2) -> str:

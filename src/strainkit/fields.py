@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .poly import Poly3, Scalar, _check_axis, monomials_up_to
+from .poly import Poly3, Scalar, _check_axis, _coerce, monomials_up_to
 
 AXES = (1, 2, 3)
 
@@ -32,30 +32,74 @@ def delta(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
-def _as_poly(value: Poly3 | Scalar) -> Poly3:
-    if isinstance(value, Poly3):
-        return value
-    return Poly3.constant(value)
+class _Field:
+    """Linear structure shared by every field kind, written once.
+
+    A kind declares `KIND` and `KEYS`, the file-format labels of its Poly3
+    components in storage order, plus two hooks: `parts`, those components
+    as a flat tuple in `KEYS` order, and `from_parts`, which rebuilds the
+    field from such a tuple.  `KEYS` is the one place a component order is
+    spelled; serialization and matrix coordinates read it from here.
+    """
+
+    __slots__ = ()
+
+    KIND: str
+    KEYS: tuple[str, ...]
+
+    @classmethod
+    def zero(cls):
+        return cls.from_parts((Poly3(),) * len(cls.KEYS))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.from_parts(tuple(a + b for a, b in zip(self.parts, other.parts)))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.from_parts(tuple(a - b for a, b in zip(self.parts, other.parts)))
+
+    def __neg__(self):
+        return self.from_parts(tuple(-a for a in self.parts))
+
+    def scaled(self, c: Scalar):
+        return self.from_parts(tuple(a * c for a in self.parts))
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.parts)
+
+    @property
+    def degree(self) -> int:
+        return max(p.degree for p in self.parts)
 
 
 @dataclass(frozen=True)
-class VecField:
+class VecField(_Field):
     """Vector field with three polynomial components."""
+
+    KIND = "vec"
+    KEYS = tuple(str(i) for i in AXES)
 
     components: tuple[Poly3, Poly3, Poly3]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(_as_poly(c) for c in self.components))
+        object.__setattr__(self, "components", tuple(_coerce(c) for c in self.components))
         if len(self.components) != 3:
             raise ValueError("a vector field has exactly three components")
 
     @classmethod
     def of(cls, c1: Poly3 | Scalar, c2: Poly3 | Scalar, c3: Poly3 | Scalar) -> "VecField":
-        return cls((_as_poly(c1), _as_poly(c2), _as_poly(c3)))
+        return cls((_coerce(c1), _coerce(c2), _coerce(c3)))
+
+    @property
+    def parts(self) -> tuple[Poly3, ...]:
+        return self.components
 
     @classmethod
-    def zero(cls) -> "VecField":
-        return cls.of(0, 0, 0)
+    def from_parts(cls, parts: Sequence[Poly3]) -> "VecField":
+        return cls(parts)
 
     @classmethod
     def basis(cls, i: int) -> "VecField":
@@ -63,25 +107,6 @@ class VecField:
 
     def comp(self, i: int) -> Poly3:
         return self.components[_check_axis(i) - 1]
-
-    def __add__(self, other: "VecField") -> "VecField":
-        return VecField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VecField") -> "VecField":
-        return VecField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VecField":
-        return VecField(tuple(-a for a in self.components))
-
-    def scaled(self, c: Scalar) -> "VecField":
-        return VecField(tuple(a * c for a in self.components))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components)
-
-    @property
-    def degree(self) -> int:
-        return max(p.degree for p in self.components)
 
     def evaluate(self, point: Sequence[Scalar]) -> tuple[Fraction, Fraction, Fraction]:
         return tuple(p.evaluate(point) for p in self.components)
@@ -91,24 +116,31 @@ class VecField:
 
 
 @dataclass(frozen=True)
-class Mat3Field:
+class Mat3Field(_Field):
     """3x3 matrix of polynomials, stored row-major."""
+
+    KIND = "mat"
+    KEYS = tuple(f"{i}{j}" for i in AXES for j in AXES)
 
     rows: tuple[tuple[Poly3, Poly3, Poly3], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_as_poly(p) for p in row) for row in self.rows)
+        rows = tuple(tuple(_coerce(p) for p in row) for row in self.rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a matrix field has shape 3x3")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_entries(cls, entry: Callable[[int, int], Poly3 | Scalar]) -> "Mat3Field":
-        return cls(tuple(tuple(_as_poly(entry(i, j)) for j in AXES) for i in AXES))
+        return cls(tuple(tuple(_coerce(entry(i, j)) for j in AXES) for i in AXES))
+
+    @property
+    def parts(self) -> tuple[Poly3, ...]:
+        return self.rows[0] + self.rows[1] + self.rows[2]
 
     @classmethod
-    def zero(cls) -> "Mat3Field":
-        return cls.from_entries(lambda i, j: 0)
+    def from_parts(cls, parts: Sequence[Poly3]) -> "Mat3Field":
+        return cls((parts[0:3], parts[3:6], parts[6:9]))
 
     @classmethod
     def identity(cls) -> "Mat3Field":
@@ -116,7 +148,7 @@ class Mat3Field:
 
     @classmethod
     def unit(cls, i: int, j: int, coef: Poly3 | Scalar = 1) -> "Mat3Field":
-        p = _as_poly(coef)
+        p = _coerce(coef)
         return cls.from_entries(lambda a, b: p if (a, b) == (i, j) else 0)
 
     def entry(self, i: int, j: int) -> Poly3:
@@ -147,25 +179,6 @@ class Mat3Field:
         return all((self.entry(i, j) - self.entry(j, i)).is_zero()
                    for i in AXES for j in AXES if i < j)
 
-    def __add__(self, other: "Mat3Field") -> "Mat3Field":
-        return Mat3Field.from_entries(lambda i, j: self.entry(i, j) + other.entry(i, j))
-
-    def __sub__(self, other: "Mat3Field") -> "Mat3Field":
-        return Mat3Field.from_entries(lambda i, j: self.entry(i, j) - other.entry(i, j))
-
-    def __neg__(self) -> "Mat3Field":
-        return Mat3Field.from_entries(lambda i, j: -self.entry(i, j))
-
-    def scaled(self, c: Scalar) -> "Mat3Field":
-        return Mat3Field.from_entries(lambda i, j: self.entry(i, j) * c)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.rows for p in row)
-
-    @property
-    def degree(self) -> int:
-        return max(p.degree for row in self.rows for p in row)
-
     def __str__(self) -> str:
         return "[" + "; ".join(str(self.row(i)) for i in AXES) + "]"
 
@@ -176,20 +189,23 @@ _SYM_POS = {pair: k for k, pair in enumerate(SYM_INDEX_PAIRS)}
 
 
 @dataclass(frozen=True)
-class SymField:
+class SymField(_Field):
     """Symmetric 2-tensor field; stores the six upper-triangle components."""
+
+    KIND = "sym"
+    KEYS = tuple(f"{i}{j}" for i, j in SYM_INDEX_PAIRS)
 
     upper: tuple[Poly3, Poly3, Poly3, Poly3, Poly3, Poly3]
 
     def __post_init__(self) -> None:
-        upper = tuple(_as_poly(p) for p in self.upper)
+        upper = tuple(_coerce(p) for p in self.upper)
         if len(upper) != 6:
             raise ValueError("a symmetric field stores six components")
         object.__setattr__(self, "upper", upper)
 
     @classmethod
     def from_entries(cls, entry: Callable[[int, int], Poly3 | Scalar]) -> "SymField":
-        return cls(tuple(_as_poly(entry(i, j)) for i, j in SYM_INDEX_PAIRS))
+        return cls(tuple(_coerce(entry(i, j)) for i, j in SYM_INDEX_PAIRS))
 
     @classmethod
     def from_matrix(cls, mat: Mat3Field) -> "SymField":
@@ -198,9 +214,13 @@ class SymField:
             raise ValueError("matrix is not symmetric; refusing to symmetrize silently")
         return cls.from_entries(mat.entry)
 
+    @property
+    def parts(self) -> tuple[Poly3, ...]:
+        return self.upper
+
     @classmethod
-    def zero(cls) -> "SymField":
-        return cls.from_entries(lambda i, j: 0)
+    def from_parts(cls, parts: Sequence[Poly3]) -> "SymField":
+        return cls(parts)
 
     @classmethod
     def identity(cls) -> "SymField":
@@ -208,7 +228,7 @@ class SymField:
 
     @classmethod
     def unit(cls, i: int, j: int, coef: Poly3 | Scalar = 1) -> "SymField":
-        p = _as_poly(coef)
+        p = _coerce(coef)
         return cls.from_entries(lambda a, b: p if (min(i, j), max(i, j)) == (a, b) else 0)
 
     def entry(self, i: int, j: int) -> Poly3:
@@ -220,25 +240,6 @@ class SymField:
 
     def trace(self) -> Poly3:
         return self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3)
-
-    def __add__(self, other: "SymField") -> "SymField":
-        return SymField(tuple(a + b for a, b in zip(self.upper, other.upper)))
-
-    def __sub__(self, other: "SymField") -> "SymField":
-        return SymField(tuple(a - b for a, b in zip(self.upper, other.upper)))
-
-    def __neg__(self) -> "SymField":
-        return SymField(tuple(-a for a in self.upper))
-
-    def scaled(self, c: Scalar) -> "SymField":
-        return SymField(tuple(a * c for a in self.upper))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.upper)
-
-    @property
-    def degree(self) -> int:
-        return max(p.degree for p in self.upper)
 
     def __str__(self) -> str:
         return self.as_matrix().__str__()

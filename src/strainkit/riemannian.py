@@ -24,8 +24,8 @@ from typing import Sequence
 
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
-from .fields import AXES, Mat3Field, SymField, _as_poly, delta
-from .poly import Poly3, Scalar
+from .fields import AXES, Mat3Field, SymField, delta
+from .poly import Poly3, Scalar, _coerce
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class JetPoly:
     p1: Poly3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p0", _as_poly(self.p0))
-        object.__setattr__(self, "p1", _as_poly(self.p1))
+        object.__setattr__(self, "p0", _coerce(self.p0))
+        object.__setattr__(self, "p1", _coerce(self.p1))
 
     @classmethod
     def constant(cls, c: Scalar) -> "JetPoly":
@@ -77,13 +77,15 @@ def _jet_zero() -> JetPoly:
     return JetPoly(Poly3(), Poly3())
 
 
-def _jet_matrix(entry) -> JetMatrix:
+def _mat3(entry):
+    """3x3 tuple matrix of entry(i, j), 1-based; entries are jets or numbers."""
     return tuple(tuple(entry(i, j) for j in AXES) for i in AXES)
 
 
-def _jet_mat_mul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
-    return _jet_matrix(lambda i, j: sum(
-        (a[i - 1][k - 1] * b[k - 1][j - 1] for k in AXES), _jet_zero()))
+def _mat3_mul(a, b):
+    """Matrix product; summing from the first term needs no zero of the entry type."""
+    return _mat3(lambda i, j: a[i - 1][0] * b[0][j - 1] + a[i - 1][1] * b[1][j - 1]
+                 + a[i - 1][2] * b[2][j - 1])
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class MetricJet:
     entries: JetMatrix
 
     def __post_init__(self) -> None:
-        entries = _jet_matrix(lambda i, j: self.entries[i - 1][j - 1])
+        entries = _mat3(lambda i, j: self.entries[i - 1][j - 1])
         object.__setattr__(self, "entries", entries)
         for i in AXES:
             for j in AXES:
@@ -105,7 +107,7 @@ class MetricJet:
 
     @classmethod
     def from_strain(cls, sigma: SymField) -> "MetricJet":
-        return cls(_jet_matrix(
+        return cls(_mat3(
             lambda i, j: JetPoly(Poly3.constant(delta(i, j)), sigma.entry(i, j))))
 
     def entry(self, i: int, j: int) -> JetPoly:
@@ -117,10 +119,10 @@ class MetricJet:
 
 def jet_inverse(g: MetricJet) -> MetricJet:
     """Inverse metric jet: delta - eps*Sigma, verified by multiplication."""
-    inv = MetricJet(_jet_matrix(
+    inv = MetricJet(_mat3(
         lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entry(i, j).p1)))
-    ident = _jet_matrix(lambda i, j: JetPoly.constant(delta(i, j)))
-    for prod in (_jet_mat_mul(inv.entries, g.entries), _jet_mat_mul(g.entries, inv.entries)):
+    ident = _mat3(lambda i, j: JetPoly.constant(delta(i, j)))
+    for prod in (_mat3_mul(inv.entries, g.entries), _mat3_mul(g.entries, inv.entries)):
         for i in AXES:
             for j in AXES:
                 if not (prod[i - 1][j - 1] - ident[i - 1][j - 1]).is_zero():
@@ -215,10 +217,10 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
             (gamma.entry(i, j, k).partial(k) for k in AXES), _jet_zero())
         return lead + quad_terms(i, j)
 
-    ricci = _jet_matrix(ricci_entry)
+    ricci = _mat3(ricci_entry)
     scalar = sum((ginv.entry(k, l) * ricci[k - 1][l - 1]
                   for k in AXES for l in AXES), _jet_zero())
-    einstein = _jet_matrix(
+    einstein = _mat3(
         lambda i, j: scalar * g.entry(i, j) - ricci[i - 1][j - 1] * 2)
     return CurvatureJet(metric=g, ricci=ricci, scalar=scalar, einstein=einstein)
 
@@ -291,14 +293,6 @@ class CurvatureValues:
 
     def ricci_is_zero(self) -> bool:
         return all(v == 0 for row in self.ricci for v in row)
-
-
-def _mat3(entry) -> Mat3Q:
-    return tuple(tuple(entry(i, j) for j in AXES) for i in AXES)
-
-
-def _mat3_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:
-    return _mat3(lambda i, j: sum(a[i - 1][k - 1] * b[k - 1][j - 1] for k in AXES))
 
 
 def _inverse3(m: Mat3Q) -> Mat3Q:

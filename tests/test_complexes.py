@@ -102,6 +102,14 @@ def test_to_coords_rejects_out_of_bound_terms():
         space.to_coords(())
 
 
+def test_to_coords_rejects_a_field_of_another_kind():
+    space = GradedSpace([Slot("u", "vec", 1), Slot("s", "sym", 1)])
+    with pytest.raises(ValueError):
+        space.to_coords((SymField.zero(), SymField.zero()))
+    with pytest.raises(ValueError):
+        space.to_coords((VecField.zero(), VecField.zero()))
+
+
 # -- operator matrices --------------------------------------------------------
 
 _APPLY = {

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.connection import (WField, WOneForm, flat_sections_basis,
@@ -119,6 +120,13 @@ def test_normalized_reconstruction_matches_normalized_input():
         u = random_field("vec", 5, seed + 160)
         v = saint_venant_reconstruct(sym_grad(u))
         assert normalize_rigid(v) == normalize_rigid(u)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), degree=st.integers(0, 4))
+def test_reconstruct_inverts_sym_grad_modulo_rigid_motions(seed, degree):
+    u = random_field("vec", degree, seed)
+    assert normalize_rigid(saint_venant_reconstruct(sym_grad(u))) == normalize_rigid(u)
 
 
 def test_normalize_rigid_gauge_conditions():

@@ -1,12 +1,34 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from strainkit import fieldio
+from strainkit.connection import WField, WOneForm
 from strainkit.fields import (AXES, Mat3Field, SYM_INDEX_PAIRS, SymField,
                               VecField, axial_vector, delta, eps,
                               random_field, random_point, skew_from_axial)
 from strainkit.poly import ONE, X1, X2, X3, Poly3
+
+FIELD_TYPES = (VecField, SymField, Mat3Field, WField, WOneForm)
+
+rationals = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]))
+polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), rationals,
+                        max_size=3).map(Poly3)
+
+
+def fields_of(field_type):
+    return st.lists(polys, min_size=len(field_type.KEYS),
+                    max_size=len(field_type.KEYS)).map(field_type.from_parts)
+
+
+any_field = st.sampled_from(FIELD_TYPES).flatmap(fields_of)
+field_pairs = st.sampled_from(FIELD_TYPES).flatmap(
+    lambda t: st.tuples(fields_of(t), fields_of(t)))
 
 
 def test_epsilon_total_antisymmetry():
@@ -130,3 +152,52 @@ def test_random_point_deterministic():
     p = random_point(9)
     assert len(p) == 3
     assert all(isinstance(c, Fraction) for c in p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(pair=field_pairs, c=rationals)
+def test_field_algebra_acts_part_by_part(pair, c):
+    f, g = pair
+    assert len(f.parts) == len(type(f).KEYS)
+    assert type(f).from_parts(f.parts) == f
+    assert (f + g).parts == tuple(a + b for a, b in zip(f.parts, g.parts))
+    assert (f - g).parts == tuple(a - b for a, b in zip(f.parts, g.parts))
+    assert (-f).parts == tuple(-a for a in f.parts)
+    assert f.scaled(c).parts == tuple(a * c for a in f.parts)
+    assert f.is_zero() == all(a.is_zero() for a in f.parts)
+    assert f.degree == max(a.degree for a in f.parts)
+    assert type(f).zero().parts == (Poly3(),) * len(f.parts)
+    assert type(f).zero().is_zero() and type(f).zero().degree == -1
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(f=any_field)
+def test_parts_follow_the_storage_attributes(f):
+    if isinstance(f, VecField):
+        assert f.parts == f.components
+    elif isinstance(f, SymField):
+        assert f.parts == tuple(f.entry(i, j) for i, j in SYM_INDEX_PAIRS)
+    elif isinstance(f, Mat3Field):
+        assert f.parts == tuple(f.entry(i, j) for i in AXES for j in AXES)
+    elif isinstance(f, WField):
+        assert f.parts == f.x.components + f.y.components
+    else:
+        assert f.parts == (tuple(f.sigma.entry(i, j) for i in AXES for j in AXES)
+                           + tuple(f.xi.entry(i, j) for i in AXES for j in AXES))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(f=st.one_of(polys, any_field))
+def test_round_trip_every_kind_is_byte_stable(f):
+    text = fieldio.dumps(f)
+    back = fieldio.loads(text, expect_kind=json.loads(text)["kind"])
+    assert back == f
+    assert type(back) is type(f)
+    assert fieldio.dumps(back) == text
+
+
+def test_mixed_kinds_do_not_add():
+    with pytest.raises(TypeError):
+        VecField.zero() + SymField.zero()
+    with pytest.raises(TypeError):
+        Mat3Field.zero() - WOneForm.zero()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -11,6 +12,46 @@ from strainkit.fields import SymField, VecField, random_field
 from strainkit.poly import X1, X2, Poly3
 
 ALL_KINDS = ("scalar", "vec", "sym", "mat")
+
+# The file format, spelled out: component keys of every kind in order.
+FILE_FORMAT_KEYS = {
+    "scalar": ("",),
+    "vec": ("1", "2", "3"),
+    "sym": ("11", "12", "13", "22", "23", "33"),
+    "mat": ("11", "12", "13", "21", "22", "23", "31", "32", "33"),
+    "w": ("x1", "x2", "x3", "y1", "y2", "y3"),
+    "wform": ("sigma11", "sigma12", "sigma13", "sigma21", "sigma22", "sigma23",
+              "sigma31", "sigma32", "sigma33",
+              "xi11", "xi12", "xi13", "xi21", "xi22", "xi23", "xi31", "xi32", "xi33"),
+}
+
+# SHA-256 of fieldio.dumps for one fixed field of each kind, frozen from the
+# output of the per-kind serializer that the KEYS tables replaced.
+FROZEN_DUMPS_SHA256 = {
+    "scalar": "8536ba9671e3112db863e08358d6dc692f55b7e9d2d5b4954f817791fd84c056",
+    "vec": "f562f9a212039a6a1adb72d981c911fc202653762ea6d5d5aa11ae95c1120712",
+    "sym": "b9b1a9cb734e974d42e7136dbc7b6cf0d291e69fc26bc1738dcaba2528be9229",
+    "mat": "22b1ab71c4bdc423d53ba4e83655523d99ef607617fd3d3696cbefe182fcfe26",
+    "w": "b41b69bab37e039e839202527119d254fd0ded25928272b951965fa270be1caf",
+    "wform": "d9e4a86baf64ae717ce4890777d6a500cf56d19120216e56e1fe2dff79e93060",
+}
+
+
+def test_component_keys_match_the_file_format():
+    assert fieldio.KIND_COMPONENT_KEYS == FILE_FORMAT_KEYS
+    for kind, field_type in fieldio.FIELD_TYPES.items():
+        assert field_type.KIND == kind
+        assert field_type.KEYS == FILE_FORMAT_KEYS[kind]
+
+
+def test_dumps_digests_are_frozen():
+    fields = {kind: random_field(kind, 3, 11) for kind in ALL_KINDS}
+    fields["w"] = random_w_field(2, 5)
+    fields["wform"] = random_w_one_form(2, 5)
+    for kind, f in fields.items():
+        text = fieldio.dumps(f)
+        assert json.loads(text)["kind"] == kind
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DUMPS_SHA256[kind], kind
 
 
 def test_round_trip_bit_exact():
