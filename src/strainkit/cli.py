@@ -151,8 +151,8 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _component_shape(space) -> str:
-    return str(sum(s.ncomp for s in space.slots))
+def _component_shape(space) -> int:
+    return sum(s.ncomp for s in space.slots)
 
 
 def _print_complex_report(report) -> bool:
@@ -179,16 +179,15 @@ def cmd_complex(args) -> int:
         full = build_w_complex(args.degree)
         halfway = schur_reduce(full, 1, ["xi"], ["theta1"])
         report = verify_complex(halfway)
-        shape = " -> ".join(_component_shape(s) for s in halfway.spaces)
+        shape = " -> ".join(str(_component_shape(s)) for s in halfway.spaces)
         print(f"halfway complex (matrix pair cancelled); "
               f"components per point: {shape}")
         ok = _print_complex_report(report) and ok
         payload[report.name] = report.to_dict()
-        payload["components_per_point"] = [
-            int(_component_shape(s)) for s in halfway.spaces]
+        payload["components_per_point"] = [_component_shape(s) for s in halfway.spaces]
     else:
         result = derive_elasticity(args.degree)
-        shape = " -> ".join(_component_shape(s) for s in result.halfway.spaces)
+        shape = " -> ".join(str(_component_shape(s)) for s in result.halfway.spaces)
         print(f"halfway components per point: {shape}")
         print("reduced dimensions: "
               + " -> ".join(str(s.dim) for s in result.reduced.spaces))

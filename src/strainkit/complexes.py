@@ -25,8 +25,8 @@ from . import exactlin
 from .errors import SingularBlockError
 from .fields import Mat3Field, SymField, VecField, _seeded_rng
 from .poly import Poly3, monomials_up_to
-from .stencils import (OPERATOR_IDS, coupled_split_stencils, make_stencil,
-                       operator_stencil)
+from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
+                       make_stencil, operator_stencil)
 
 # A skew slot holds the axial vector of a skew matrix, a VecField.
 _KIND_NCOMP = {"scalar": 1, "skew": len(VecField.KEYS),
@@ -401,27 +401,6 @@ def schur_reduce(c: ChainComplex, stage: int,
 
 # -- the standard complexes -------------------------------------------------
 
-# Domain and codomain slots per operator as (label, kind, bound - degree).
-# Codomain bounds drop by the differential order; purely algebraic
-# contributions keep their degree, which for the coupled operators means
-# per-slot bounds (and, for the connection divergence, a codomain equal in
-# bound to the domain).
-_OPERATOR_SLOTS = {
-    "grad": ([("f", "scalar", 0)], [("v", "vec", -1)]),
-    "curl": ([("v", "vec", 0)], [("w", "vec", -1)]),
-    "div": ([("v", "vec", 0)], [("f", "scalar", -1)]),
-    "sym_grad": ([("v", "vec", 0)], [("s", "sym", -1)]),
-    "curl_curl": ([("s", "sym", 0)], [("t", "sym", -2)]),
-    "div_sym": ([("s", "sym", 0)], [("v", "vec", -1)]),
-    "w_grad": ([("x", "vec", 0), ("y", "vec", 0)],
-               [("sigma", "mat", 0), ("xi", "mat", -1)]),
-    "w_curl": ([("sigma", "mat", 0), ("xi", "mat", 0)],
-               [("sigma", "mat", 0), ("xi", "mat", -1)]),
-    "w_div": ([("sigma", "mat", 0), ("xi", "mat", 0)],
-              [("x", "vec", 0), ("y", "vec", 0)]),
-}
-
-
 # The least degree at which every standard complex has nonnegative bounds:
 # the elasticity and coupled complexes end in bound d - 3.
 MIN_COMPLEX_DEGREE = 3
@@ -439,7 +418,8 @@ def _spaces(name: str, degree: int, slot_lists) -> list[GradedSpace]:
 def matrix_of(op_id: str, degree: int) -> LinOpMatrix:
     """Matrix of a named operator on fields truncated at the given degree."""
     stencil = operator_stencil(op_id)
-    dom, cod = _spaces(op_id, degree, _OPERATOR_SLOTS[op_id])
+    op = OPERATORS[op_id]
+    dom, cod = _spaces(op_id, degree, (op.domain, op.codomain))
     return LinOpMatrix.from_operator(dom, cod, stencil, name=op_id)
 
 

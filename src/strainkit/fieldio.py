@@ -83,7 +83,7 @@ def field_from_doc(doc, expect_kind: str | None = None):
     if not isinstance(doc, dict):
         raise FieldFormatError("field document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in KIND_COMPONENT_KEYS:
+    if not isinstance(kind, str) or kind not in KIND_COMPONENT_KEYS:
         raise FieldFormatError(f"unknown field kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise FieldFormatError(f"expected a {expect_kind!r} field, got {kind!r}")

@@ -6,22 +6,27 @@ two, so it is a finite table of terms
     (input slot, input component, output slot, output component, alpha, factor)
 
 each saying that the output component receives factor * d^alpha of the
-input component.  Components follow the canonical order of their slot
-kind: one for a scalar, axes 1..3 for a vector or axial (skew) slot, the
-upper triangle `SYM_INDEX_PAIRS` for a symmetric slot and row-major entries
-for a matrix slot.  The tables below are written from the index formulas
-with eps and delta; the hand-written field operators of `calculus` and
-`connection` are kept as an independent reference for them.
+input component.  Components follow the `KEYS` order of their slot kind:
+one for a scalar, axes 1..3 for a vector or axial (skew) slot, the upper
+triangle for a symmetric slot and row-major entries for a matrix slot.  The
+tables below are written from the index formulas with eps and delta; the
+hand-written field operators of `calculus` and `connection` are kept as an
+independent reference for them.
+
+`OPERATORS` is the one place an operator is declared: its slots, the kind
+of field it acts on and its reference.  Its stencil sits under the same id.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .fields import AXES, SYM_INDEX_PAIRS, _SYM_POS, delta, eps
+from . import calculus, connection
+from .fields import AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, delta, eps
 from .poly import Exponent
 
 Term = tuple[int, int, int, int, Exponent, Fraction]
@@ -29,8 +34,44 @@ Stencil = tuple[Term, ...]
 
 _MAT_PAIRS = tuple(product(AXES, repeat=2))
 
-OPERATOR_IDS = ("grad", "curl", "div", "sym_grad", "curl_curl", "div_sym",
-                "w_grad", "w_curl", "w_div")
+SlotSpec = tuple[str, str, int]
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One registered operator.
+
+    Slots are (label, kind, bound - degree).  Codomain bounds drop by the
+    differential order; purely algebraic contributions keep their degree,
+    which for the coupled operators means per-slot bounds (and, for the
+    connection divergence, a codomain equal in bound to the domain).  The
+    slot labels of a coupled operator name the summands of its field type.
+    `acts_on` is the field kind the reference function takes.
+    """
+
+    domain: tuple[SlotSpec, ...]
+    codomain: tuple[SlotSpec, ...]
+    acts_on: str
+    reference: Callable
+
+
+_W_SECTION = (("x", "vec", 0), ("y", "vec", 0))
+_W_FORM = (("sigma", "mat", 0), ("xi", "mat", 0))
+_W_FORM_OUT = (("sigma", "mat", 0), ("xi", "mat", -1))
+
+OPERATORS = {
+    "grad": Operator((("f", "scalar", 0),), (("v", "vec", -1),), "scalar", calculus.grad),
+    "curl": Operator((("v", "vec", 0),), (("w", "vec", -1),), "vec", calculus.curl),
+    "div": Operator((("v", "vec", 0),), (("f", "scalar", -1),), "vec", calculus.div),
+    "sym_grad": Operator((("v", "vec", 0),), (("s", "sym", -1),), "vec", calculus.sym_grad),
+    "curl_curl": Operator((("s", "sym", 0),), (("t", "sym", -2),), "sym",
+                          calculus.curl_curl),
+    "div_sym": Operator((("s", "sym", 0),), (("v", "vec", -1),), "sym", calculus.div_sym),
+    "w_grad": Operator(_W_SECTION, _W_FORM_OUT, "w", connection.w_grad),
+    "w_curl": Operator(_W_FORM, _W_FORM_OUT, "wform", connection.w_curl),
+    "w_div": Operator(_W_FORM, _W_SECTION, "wform", connection.w_div),
+}
+OPERATOR_IDS = tuple(OPERATORS)
 
 
 def make_stencil(terms: Iterable[Sequence]) -> Stencil:
@@ -58,11 +99,11 @@ def _d(*axes: int) -> Exponent:
 
 
 def _m(i: int, j: int) -> int:  # component of entry (i, j) of a matrix slot
-    return 3 * (i - 1) + j - 1
+    return Mat3Field.KEYS.index(f"{i}{j}")
 
 
 def _s(i: int, j: int) -> int:  # component of entry (i, j) of a symmetric slot
-    return _SYM_POS[(min(i, j), max(i, j))]
+    return SymField.KEYS.index(f"{min(i, j)}{max(i, j)}")
 
 
 @cache

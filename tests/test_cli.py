@@ -138,6 +138,17 @@ def test_reconstruct_rejects_boolean_exponent(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("kind", [["sym"], {"sym": 1}])
+def test_reconstruct_rejects_unhashable_kind(tmp_path, capsys, kind):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"kind": kind, "components": {}}))
+    rc = main(["reconstruct", "--input", str(path),
+               "--output", str(tmp_path / "x.json")])
+    assert rc == 65
+    assert "unknown field kind" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 # -- linearize ----------------------------------------------------------------
 
 
