@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from . import __version__, fieldio
 from .calculus import curl_curl, sym_grad
-from .complexes import (MIN_COMPLEX_DEGREE, build_elasticity_complex,
-                        build_grad_curl_div_complex, build_w_complex,
-                        derive_elasticity, schur_reduce, verify_complex)
+from .complexes import (MIN_COMPLEX_DEGREE, SCHUR_CANCELLATIONS,
+                        build_elasticity_complex, build_grad_curl_div_complex,
+                        build_w_complex, derive_elasticity, schur_reduce,
+                        verify_complex)
 from .connection import normalize_rigid, saint_venant_reconstruct
 from .errors import (CompatibilityError, FieldFormatError, SingularBlockError,
                      SingularMetricError)
@@ -176,8 +177,7 @@ def cmd_complex(args) -> int:
             ok = _print_complex_report(report) and ok
             payload[report.name] = report.to_dict()
     elif args.derive == "halfway":
-        full = build_w_complex(args.degree)
-        halfway = schur_reduce(full, 1, ["xi"], ["theta1"])
+        halfway = schur_reduce(build_w_complex(args.degree), *SCHUR_CANCELLATIONS[0])
         report = verify_complex(halfway)
         shape = " -> ".join(str(_component_shape(s)) for s in halfway.spaces)
         print(f"halfway complex (matrix pair cancelled); "
@@ -212,11 +212,7 @@ def cmd_complex(args) -> int:
 def cmd_ricci(args) -> int:
     entries = _load_field(args.metric, "sym")
     metric = PolyMetric(entries)
-    try:
-        values = pointwise_curvature(metric, args.point)
-    except SingularMetricError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    values = pointwise_curvature(metric, args.point)
     print("point: (" + ", ".join(str(c) for c in args.point) + ")")
     print("ricci: " + _rows(values.ricci))
     print("scalar: " + str(values.scalar))

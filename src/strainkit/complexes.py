@@ -468,6 +468,14 @@ def build_w_complex(degree: int) -> ChainComplex:
                   ("w_grad", "w_curl", "w_div"), coupled_split_stencils())
 
 
+# The Schur cancellations of derive_elasticity, in order, as (stage,
+# cancelled domain slots, cancelled codomain slots).  The first alone gives
+# the halfway complex.
+SCHUR_CANCELLATIONS = ((1, ("xi",), ("theta1",)),
+                       (0, ("y",), ("sigma_skew",)),
+                       (2, ("theta2_skew",), ("z1",)))
+
+
 @dataclass
 class DerivationResult:
     """Everything produced while deriving the elasticity complex."""
@@ -504,16 +512,17 @@ class DerivationResult:
 def derive_elasticity(degree: int) -> DerivationResult:
     """Cancel the coupled complex down to the elasticity complex.
 
-    Three Schur cancellations remove the auxiliary rotation data: the middle
-    matrix pair first (giving the halfway-house shapes), then the rotation /
-    skew-strain pair, then the skew-stress / first-divergence pair.  The
-    surviving maps are compared against the hand-coded operators; each stage
-    must agree up to a single nonzero rational factor.
+    The three Schur cancellations of SCHUR_CANCELLATIONS remove the
+    auxiliary rotation data: the middle matrix pair first (giving the
+    halfway-house shapes), then the rotation / skew-strain pair, then the
+    skew-stress / first-divergence pair.  The surviving maps are compared
+    against the hand-coded operators; each stage must agree up to a single
+    nonzero rational factor.
     """
-    full = build_w_complex(degree)
-    halfway = schur_reduce(full, 1, ["xi"], ["theta1"])
-    step2 = schur_reduce(halfway, 0, ["y"], ["sigma_skew"])
-    reduced = schur_reduce(step2, 2, ["theta2_skew"], ["z1"])
+    stages = [build_w_complex(degree)]
+    for cancellation in SCHUR_CANCELLATIONS:
+        stages.append(schur_reduce(stages[-1], *cancellation))
+    full, halfway, _, reduced = stages
     hand = build_elasticity_complex(degree)
     factors = [reduced.maps[k].proportionality(hand.maps[k]) for k in range(3)]
     return DerivationResult(

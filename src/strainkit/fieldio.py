@@ -102,8 +102,8 @@ def field_from_doc(doc, expect_kind: str | None = None):
     return FIELD_TYPES[kind].from_parts(parts)
 
 
-def dumps(field, indent: int | None = 2) -> str:
-    return json.dumps(field_to_doc(field), indent=indent, sort_keys=True)
+def dumps(field) -> str:
+    return json.dumps(field_to_doc(field), indent=2, sort_keys=True)
 
 
 def loads(text: str, expect_kind: str | None = None):

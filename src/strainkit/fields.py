@@ -269,6 +269,9 @@ def skew_from_axial(vec: VecField) -> Mat3Field:
 
 RANDOM_KINDS = ("scalar", "vec", "sym", "mat")
 _COEF_RANGE = (-3, 3)
+# Numerators of random_point coordinates lie in [-_POINT_SPAN, _POINT_SPAN];
+# the span is also part of the point seed material.
+_POINT_SPAN = 6
 
 
 def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
@@ -308,12 +311,12 @@ def random_field(kind: str, degree: int, seed: int):
     return Mat3Field(tuple(tuple(_random_poly(rng, degree) for _ in AXES) for _ in AXES))
 
 
-def random_point(seed: int, span: int = 6) -> tuple[Fraction, Fraction, Fraction]:
+def random_point(seed: int) -> tuple[Fraction, Fraction, Fraction]:
     """Deterministic rational point with small numerators and denominators."""
-    rng = _seeded_rng("point", span, seed)
+    rng = _seeded_rng("point", _POINT_SPAN, seed)
     coords = []
     for _ in range(3):
-        num = rng.randint(-span, span)
+        num = rng.randint(-_POINT_SPAN, _POINT_SPAN)
         den = rng.randint(1, 4)
         coords.append(Fraction(num, den))
     return tuple(coords)

@@ -124,98 +124,89 @@ def residual_text(value) -> str:
 
 
 _ORIGIN = (Fraction(0), Fraction(0), Fraction(0))
-_SAMPLERS = {"w": random_w_field, "wform": random_w_one_form}
+_SAMPLERS = {"w": random_w_field, "wform": random_w_one_form,
+             "point": lambda degree, seed: random_point(seed)}
 
 
 def _random(kind: str, degree: int, seed: int):
-    """Seeded random field of any kind, the coupled kinds included."""
+    """Seeded random field of any kind, the coupled kinds included; kind
+    "point" draws a rational point and ignores the degree."""
     sampler = _SAMPLERS.get(kind)
     return sampler(degree, seed) if sampler else random_field(kind, degree, seed)
 
 
-def _identity(kind: str, degree_shift: int, salt: int, residual_fn):
-    """Check that residual_fn vanishes on a seeded random field per trial.
+def _is_zero(value) -> bool:
+    return value == 0 if isinstance(value, Fraction) else value.is_zero()
 
-    The field has the given kind and degree d + degree_shift; the check
-    reports the exact text of the first nonzero residual.
+
+def _trials(draws, residuals):
+    """Check that every residual vanishes on seeded random draws per trial.
+
+    Each trial draws one value per (kind, degree_shift, salt) of draws, in
+    order, at degree d + degree_shift; residuals(*values) yields Poly3,
+    field or Fraction values.  The check reports the exact text of the first
+    nonzero one.
     """
     def check(cfg: SuiteConfig) -> str:
         for t in range(cfg.trials):
-            r = residual_fn(_random(kind, cfg.degree + degree_shift,
-                                    _trial_seed(cfg, salt, t)))
-            if not r.is_zero():
-                return residual_text(r)
+            values = [_random(kind, cfg.degree + shift, _trial_seed(cfg, salt, t))
+                      for kind, shift, salt in draws]
+            for r in residuals(*values):
+                if not _is_zero(r):
+                    return residual_text(r)
+        return "0"
+    return check
+
+
+def _identity(kind: str, degree_shift: int, salt: int, residual_fn):
+    """Check that residual_fn vanishes on one seeded random field per trial."""
+    return _trials(((kind, degree_shift, salt),), lambda f: (residual_fn(f),))
+
+
+def _rejects(kind: str, least_degree: int, salt: int, obstruction, integrate,
+             mismatch_text: str, missing_text: str):
+    """Check that integrate refuses fields whose obstruction is nonzero.
+
+    Each trial draws a field of the kind at degree max(d, least_degree),
+    redrawing with the seed advanced by 17 until obstruction(field) is
+    nonzero.  integrate must raise a CompatibilityError whose residual, if
+    it carries one, is that obstruction; otherwise the check reports
+    missing_text, or mismatch_text formatted with the reported residual.
+    """
+    def check(cfg: SuiteConfig) -> str:
+        degree = max(cfg.degree, least_degree)
+        for t in range(cfg.trials):
+            seed = _trial_seed(cfg, salt, t)
+            x = _random(kind, degree, seed)
+            while obstruction(x).is_zero():
+                seed += 17
+                x = _random(kind, degree, seed)
+            try:
+                integrate(x)
+            except CompatibilityError as exc:
+                if exc.residual is None or (exc.residual - obstruction(x)).is_zero():
+                    continue
+                return mismatch_text.format(residual_text(exc.residual))
+            return missing_text
         return "0"
     return check
 
 
 # -- calculus suite ----------------------------------------------------------
 
-def _check_mixed_partials(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        f = random_field("scalar", cfg.degree, _trial_seed(cfg, 1, t))
-        for i in AXES:
-            for j in AXES:
-                r = f.partial(i).partial(j) - f.partial(j).partial(i)
-                if not r.is_zero():
-                    return residual_text(r)
-    return "0"
+def _epsilon_delta_residuals(xi: Mat3Field):
+    """eps_ijk eps_jlm xi_km - (xi_li - delta_il tr xi) for every (i, l)."""
+    tr = xi.trace()
+    for i in AXES:
+        for l in AXES:
+            lhs = sum((eps(i, j, k) * eps(j, l, m) * xi.entry(k, m)
+                       for j in AXES for k in AXES for m in AXES), Poly3())
+            yield lhs - (xi.entry(l, i) - delta(i, l) * tr)
 
 
-def _check_product_rule(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        f = random_field("scalar", cfg.degree, _trial_seed(cfg, 2, t))
-        g = random_field("scalar", cfg.degree, _trial_seed(cfg, 3, t))
-        for i in AXES:
-            r = (f * g).partial(i) - f * g.partial(i) - g * f.partial(i)
-            if not r.is_zero():
-                return residual_text(r)
-    return "0"
-
-
-def _check_eval_homomorphism(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        f = random_field("scalar", cfg.degree, _trial_seed(cfg, 4, t))
-        g = random_field("scalar", cfg.degree, _trial_seed(cfg, 5, t))
-        p = random_point(_trial_seed(cfg, 6, t))
-        r = (f * g).evaluate(p) - f.evaluate(p) * g.evaluate(p)
-        if r != 0:
-            return str(r)
-        r = (f + g).evaluate(p) - f.evaluate(p) - g.evaluate(p)
-        if r != 0:
-            return str(r)
-    return "0"
-
-
-def _check_epsilon_delta(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        xi = random_field("mat", cfg.degree, _trial_seed(cfg, 7, t))
-        tr = xi.trace()
-        for i in AXES:
-            for l in AXES:
-                lhs = sum((eps(i, j, k) * eps(j, l, m) * xi.entry(k, m)
-                           for j in AXES for k in AXES for m in AXES), Poly3())
-                rhs = xi.entry(l, i) - delta(i, l) * tr
-                if not (lhs - rhs).is_zero():
-                    return residual_text(lhs - rhs)
-    return "0"
-
-
-def _check_homotopy_rejects(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        seed = _trial_seed(cfg, 14, t)
-        x = random_field("vec", max(cfg.degree, 1), seed)
-        while curl(x).is_zero():
-            seed += 17
-            x = random_field("vec", max(cfg.degree, 1), seed)
-        try:
-            homotopy_antiderivative(x)
-        except CompatibilityError as exc:
-            if exc.residual is None or (exc.residual - curl(x)).is_zero():
-                continue
-            return "reported residual differs from curl: " + residual_text(exc.residual)
-        return "no compatibility error for a field with nonzero curl"
-    return "0"
+def _evaluation_residuals(f: Poly3, g: Poly3, p):
+    yield (f * g).evaluate(p) - f.evaluate(p) * g.evaluate(p)
+    yield (f + g).evaluate(p) - f.evaluate(p) - g.evaluate(p)
 
 
 def _check_random_field_deterministic(cfg: SuiteConfig) -> str:
@@ -285,38 +276,6 @@ def _check_poincare_inverts(cfg: SuiteConfig) -> str:
     return "0"
 
 
-def _check_poincare_rejects(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        seed = _trial_seed(cfg, 24, t)
-        psi = random_w_one_form(max(cfg.degree, 1), seed)
-        while w_curl(psi).is_zero():
-            seed += 17
-            psi = random_w_one_form(max(cfg.degree, 1), seed)
-        try:
-            w_poincare(psi)
-        except CompatibilityError:
-            continue
-        return "no compatibility error for a non-closed form"
-    return "0"
-
-
-def _check_saint_venant_rejects(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        seed = _trial_seed(cfg, 26, t)
-        s = random_field("sym", max(cfg.degree, 2), seed)
-        while curl_curl(s).is_zero():
-            seed += 17
-            s = random_field("sym", max(cfg.degree, 2), seed)
-        try:
-            saint_venant_reconstruct(s)
-        except CompatibilityError as exc:
-            if exc.residual is None or (exc.residual - curl_curl(s)).is_zero():
-                continue
-            return "reported residual differs from the compatibility tensor"
-        return "no compatibility error for an incompatible strain"
-    return "0"
-
-
 def _check_normalize_rigid_gauge(cfg: SuiteConfig) -> str:
     for t in range(cfg.trials):
         u = random_field("vec", cfg.degree + 1, _trial_seed(cfg, 27, t))
@@ -331,16 +290,6 @@ def _check_normalize_rigid_gauge(cfg: SuiteConfig) -> str:
         if any(vals):
             return "skew Jacobian at the origin: " + str(vals)
         r = sym_grad(v) - sym_grad(u)
-        if not r.is_zero():
-            return residual_text(r)
-    return "0"
-
-
-def _check_rigid_motions_flat(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        a = random_point(_trial_seed(cfg, 28, t))
-        b = random_point(_trial_seed(cfg, 29, t))
-        r = sym_grad(rigid_motion(a, b))
         if not r.is_zero():
             return residual_text(r)
     return "0"
@@ -510,10 +459,19 @@ def _check_lambda2_split(cfg: SuiteConfig) -> str:
 # it) is the one a check calls.
 _CHECKS: dict[str, list[tuple[str, callable]]] = {
     "calculus": [
-        ("calculus.mixed_partials", _check_mixed_partials),
-        ("calculus.product_rule", _check_product_rule),
-        ("calculus.evaluation_homomorphism", _check_eval_homomorphism),
-        ("calculus.epsilon_delta_contraction", _check_epsilon_delta),
+        ("calculus.mixed_partials",
+         _trials((("scalar", 0, 1),),
+                 lambda f: (f.partial(i).partial(j) - f.partial(j).partial(i)
+                            for i in AXES for j in AXES))),
+        ("calculus.product_rule",
+         _trials((("scalar", 0, 2), ("scalar", 0, 3)),
+                 lambda f, g: ((f * g).partial(i) - f * g.partial(i) - g * f.partial(i)
+                               for i in AXES))),
+        ("calculus.evaluation_homomorphism",
+         _trials((("scalar", 0, 4), ("scalar", 0, 5), ("point", 0, 6)),
+                 _evaluation_residuals)),
+        ("calculus.epsilon_delta_contraction",
+         _trials((("mat", 0, 7),), _epsilon_delta_residuals)),
         ("calculus.curl_of_grad", _identity("scalar", 1, 8, lambda f: curl(grad(f)))),
         ("calculus.div_of_curl", _identity("vec", 1, 9, lambda x: div(curl(x)))),
         ("calculus.compat_kills_strains",
@@ -525,7 +483,10 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
         ("calculus.homotopy_inverts_grad",
          _identity("scalar", 0, 13, lambda f: homotopy_antiderivative(grad(f))
                    - (f - f.evaluate(_ORIGIN)))),
-        ("calculus.homotopy_rejects_incompatible", _check_homotopy_rejects),
+        ("calculus.homotopy_rejects_incompatible",
+         _rejects("vec", 1, 14, lambda x: curl(x), lambda x: homotopy_antiderivative(x),
+                  "reported residual differs from curl: {}",
+                  "no compatibility error for a field with nonzero curl")),
         ("calculus.random_field_deterministic", _check_random_field_deterministic),
         ("calculus.serialization_round_trip", _check_serialization_round_trip),
     ],
@@ -536,12 +497,20 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
         ("connection.flat_sections_in_kernel", _check_flat_sections_in_kernel),
         ("connection.flat_sections_independent", _check_flat_sections_independent),
         ("connection.poincare_inverts_grad", _check_poincare_inverts),
-        ("connection.poincare_rejects_incompatible", _check_poincare_rejects),
+        ("connection.poincare_rejects_incompatible",
+         _rejects("wform", 1, 24, lambda psi: w_curl(psi), lambda psi: w_poincare(psi),
+                  "reported residual differs from w_curl: {}",
+                  "no compatibility error for a non-closed form")),
         ("connection.saint_venant_round_trip",
          _identity("vec", 1, 25, _saint_venant_round_trip)),
-        ("connection.saint_venant_rejects_incompatible", _check_saint_venant_rejects),
+        ("connection.saint_venant_rejects_incompatible",
+         _rejects("sym", 2, 26, lambda s: curl_curl(s), lambda s: saint_venant_reconstruct(s),
+                  "reported residual differs from the compatibility tensor",
+                  "no compatibility error for an incompatible strain")),
         ("connection.normalize_rigid_gauge", _check_normalize_rigid_gauge),
-        ("connection.rigid_motions_are_flat", _check_rigid_motions_flat),
+        ("connection.rigid_motions_are_flat",
+         _trials((("point", 0, 28), ("point", 0, 29)),
+                 lambda a, b: (sym_grad(rigid_motion(a, b)),))),
     ],
     "riemannian": [
         ("riemannian.metric_jet_inverse", _check_metric_jet_inverse),

@@ -244,6 +244,16 @@ def test_ricci_rejects_singular_metric(tmp_path, capsys):
     assert "precondition failed:" in capsys.readouterr().err
 
 
+def test_ricci_singular_metric_prints_one_precondition_line(tmp_path, capsys):
+    x1 = Poly3.monomial((1, 0, 0))
+    metric = _write(SymField.unit(1, 1, x1) + SymField.unit(2, 2, x1)
+                    + SymField.unit(3, 3, x1), tmp_path / "metric.json")
+    assert main(["ricci", "--metric", metric, "--point", "0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "precondition failed: metric is singular at the evaluation point\n"
+    assert captured.out == ""
+
+
 def test_ricci_rejects_malformed_point(tmp_path):
     metric = _write(_example_metric(), tmp_path / "metric.json")
     for bad in ("1,2", "1,2,3,4", "1,two,3"):

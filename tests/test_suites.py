@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from strainkit import complexes, fields, stencils, suites
+from strainkit.calculus import curl
 from strainkit.complexes import SkewMat4
 from strainkit.connection import WField, WOneForm, w_curl
+from strainkit.errors import CompatibilityError
 from strainkit.fields import Mat3Field, SymField, VecField
 from strainkit.poly import Poly3
 from strainkit.suites import SuiteConfig, residual_text, run_suite
@@ -118,3 +120,47 @@ def test_agreement_check_reports_a_wrong_reference(monkeypatch):
     assert _failures(SuiteConfig(suite="complex", trials=1)) == {
         "complex.matrix_operator_agreement": "operator 'w_curl' disagrees with its matrix",
     }
+
+
+def test_poincare_rejects_check_compares_the_reported_residual(monkeypatch):
+    real = suites.w_poincare
+
+    def wrong_residual(psi):
+        residual = w_curl(psi)
+        if residual.is_zero():
+            return real(psi)
+        raise CompatibilityError("one-form is not connection-closed", residual=-residual)
+
+    monkeypatch.setattr(suites, "w_poincare", wrong_residual)
+    failures = _failures(SuiteConfig(suite="connection", trials=1))
+    assert list(failures) == ["connection.poincare_rejects_incompatible"]
+    assert failures["connection.poincare_rejects_incompatible"].startswith(
+        "reported residual differs from w_curl: sigma: ")
+
+
+def test_trial_row_reports_a_later_residual_of_its_generator(monkeypatch):
+    # Only the (3, 3) residual of epsilon-delta sees the patched delta; it
+    # comes last, after eight vanishing ones, on the first trial's draw.
+    real = suites.delta
+    monkeypatch.setattr(suites, "delta", lambda i, l: 0 if i == l == 3 else real(i, l))
+    xi = fields.random_field("mat", 3, 7 * 101)
+    assert _failures(SuiteConfig(suite="calculus", trials=1)) == {
+        "calculus.epsilon_delta_contraction": residual_text(-xi.trace()),
+    }
+
+
+def test_rejects_row_redraws_a_field_with_zero_obstruction(monkeypatch):
+    # At degree 1 and seed 124 the second draw of the homotopy rejects check
+    # is curl-free, so the check draws again with the seed advanced by 17.
+    first = suites._trial_seed(SuiteConfig(seed=124), 14, 1)
+    assert curl(fields.random_field("vec", 1, first)).is_zero()
+    seen = []
+    real = fields._seeded_rng
+
+    def recording(kind, d, s):
+        seen.append((kind, d, s))
+        return real(kind, d, s)
+
+    monkeypatch.setattr(fields, "_seeded_rng", recording)
+    assert run_suite(SuiteConfig(suite="calculus", degree=1, seed=124)).passed
+    assert ("vec", 1, first + 17) in seen
