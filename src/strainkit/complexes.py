@@ -218,7 +218,7 @@ class LinOpMatrix:
                 if lam is None:
                     if s == 0:
                         return None
-                    lam = s / v
+                    lam = Fraction(s) / v
                 elif s != lam * v:
                     return None
             for i in col_s:

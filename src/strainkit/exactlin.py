@@ -1,24 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices live as lists of sparse columns ({row: value}); a value is an int
-or a Fraction, as `Poly3` coefficients and field coordinates are.  `sparse_rank`
-runs fraction-free elimination: rows are scaled to integers, each update
-``row = a*row - b*pivot_row`` keeps them integral, and a gcd division after
-every update bounds coefficient growth.  `solve_square` runs sparse
-Gauss-Jordan elimination over Fractions on phi and the right-hand sides.
+or a Fraction, as `Poly3` coefficients and field coordinates are.  One
+fraction-free elimination serves rank and solve: rows are scaled to
+integers, each update ``row = a*row - b*pivot_row`` keeps them integral, and
+a gcd division after every update bounds coefficient growth.  The rank is
+the number of pivots.  `solve_square` eliminates the rows of [phi | rhs],
+then back-substitutes in reverse pivot order, dividing once per pivot.
 
-Both keep their pivot bookkeeping in a `_PivotIndex` that lives across the
-elimination: for every column the list of rows holding it, and the rows
-not yet used as pivots bucketed by length.  A step touches only the rows listed
-under its pivot column and updates both maps for those rows alone, so no
-step rescans the matrix.  The pivot is a shortest waiting row and, in it,
-the column held by the fewest rows (a column held by one row ends the
-search): a cheap Markowitz-style bound on fill.
+A `_PivotIndex` lives across the elimination: for every column the rows
+holding it, and the rows not yet used as pivots bucketed by length.  A step
+touches only the rows listed under its pivot column, so no step rescans the
+matrix.  The pivot is a shortest waiting row and, in it, the column held by
+the fewest rows: a cheap Markowitz-style bound on fill.
 
-The pivot order changes only the work, never the answer.  Elimination runs
-until no waiting row is nonzero, and the number of pivots is the rank
-whatever their order.  An invertible block has exactly one solution, so the
-Gauss-Jordan result is the same for every order, exactly.
+The pivot order changes the work, never the answer: the number of pivots is
+the rank whatever their order, and an invertible block has one solution.
 """
 
 from __future__ import annotations
@@ -29,20 +26,15 @@ from math import gcd, lcm
 Column = dict[int, int | Fraction]
 
 
-def _rows_of(cols: list[Column]) -> dict[int, Column]:
-    """Transpose sparse columns into sparse rows, dropping zero entries."""
+def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
+    """Transpose sparse columns into integer rows, clearing denominators."""
     rows: dict[int, Column] = {}
     for j, col in enumerate(cols):
         for i, value in col.items():
             if value:
                 rows.setdefault(i, {})[j] = value
-    return rows
-
-
-def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
-    """Transpose sparse columns into integer rows, clearing denominators."""
     out = []
-    for entries in _rows_of(cols).values():
+    for entries in rows.values():
         denom = lcm(*(v.denominator for v in entries.values()))
         ints = {j: v.numerator * (denom // v.denominator) for j, v in entries.items()}
         g = gcd(*ints.values())
@@ -100,11 +92,8 @@ class _PivotIndex:
         self.waiting -= 1
 
     def resize(self, i: int, old: int, n: int) -> None:
-        """Row i went from old to n entries; re-bucket it if it is waiting.
-
-        A waiting row that became zero stops waiting.
-        """
-        if old == n or i not in self.by_len.get(old, ()):
+        """Waiting row i went from old to n entries; at 0 it stops waiting."""
+        if old == n:
             return
         self.by_len[old].remove(i)
         if not n:
@@ -150,12 +139,16 @@ def _subtract(row: dict, i: int, factor, pivot_items: list, holders: dict) -> No
                 holders[j].remove(i)
 
 
-def sparse_rank(cols: list[Column], nrows: int) -> int:
-    """Exact rank via fraction-free elimination with gcd control."""
-    rows = dict(enumerate(columns_to_int_rows(cols)))
+def _eliminate(rows: dict[int, dict[int, int]],
+               rhs: dict[int, dict[int, int]]) -> list[tuple]:
+    """Eliminate integer rows in place, and their right-hand sides in rhs.
+
+    Returns the pivots in order as (column, value, rest of the pivot row,
+    row index).  A pivot row holds no column pivoted before it.
+    """
     index = _PivotIndex(rows)
     holders = index.holders
-    rank = 0
+    pivots = []
     while (pivot := index.choose()) is not None:
         p, pcol = pivot
         index.retire(p)
@@ -164,23 +157,38 @@ def sparse_rank(cols: list[Column], nrows: int) -> int:
             holders[j].remove(p)
         pivot_val = pivot_row.pop(pcol)
         pivot_items = list(pivot_row.items())
-        rank += 1
+        pivots.append((pcol, pivot_val, pivot_items, p))
         for i in holders.pop(pcol):
             row = rows[i]
             old = len(row)
             factor = row.pop(pcol)
             g = gcd(pivot_val, factor)
-            scale = pivot_val // g
+            scale, factor = pivot_val // g, factor // g
             if scale != 1:
                 for j in row:
                     row[j] *= scale
-            _subtract(row, i, factor // g, pivot_items, holders)
-            g = gcd(*row.values())
+            _subtract(row, i, factor, pivot_items, holders)
+            if rhs:  # the right-hand side takes the same update
+                b = rhs[i]
+                for k in b:
+                    b[k] *= scale
+                accumulate(b, -factor, rhs[p])
+                g = gcd(*row.values(), *b.values())
+                if g > 1:
+                    for k in b:
+                        b[k] //= g
+            else:
+                g = gcd(*row.values())
             if g > 1:
                 for j in row:
                     row[j] //= g
             index.resize(i, old, len(row))
-    return rank
+    return pivots
+
+
+def sparse_rank(cols: list[Column], nrows: int) -> int:
+    """Exact rank: the number of pivots of the fraction-free elimination."""
+    return len(_eliminate(dict(enumerate(columns_to_int_rows(cols))), {}))
 
 
 def solve_square(phi_cols: list[Column], size: int,
@@ -190,39 +198,30 @@ def solve_square(phi_cols: list[Column], size: int,
     Returns the solution columns.  Raises ValueError carrying the rank when
     phi is singular; callers wrap this into a domain error.
     """
-    rows = _rows_of(phi_cols)
-    rhs = _rows_of(rhs_cols)
-    index = _PivotIndex(rows)
-    holders = index.holders
-    row_of_pivot: dict[int, int] = {}
-    while (pivot := index.choose()) is not None:
-        p, pcol = pivot
-        index.retire(p)
-        pivot_row, pivot_rhs = rows[p], rhs.setdefault(p, {})
-        pivot_val = Fraction(pivot_row[pcol])
-        if pivot_val != 1:
-            pivot_row = rows[p] = {j: v / pivot_val for j, v in pivot_row.items()}
-            pivot_rhs = rhs[p] = {k: v / pivot_val for k, v in pivot_rhs.items()}
-        pivot_items = [(j, v) for j, v in pivot_row.items() if j != pcol]
-        # Gauss-Jordan: clear pcol from every other row, used ones included.
-        # Waiting rows hold no used column, so neither does the pivot row,
-        # and clearing pcol brings no used column back into any row.
-        targets = holders.pop(pcol)
-        targets.remove(p)
-        for i in targets:
-            row = rows[i]
-            old = len(row)
-            factor = row.pop(pcol)
-            _subtract(row, i, factor, pivot_items, holders)
-            accumulate(rhs.setdefault(i, {}), -factor, pivot_rhs)
-            index.resize(i, old, len(row))
-        row_of_pivot[pcol] = p
-    if len(row_of_pivot) < size:
-        raise ValueError(f"singular block: rank {len(row_of_pivot)} of {size}")
+    rows, rhs = {}, {}
+    for i, entries in enumerate(columns_to_int_rows(phi_cols + rhs_cols)):
+        row = {j: v for j, v in entries.items() if j < size}
+        if row:  # a row with no phi entry holds no pivot
+            rows[i] = row
+            rhs[i] = {j - size: v for j, v in entries.items() if j >= size}
+    pivots = _eliminate(rows, rhs)
+    if len(pivots) < size:
+        raise ValueError(f"singular block: rank {len(pivots)} of {size}")
 
+    # Back-substitute in reverse pivot order: every other column of a pivot
+    # row was pivoted later, so its solution is already known.
+    x: dict[int, Column] = {}
+    for pcol, pivot_val, pivot_items, p in reversed(pivots):
+        acc: Column = dict(rhs[p])
+        for j, a in pivot_items:
+            accumulate(acc, -a, x[j])
+        if pivot_val != 1:
+            inv = Fraction(1, pivot_val)
+            acc = {k: v * inv for k, v in acc.items()}
+        x[pcol] = acc
     solutions: list[Column] = [dict() for _ in rhs_cols]
-    for j in sorted(row_of_pivot):
-        for k, v in rhs[row_of_pivot[j]].items():
+    for j in sorted(x):
+        for k, v in x[j].items():
             solutions[k][j] = v
     return solutions
 

@@ -267,7 +267,8 @@ def skew_from_axial(vec: VecField) -> Mat3Field:
 
 # -- deterministic random fields ------------------------------------------
 
-RANDOM_KINDS = ("scalar", "vec", "sym", "mat")
+_RANDOM_TYPES = {t.KIND: t for t in (VecField, SymField, Mat3Field)}
+RANDOM_KINDS = ("scalar", *_RANDOM_TYPES)
 _COEF_RANGE = (-3, 3)
 # Numerators of random_point coordinates lie in [-_POINT_SPAN, _POINT_SPAN];
 # the span is also part of the point seed material.
@@ -304,11 +305,8 @@ def random_field(kind: str, degree: int, seed: int):
     rng = _seeded_rng(kind, degree, seed)
     if kind == "scalar":
         return _random_poly(rng, degree)
-    if kind == "vec":
-        return VecField(tuple(_random_poly(rng, degree) for _ in AXES))
-    if kind == "sym":
-        return SymField(tuple(_random_poly(rng, degree) for _ in SYM_INDEX_PAIRS))
-    return Mat3Field(tuple(tuple(_random_poly(rng, degree) for _ in AXES) for _ in AXES))
+    T = _RANDOM_TYPES[kind]
+    return T.from_parts(tuple(_random_poly(rng, degree) for _ in T.KEYS))
 
 
 def random_point(seed: int) -> tuple[Fraction, Fraction, Fraction]:

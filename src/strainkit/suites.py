@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import exactlin, fieldio
 from .calculus import (curl, curl_curl, curl_curl_direct, div, div_sym, grad,
@@ -178,13 +179,13 @@ def _rejects(kind: str, least_degree: int, salt: int, obstruction, integrate,
         for t in range(cfg.trials):
             seed = _trial_seed(cfg, salt, t)
             x = _random(kind, degree, seed)
-            while obstruction(x).is_zero():
+            while (residual := obstruction(x)).is_zero():
                 seed += 17
                 x = _random(kind, degree, seed)
             try:
                 integrate(x)
             except CompatibilityError as exc:
-                if exc.residual is None or (exc.residual - obstruction(x)).is_zero():
+                if exc.residual is None or (exc.residual - residual).is_zero():
                     continue
                 return mismatch_text.format(residual_text(exc.residual))
             return missing_text
@@ -320,20 +321,16 @@ def _check_metric_jet_inverse(cfg: SuiteConfig) -> str:
     return "0"
 
 
-_FLAT_MAPS: list[list[Poly3]] = []
-
-
-def _flat_test_maps() -> list[list[Poly3]]:
-    if not _FLAT_MAPS:
-        x1, x2, x3 = Poly3.variable(1), Poly3.variable(2), Poly3.variable(3)
-        _FLAT_MAPS.extend([
-            [x1 + x2 * x2, x2, x3],
-            [x1, x2 + x1 * x3, x3],
-            [x1 + x2 * x3, x2 + x3 * x3 * x3, x3],
-            [x1, x2, x3 + x1 * x1 * x2],
-            [x1 + Fraction(1, 2) * x2 * x2 + x3, x2 - 2 * x3 * x3, x3],
-        ])
-    return _FLAT_MAPS
+@cache
+def _flat_test_maps() -> tuple[list[Poly3], ...]:
+    x1, x2, x3 = Poly3.variable(1), Poly3.variable(2), Poly3.variable(3)
+    return (
+        [x1 + x2 * x2, x2, x3],
+        [x1, x2 + x1 * x3, x3],
+        [x1 + x2 * x3, x2 + x3 * x3 * x3, x3],
+        [x1, x2, x3 + x1 * x1 * x2],
+        [x1 + Fraction(1, 2) * x2 * x2 + x3, x2 - 2 * x3 * x3, x3],
+    )
 
 
 def _check_flat_pullback_pointwise(cfg: SuiteConfig) -> str:

@@ -221,6 +221,17 @@ def test_proportionality():
     assert mat.proportionality(matrix_of("grad", 2)) is None
 
 
+def test_proportionality_of_int_matrices_is_exact():
+    one = GradedSpace([Slot("a", "scalar", 0)])
+    two = GradedSpace([Slot("a", "scalar", 0), Slot("b", "scalar", 0)])
+    half = LinOpMatrix(one, one, [{0: 1}]).proportionality(LinOpMatrix(one, one, [{0: 2}]))
+    assert half == F(1, 2) and isinstance(half, F)
+    # A float ratio 1/3 times 3*10**17 + 1 rounds to 10**17 and hides the mismatch.
+    near = LinOpMatrix(two, two, [{0: 1}, {1: 10 ** 17}])
+    third = LinOpMatrix(two, two, [{0: 3}, {1: 3 * 10 ** 17 + 1}])
+    assert near.proportionality(third) is None
+
+
 # -- standard complexes -------------------------------------------------------
 
 

@@ -164,3 +164,25 @@ def test_rejects_row_redraws_a_field_with_zero_obstruction(monkeypatch):
     monkeypatch.setattr(fields, "_seeded_rng", recording)
     assert run_suite(SuiteConfig(suite="calculus", degree=1, seed=124)).passed
     assert ("vec", 1, first + 17) in seen
+
+
+def test_rejects_row_computes_the_obstruction_once_per_draw(monkeypatch):
+    # Seed 124 at degree 1 redraws once (see above): three draws in two trials.
+    draws, calls = [], []
+    real = fields._seeded_rng
+
+    def recording(kind, d, s):
+        draws.append((kind, d, s))
+        return real(kind, d, s)
+
+    def obstruction(v):
+        calls.append(v)
+        return curl(v)
+
+    def integrate(v):
+        raise CompatibilityError("not curl-free", residual=curl(v))
+
+    monkeypatch.setattr(fields, "_seeded_rng", recording)
+    check = suites._rejects("vec", 1, 14, obstruction, integrate, "differs: {}", "accepted")
+    assert check(SuiteConfig(degree=1, seed=124, trials=2)) == "0"
+    assert len(draws) == len(calls) == 3
