@@ -1,10 +1,11 @@
 """Finite-dimensional truncations of operator complexes, and their reduction.
 
 Degree-truncated polynomial fields give finite bases, so every differential
-operator becomes an exact rational matrix.  This module builds those
-matrices, checks complexes (compositions zero, exactness defects), cancels
-invertible blocks by Schur complements, and derives the elasticity complex
-from the coupled-connection complex by that cancellation.
+operator becomes an exact rational matrix, int columns over one denominator.
+This module builds those matrices, checks complexes (compositions zero,
+exactness defects), cancels invertible blocks by Schur complements, and
+derives the elasticity complex from the coupled-connection complex by that
+cancellation.
 
 Bases are ordered component-major: for each slot, for each component in its
 canonical order, monomials ascend in graded lex order with x1 > x2 > x3.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import exactlin
@@ -123,15 +125,19 @@ class GradedSpace:
 
 
 class LinOpMatrix:
-    """Exact matrix of a linear operator between graded spaces."""
+    """Exact matrix of a linear operator between graded spaces.
+
+    Entry (i, j) is cols[j][i] / den, held as int columns and one int den in
+    lowest terms; the constructor takes int or Fraction columns over den.
+    """
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
-                 cols: list[exactlin.Column], name: str = ""):
+                 cols: list[exactlin.Column], name: str = "", den: int = 1):
         if len(cols) != domain.dim:
             raise ValueError("column count must match the domain dimension")
         self.domain = domain
         self.codomain = codomain
-        self.cols = cols
+        self.cols, self.den = exactlin.lowest_terms(cols, den)
         self.name = name
         self._rank: int | None = None
 
@@ -143,8 +149,10 @@ class LinOpMatrix:
         Raises ValueError when a term refers to a slot or component the
         spaces lack, or lands above the bound of its codomain slot.
         """
+        stencil = make_stencil(stencil)
+        den = lcm(*(term[-1].denominator for term in stencil))
         by_input: dict[tuple[int, int], list] = {}
-        for s, c, t, d, alpha, factor in make_stencil(stencil):
+        for s, c, t, d, alpha, factor in stencil:
             if not (0 <= s < len(domain.slots) and 0 <= c < domain.slots[s].ncomp
                     and 0 <= t < len(codomain.slots)
                     and 0 <= d < codomain.slots[t].ncomp):
@@ -152,7 +160,7 @@ class LinOpMatrix:
                                  f"{domain!r} -> {codomain!r}")
             base = codomain.offsets[t] + d * len(codomain._monos[t])
             by_input.setdefault((s, c), []).append(
-                (base, codomain._mono_pos[t], codomain.slots[t], alpha, factor))
+                (base, codomain._mono_pos[t], codomain.slots[t], alpha, int(factor * den)))
         cols: list[exactlin.Column] = []
         for k, slot in enumerate(domain.slots):
             for c in range(slot.ncomp):
@@ -175,24 +183,25 @@ class LinOpMatrix:
                                 f"{out_slot.bound} in slot {out_slot.label!r}")
                         col[base + where] = factor * n if n != 1 else factor
                     cols.append(col)
-        return cls(domain, codomain, cols, name=name)
+        return cls(domain, codomain, cols, name=name, den=den)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.codomain.dim, self.domain.dim)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.cols[j].get(i, Fraction(0))
+        return Fraction(self.cols[j].get(i, 0), self.den)
 
     def apply_coords(self, coords: exactlin.Column) -> exactlin.Column:
-        return exactlin.mul_cols(self.cols, [coords])[0]
+        out = exactlin.mul_cols(self.cols, [coords])[0]
+        return out if self.den == 1 else {i: Fraction(v, self.den) for i, v in out.items()}
 
     def compose(self, inner: "LinOpMatrix", name: str = "") -> "LinOpMatrix":
         """self o inner."""
         if inner.codomain.dim != self.domain.dim:
             raise ValueError("composition shape mismatch")
-        return LinOpMatrix(inner.domain, self.codomain,
-                           exactlin.mul_cols(self.cols, inner.cols), name=name)
+        cols = exactlin.mul_cols(self.cols, inner.cols)
+        return LinOpMatrix(inner.domain, self.codomain, cols, name, self.den * inner.den)
 
     def rank(self) -> int:
         if self._rank is None:
@@ -214,17 +223,17 @@ class LinOpMatrix:
         lam = None
         for col_s, col_o in zip(self.cols, other.cols):
             for i, v in col_o.items():
-                s = col_s.get(i, Fraction(0))
+                s = col_s.get(i, 0)
                 if lam is None:
                     if s == 0:
                         return None
-                    lam = Fraction(s) / v
+                    lam = Fraction(s, v)
                 elif s != lam * v:
                     return None
             for i in col_s:
                 if i not in col_o:
                     return None
-        return lam
+        return lam * Fraction(other.den, self.den)
 
 
 @dataclass
@@ -287,8 +296,8 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
         if comp.is_zero():
             residuals.append("0")
         else:
-            worst = max((abs(v) for col in comp.cols for v in col.values()),
-                        default=Fraction(0))
+            worst = Fraction(max(abs(v) for col in comp.cols for v in col.values()),
+                             comp.den)
             residuals.append(f"nonzero composition at stage {k} (max |entry| {worst})")
     ranks = [m.rank() for m in c.maps]
     kdims = [m.kernel_dim() for m in c.maps]
@@ -313,16 +322,14 @@ def schur_reduce(c: ChainComplex, stage: int,
     stage map.  Writing the map in blocks [[phi, c], [b, a]], the surviving
     stage map is a - b phi^{-1} c; the neighbouring maps are projected onto
     the surviving slots.  Compositions stay zero and homology is unchanged.
+    The solve runs on numerators, as den cancels from phi Z = c; with
+    Z = Zn / zden the surviving map is (zden a - b Zn) / (den zden).
     """
     if not 0 <= stage < len(c.maps):
         raise ValueError(f"stage {stage} out of range")
     dom, cod = c.spaces[stage], c.spaces[stage + 1]
-    b_cols: list[int] = []
-    for label in domain_labels:
-        b_cols.extend(dom.slot_range(label))
-    c_rows: list[int] = []
-    for label in codomain_labels:
-        c_rows.extend(cod.slot_range(label))
+    b_cols = [j for label in domain_labels for j in dom.slot_range(label)]
+    c_rows = [i for label in codomain_labels for i in cod.slot_range(label)]
     b_set, c_set = set(b_cols), set(c_rows)
     u_cols = [j for j in range(dom.dim) if j not in b_set]
     v_rows = [i for i in range(cod.dim) if i not in c_set]
@@ -345,31 +352,25 @@ def schur_reduce(c: ChainComplex, stage: int,
         return top, bottom
 
     stage_map = c.maps[stage]
-    phi_cols, b_block = [], []
-    for j in b_cols:
-        top, bottom = split_col(stage_map.cols[j])
-        phi_cols.append(top)
-        b_block.append(bottom)
-    c_block, a_block = [], []
-    for j in u_cols:
-        top, bottom = split_col(stage_map.cols[j])
-        c_block.append(top)
-        a_block.append(bottom)
+    split = [split_col(col) for col in stage_map.cols]
+    phi_cols, b_block = [split[j][0] for j in b_cols], [split[j][1] for j in b_cols]
+    c_block, a_block = [split[j][0] for j in u_cols], [split[j][1] for j in u_cols]
 
     try:
         z_cols = exactlin.solve_square(phi_cols, len(b_cols), c_block)
     except ValueError as exc:
-        rank = exactlin.sparse_rank(phi_cols, len(c_rows))
         raise SingularBlockError(
-            f"selected block is not invertible (rank {rank} of {len(b_cols)})",
-            rank=rank, size=len(b_cols)) from exc
+            f"selected block is not invertible (rank {exc.rank} of {len(b_cols)})",
+            rank=exc.rank, size=len(b_cols)) from exc
+    zn_cols, zden = exactlin.lowest_terms(z_cols)
 
-    new_dom = GradedSpace([s for s in dom.slots if s.label not in set(domain_labels)])
-    new_cod = GradedSpace([s for s in cod.slots if s.label not in set(codomain_labels)])
+    dropped_dom, dropped_cod = set(domain_labels), set(codomain_labels)
+    new_dom = GradedSpace([s for s in dom.slots if s.label not in dropped_dom])
+    new_cod = GradedSpace([s for s in cod.slots if s.label not in dropped_cod])
 
     reduced_cols: list[exactlin.Column] = []
-    for a_col, z_col in zip(a_block, z_cols):
-        acc = dict(a_col)
+    for a_col, z_col in zip(a_block, zn_cols):
+        acc = {i: zden * v for i, v in a_col.items()}
         for k, w in z_col.items():
             exactlin.accumulate(acc, -w, b_block[k])
         reduced_cols.append(acc)
@@ -379,22 +380,20 @@ def schur_reduce(c: ChainComplex, stage: int,
     new_spaces[stage + 1] = new_cod
     new_maps = list(c.maps)
     new_maps[stage] = LinOpMatrix(new_dom, new_cod, reduced_cols,
-                                  name=stage_map.name + "~")
+                                  name=stage_map.name + "~", den=stage_map.den * zden)
 
     if stage > 0:
         prev = c.maps[stage - 1]
         u_pos = {j: p for p, j in enumerate(u_cols)}
-        projected = []
-        for col in prev.cols:
-            projected.append({u_pos[i]: v for i, v in col.items() if i in u_pos})
+        projected = [{u_pos[i]: v for i, v in col.items() if i in u_pos}
+                     for col in prev.cols]
         new_maps[stage - 1] = LinOpMatrix(c.spaces[stage - 1], new_dom, projected,
-                                          name=prev.name + "~")
+                                          name=prev.name + "~", den=prev.den)
     if stage + 1 < len(c.maps):
         nxt = c.maps[stage + 1]
-        restricted = [nxt.cols[i] for i in v_rows]
         new_maps[stage + 1] = LinOpMatrix(new_cod, c.spaces[stage + 2],
-                                          [dict(col) for col in restricted],
-                                          name=nxt.name + "~")
+                                          [dict(nxt.cols[i]) for i in v_rows],
+                                          name=nxt.name + "~", den=nxt.den)
     base = c.name if c.name.endswith(" (reduced)") else c.name + " (reduced)"
     return ChainComplex(name=base, spaces=new_spaces, maps=new_maps)
 

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices live as lists of sparse columns ({row: value}); a value is an int
-or a Fraction, as `Poly3` coefficients and field coordinates are.  One
+Matrices live as lists of sparse columns ({row: value}).  Operator matrices
+hold ints (a `LinOpMatrix` keeps one denominator beside them); Fractions
+enter only through `solve_square` output and field coordinates.  One
 fraction-free elimination serves rank and solve: rows are scaled to
 integers, each update ``row = a*row - b*pivot_row`` keeps them integral, and
 a gcd division after every update bounds coefficient growth.  The rank is
@@ -21,22 +22,36 @@ the rank whatever their order, and an invertible block has one solution.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
+# Ints in operator matrices; Fractions in solutions and field coordinates.
 Column = dict[int, int | Fraction]
 
 
+def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]], int]:
+    """(int columns, den) in lowest terms for the matrix cols / den."""
+    if not all(type(v) is int for col in cols for v in col.values()):
+        scale = lcm(*(v.denominator for col in cols for v in col.values()))
+        cols = [{i: v.numerator * (scale // v.denominator) for i, v in col.items()}
+                for col in cols]
+        den *= scale
+    g = gcd(den, *chain.from_iterable(map(dict.values, cols))) if den > 1 else 1
+    if g > 1:
+        cols = [{i: v // g for i, v in col.items()} for col in cols]
+        den //= g
+    return cols, den
+
+
 def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
-    """Transpose sparse columns into integer rows, clearing denominators."""
-    rows: dict[int, Column] = {}
-    for j, col in enumerate(cols):
+    """Transpose sparse columns into integer rows, each divided by its gcd."""
+    rows: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(lowest_terms(cols)[0]):
         for i, value in col.items():
             if value:
                 rows.setdefault(i, {})[j] = value
     out = []
-    for entries in rows.values():
-        denom = lcm(*(v.denominator for v in entries.values()))
-        ints = {j: v.numerator * (denom // v.denominator) for j, v in entries.items()}
+    for ints in rows.values():
         g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
@@ -195,8 +210,8 @@ def solve_square(phi_cols: list[Column], size: int,
                  rhs_cols: list[Column]) -> list[Column]:
     """Solve phi * X = rhs column by column, exactly.
 
-    Returns the solution columns.  Raises ValueError carrying the rank when
-    phi is singular; callers wrap this into a domain error.
+    Returns the solution columns.  Raises ValueError when phi is singular,
+    with the pivot count as its `rank`; callers wrap this into a domain error.
     """
     rows, rhs = {}, {}
     for i, entries in enumerate(columns_to_int_rows(phi_cols + rhs_cols)):
@@ -206,7 +221,9 @@ def solve_square(phi_cols: list[Column], size: int,
             rhs[i] = {j - size: v for j, v in entries.items() if j >= size}
     pivots = _eliminate(rows, rhs)
     if len(pivots) < size:
-        raise ValueError(f"singular block: rank {len(pivots)} of {size}")
+        exc = ValueError(f"singular block: rank {len(pivots)} of {size}")
+        exc.rank = len(pivots)
+        raise exc
 
     # Back-substitute in reverse pivot order: every other column of a pivot
     # row was pivoted later, so its solution is already known.
@@ -216,8 +233,7 @@ def solve_square(phi_cols: list[Column], size: int,
         for j, a in pivot_items:
             accumulate(acc, -a, x[j])
         if pivot_val != 1:
-            inv = Fraction(1, pivot_val)
-            acc = {k: v * inv for k, v in acc.items()}
+            acc = {k: Fraction(v, pivot_val) for k, v in acc.items()}
         x[pcol] = acc
     solutions: list[Column] = [dict() for _ in rhs_cols]
     for j in sorted(x):

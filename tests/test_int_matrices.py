@@ -1,0 +1,217 @@
+"""The integer representation of operator matrices.
+
+A `LinOpMatrix` holds int numerator columns and one positive denominator in
+lowest terms.  These tests compare what it computes with plain dense
+Fraction matrices, and check that no Fraction is ever stored.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strainkit import exactlin
+from strainkit.complexes import (ChainComplex, GradedSpace, LinOpMatrix, Slot,
+                                 derive_elasticity, schur_reduce)
+from strainkit.errors import SingularBlockError
+
+F = Fraction
+
+# Ints and Fractions with denominators up to 6, zero included.
+values = st.one_of(st.integers(-6, 6),
+                   st.builds(F, st.integers(-12, 12), st.integers(1, 6)))
+nonzero_values = values.filter(bool)
+
+
+def space(prefix: str, n: int) -> GradedSpace:
+    """n scalar slots of bound 0: a space of dimension n."""
+    return GradedSpace([Slot(f"{prefix}{k}", "scalar", 0) for k in range(n)])
+
+
+def matrix(dense, dom: GradedSpace, cod: GradedSpace, den: int = 1) -> LinOpMatrix:
+    cols = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(dom.dim)]
+    return LinOpMatrix(dom, cod, cols, den=den)
+
+
+def dense_of(m: LinOpMatrix):
+    nrows, ncols = m.shape
+    return [[m.entry(i, j) for j in range(ncols)] for i in range(nrows)]
+
+
+def dense_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def dense_rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = F(rows[r][col]) / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_inverse(rows):
+    """Gauss-Jordan inverse of an invertible square Fraction matrix."""
+    n = len(rows)
+    aug = [[F(v) for v in row] + [F(int(i == k)) for k in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def dense_proportionality(a, b):
+    """The single lambda with a = lambda * b, or None."""
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    if all(y == 0 for _, y in pairs):
+        return F(1) if all(x == 0 for x, _ in pairs) else None
+    x0, y0 = next((x, y) for x, y in pairs if y)
+    lam = F(x0) / y0
+    return lam if lam and all(x == lam * y for x, y in pairs) else None
+
+
+def assert_int_lowest_terms(m: LinOpMatrix) -> None:
+    nums = [v for col in m.cols for v in col.values()]
+    assert all(type(v) is int for v in nums)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *nums) == 1
+
+
+@st.composite
+def dense_matrices(draw, nrows=None, ncols=None):
+    nrows = draw(st.integers(1, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 5)) if ncols is None else ncols
+    return [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_matrix_ops_match_dense_fraction_reference(data):
+    a = data.draw(dense_matrices())
+    n, m = len(a), len(a[0])
+    den_a = data.draw(st.integers(1, 6))
+    mat_a = matrix(a, space("m", m), space("n", n), den_a)
+    want_a = [[F(v) / den_a for v in row] for row in a]
+    assert_int_lowest_terms(mat_a)
+    assert dense_of(mat_a) == want_a
+    assert all(type(v) is F for row in dense_of(mat_a) for v in row)
+    assert mat_a.rank() == dense_rank(want_a)
+
+    b = data.draw(dense_matrices(ncols=n))
+    den_b = data.draw(st.integers(1, 6))
+    mat_b = matrix(b, space("n", n), space("p", len(b)), den_b)
+    product = mat_b.compose(mat_a)
+    assert_int_lowest_terms(product)
+    assert dense_of(product) == dense_mul([[F(v) / den_b for v in row] for row in b],
+                                          want_a)
+
+    x = data.draw(st.lists(values, min_size=m, max_size=m))
+    got = mat_a.apply_coords({j: v for j, v in enumerate(x) if v})
+    want = dense_mul(want_a, [[v] for v in x])
+    assert got == {i: row[0] for i, row in enumerate(want) if row[0]}
+
+    # Proportional partners, a dented one and an unrelated one.
+    lam = data.draw(nonzero_values)
+    scaled = [[lam * v for v in row] for row in want_a]
+    dented = [list(row) for row in scaled]
+    dented[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, m - 1))] += 1
+    other = data.draw(dense_matrices(nrows=n, ncols=m))
+    for partner in (scaled, dented, other):
+        mat_p = matrix(partner, mat_a.domain, mat_a.codomain)
+        assert_int_lowest_terms(mat_p)
+        assert mat_a.proportionality(mat_p) == dense_proportionality(want_a, partner)
+        assert mat_p.proportionality(mat_a) == dense_proportionality(partner, want_a)
+
+
+@st.composite
+def non_unimodular_blocks(draw):
+    """An invertible int matrix with |det| >= 2: a diagonal of +-2, +-3 under a
+    few row operations with int multipliers.  Its inverse is not integral."""
+    n = draw(st.integers(1, 4))
+    diag = draw(st.lists(st.sampled_from((2, -2, 3, -3)), min_size=n, max_size=n))
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    ids = st.integers(0, n - 1)
+    for t, s, c in draw(st.lists(st.tuples(ids, ids, st.integers(-3, 3)), max_size=2 * n)):
+        if t != s:
+            rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+    return rows
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_schur_reduce_matches_dense_complement(data):
+    """Blocks [[phi, c], [b, a]] with c = [I | c'], so Z = phi^-1 c has
+    non-integer entries and its denominator zden exceeds 1."""
+    phi = data.draw(non_unimodular_blocks())
+    n = len(phi)
+    p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    c = [[F(int(i == k)) for k in range(n)] + row
+         for i, row in enumerate(data.draw(dense_matrices(nrows=n, ncols=q)))]
+    b = data.draw(dense_matrices(nrows=p, ncols=n)) if p else []
+    a = data.draw(dense_matrices(nrows=p, ncols=n + q)) if p else []
+    den = data.draw(st.integers(1, 6))
+    full = [phi_row + c_row for phi_row, c_row in zip(phi, c)] + \
+        [b_row + a_row for b_row, a_row in zip(b, a)]
+    dom = GradedSpace([Slot(f"b{k}", "scalar", 0) for k in range(n)]
+                      + [Slot(f"u{k}", "scalar", 0) for k in range(n + q)])
+    cod = GradedSpace([Slot(f"c{k}", "scalar", 0) for k in range(n)]
+                      + [Slot(f"v{k}", "scalar", 0) for k in range(p)])
+    cx = ChainComplex(name="block", spaces=[dom, cod], maps=[matrix(full, dom, cod, den)])
+    reduced = schur_reduce(cx, 0, [f"b{k}" for k in range(n)], [f"c{k}" for k in range(n)])
+
+    z = dense_mul(dense_inverse(phi), c)
+    assert any(v.denominator > 1 for row in z for v in row)
+    if p:
+        bz = dense_mul(b, z)
+        want = [[(F(a[i][j]) - bz[i][j]) / den for j in range(n + q)]
+                for i in range(p)]
+    else:
+        want = []
+    got = reduced.maps[0]
+    assert got.shape == (p, n + q)
+    assert_int_lowest_terms(got)
+    assert dense_of(got) == want
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_derived_maps_hold_ints_in_lowest_terms(degree):
+    result = derive_elasticity(degree)
+    for cx in (result.full, result.halfway, result.reduced, result.hand_coded):
+        for m in cx.maps:
+            assert_int_lowest_terms(m)
+
+
+def test_singular_block_is_eliminated_once(monkeypatch):
+    calls = []
+    eliminate = exactlin._eliminate
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return eliminate(rows, rhs)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    dom, cod = space("a", 2), space("c", 2)
+    # The block [[1, 2], [2, 4]], rank 1.
+    cx = ChainComplex(name="singular", spaces=[dom, cod],
+                      maps=[LinOpMatrix(dom, cod, [{0: 1, 1: 2}, {0: 2, 1: 4}])])
+    with pytest.raises(SingularBlockError) as info:
+        schur_reduce(cx, 0, ["a0", "a1"], ["c0", "c1"])
+    assert str(info.value) == "selected block is not invertible (rank 1 of 2)"
+    assert (info.value.rank, info.value.size) == (1, 2)
+    assert calls == [2]
