@@ -127,14 +127,19 @@ class GradedSpace:
 class LinOpMatrix:
     """Exact matrix of a linear operator between graded spaces.
 
-    Entry (i, j) is cols[j][i] / den, held as int columns and one int den in
-    lowest terms; the constructor takes int or Fraction columns over den.
+    Entry (i, j) is cols[j][i] / den, held as int columns without zero
+    entries and one positive int den in lowest terms; the constructor takes
+    int or Fraction columns over den and drops explicit zeros.
     """
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
                  cols: list[exactlin.Column], name: str = "", den: int = 1):
         if len(cols) != domain.dim:
             raise ValueError("column count must match the domain dimension")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        if not all(map(all, map(dict.values, cols))):
+            cols = [{i: v for i, v in col.items() if v} for col in cols]
         self.domain = domain
         self.codomain = codomain
         self.cols, self.den = exactlin.lowest_terms(cols, den)

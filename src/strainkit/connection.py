@@ -5,6 +5,11 @@ field Y.  The connection couples the two summands through the alternating
 tensor; its flat sections are exactly the infinitesimal rigid motions
 a + b x x (in the X component).  Inverting the connection gradient recovers a
 displacement field from a compatible strain.
+
+`saint_venant_reconstruct` takes curl_curl and the connection curl once
+each: the curl of its one-form, checked slot by slot against the
+compatibility residual, is the closedness proof, so it integrates through
+the same private helper as `w_poincare` without a second curl.
 """
 
 from __future__ import annotations
@@ -143,6 +148,11 @@ def w_poincare(psi: WOneForm) -> WField:
     residual = w_curl(psi)
     if not residual.is_zero():
         raise CompatibilityError("one-form is not connection-closed", residual=residual)
+    return _integrate_closed(psi)
+
+
+def _integrate_closed(psi: WOneForm) -> WField:
+    """Primitive of a one-form whose closedness the caller has just proved."""
     y = VecField(tuple(homotopy_antiderivative(psi.xi.column(l)) for l in AXES))
     corrected = Mat3Field.from_entries(
         lambda j, l: psi.sigma.entry(j, l)
@@ -157,22 +167,24 @@ def saint_venant_reconstruct(sigma: SymField) -> VecField:
     Requires the compatibility condition curl_curl(sigma) = 0; on failure a
     CompatibilityError carrying that exact residual is raised.  The strain is
     paired with the derived rotation-gradient matrix to form a one-form
-    that the closedness check below certifies, then integrated.  The result
-    vanishes at the origin and has symmetric Jacobian there.
+    whose connection curl is taken once: its first slot must vanish and its
+    second must equal the (zero) residual, which proves the one-form closed,
+    so it is integrated without a second curl.  The result vanishes at the
+    origin and has symmetric Jacobian there.
     """
     residual = curl_curl(sigma)
     if not residual.is_zero():
         raise CompatibilityError("strain violates the compatibility equations",
                                  residual=residual)
+    strain = sigma.as_matrix()
     # xi_{jl} = eps_l^{im} d_i Sigma_{mj}, the transposed row-curl.
-    xi = curl_row(sigma.as_matrix()).transpose()
-    psi = WOneForm(sigma.as_matrix(), xi)
+    psi = WOneForm(strain, curl_row(strain).transpose())
     check = w_curl(psi)
     if not check.sigma.is_zero():
         raise AssertionError("first curl slot must vanish for symmetric input")
-    if not (check.xi - curl_curl(sigma).as_matrix()).is_zero():
+    if not (check.xi - residual.as_matrix()).is_zero():
         raise AssertionError("second curl slot must equal the compatibility residual")
-    return w_poincare(psi).x
+    return _integrate_closed(psi).x
 
 
 def normalize_rigid(x: VecField) -> VecField:

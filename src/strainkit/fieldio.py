@@ -53,7 +53,8 @@ def _poly_from_terms(raw, where: str) -> Poly3:
             raise FieldFormatError(f"bad coefficient {raw_coef!r} in component "
                                    f"{where!r}; expected an exact 'p/q' string")
         try:
-            coef = Fraction(raw_coef)
+            # The regex has validated the string; only "p/q" needs a Fraction.
+            coef = Fraction(raw_coef) if "/" in raw_coef else int(raw_coef)
         except ZeroDivisionError as exc:
             raise FieldFormatError(f"bad coefficient {raw_coef!r} in component "
                                    f"{where!r}") from exc

@@ -114,6 +114,8 @@ class Poly3:
             res.terms = ({exp: _canonical(coef * c) for exp, coef in self.terms.items()}
                          if c else {})
             return res
+        if not self.terms or not other.terms:
+            return Poly3()
         out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

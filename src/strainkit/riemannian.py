@@ -14,6 +14,14 @@ Sign convention: the Ricci tensor is
 chosen so that the first-order Einstein tensor of delta + eps*Sigma equals
 the compatibility operator curl_curl(Sigma) exactly.  The Einstein tensor is
 scalar * g - 2 * Ricci throughout.
+
+Each intermediate is formed once per call.  A jet curvature call builds one
+inverse, the 27 derivative jets d_m g_ij, the 27 brackets
+d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
+every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
+are computed), vanishing quadratic terms and einstein = scalar * g - 2 * ricci.
+Pointwise evaluation forms and evaluates each distinct derivative of each
+distinct metric entry once, using g_ij = g_ji and d_m d_l = d_l d_m.
 """
 
 from __future__ import annotations
@@ -154,14 +162,24 @@ class ChristoffelJet:
 
 def christoffel_jet(g: MetricJet) -> ChristoffelJet:
     """Gamma_ij^k = (1/2) g^{kl} [d_i g_jl + d_j g_il - d_l g_ij] in jets."""
-    ginv = jet_inverse(g)
+    return _christoffel(g, jet_inverse(g))
+
+
+def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
+    """Christoffel jets from g and its verified inverse.
+
+    Each derivative jet d_m g_ij and each of the 27 brackets is formed once;
+    Gamma_ij^k is still computed for all 27 (i, j, k), so the symmetry check
+    in ChristoffelJet compares two computed values.
+    """
+    triples = [(i, j, l) for i in AXES for j in AXES for l in AXES]
+    dg = {(m, i, j): g.entry(i, j).partial(m) for m, i, j in triples}
+    bracket = {(i, j, l): dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for i, j, l in triples}
 
     def gamma(i: int, j: int, k: int) -> JetPoly:
         total = _jet_zero()
         for l in AXES:
-            bracket = (g.entry(j, l).partial(i) + g.entry(i, l).partial(j)
-                       - g.entry(i, j).partial(l))
-            total = total + ginv.entry(k, l) * bracket
+            total = total + ginv.entry(k, l) * bracket[i, j, l]
         return total * Fraction(1, 2)
 
     return ChristoffelJet(tuple(
@@ -193,27 +211,27 @@ class CurvatureJet:
 def ricci_jet(g: MetricJet) -> CurvatureJet:
     """Curvature jets of delta + eps*Sigma.
 
+    One inverse (with its two-sided product check) serves the Christoffel
+    jets and the scalar, and the three traces Gamma_jk^k are formed once.
     The two quadratic Christoffel sums are computed in jet arithmetic and
     asserted to vanish; at first order only the derivative terms survive.
     """
-    gamma = christoffel_jet(g)
     ginv = jet_inverse(g)
-
-    def contracted(j: int) -> JetPoly:
-        # Gamma_jk^k summed over k.
-        return sum((gamma.entry(j, k, k) for k in AXES), _jet_zero())
+    gamma = _christoffel(g, ginv)
+    # Gamma_jk^k summed over k.
+    trace = {j: sum((gamma.entry(j, k, k) for k in AXES), _jet_zero()) for j in AXES}
 
     def quad_terms(i: int, j: int) -> JetPoly:
         plus = sum((gamma.entry(i, k, m) * gamma.entry(j, m, k)
                     for k in AXES for m in AXES), _jet_zero())
-        minus = sum((gamma.entry(i, j, m) * contracted(m) for m in AXES), _jet_zero())
+        minus = sum((gamma.entry(i, j, m) * trace[m] for m in AXES), _jet_zero())
         q = plus - minus
         if not q.is_zero():
             raise AssertionError("quadratic Christoffel terms must vanish at first order")
         return q
 
     def ricci_entry(i: int, j: int) -> JetPoly:
-        lead = contracted(j).partial(i) - sum(
+        lead = trace[j].partial(i) - sum(
             (gamma.entry(i, j, k).partial(k) for k in AXES), _jet_zero())
         return lead + quad_terms(i, j)
 
@@ -315,16 +333,28 @@ def _inverse3(m: Mat3Q) -> Mat3Q:
 def pointwise_curvature(metric: PolyMetric, point: Sequence[Scalar]) -> CurvatureValues:
     """Ricci, scalar and Einstein values of a polynomial metric at a point.
 
-    Works entirely with exact evaluations: the metric and its first and
-    second derivatives are evaluated at the point, the inverse metric is
+    Works entirely with exact evaluations: the 6 distinct metric entries,
+    their 18 first and 36 distinct second derivatives are evaluated at the
+    point (60 evaluations, 54 derivatives), the inverse metric is
     computed exactly, and derivatives of the inverse use
     d(g^{-1}) = -g^{-1} (dg) g^{-1}.  The full nonlinear Ricci formula is
     used, in the package's sign convention.
     """
     p = tuple(Fraction(v) for v in point)
-    g = _mat3(lambda i, j: metric.entry(i, j).evaluate(p))
-    dg = {m: _mat3(lambda i, j: metric.entry(i, j).partial(m).evaluate(p)) for m in AXES}
-    ddg = {(m, l): _mat3(lambda i, j: metric.entry(i, j).partial(m).partial(l).evaluate(p))
+    # g_ij = g_ji and d_m d_l = d_l d_m: each distinct derivative of each
+    # distinct entry is formed and evaluated once, keyed by sorted indices.
+    value, d1, d2 = {}, {}, {}
+    for i, j in ((i, j) for i in AXES for j in AXES if i <= j):
+        entry = metric.entry(i, j)
+        value[i, j] = entry.evaluate(p)
+        for m in AXES:
+            dm = entry.partial(m)
+            d1[m, i, j] = dm.evaluate(p)
+            for l in AXES[m - 1:]:
+                d2[m, l, i, j] = dm.partial(l).evaluate(p)
+    g = _mat3(lambda i, j: value[min(i, j), max(i, j)])
+    dg = {m: _mat3(lambda i, j: d1[m, min(i, j), max(i, j)]) for m in AXES}
+    ddg = {(m, l): _mat3(lambda i, j: d2[min(m, l), max(m, l), min(i, j), max(i, j)])
            for m in AXES for l in AXES}
     ginv = _inverse3(g)
     dginv = {}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strainkit import connection
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.connection import (WField, WOneForm, flat_sections_basis,
                                   normalize_rigid, random_w_field,
@@ -166,3 +167,62 @@ def test_w_structures_zero_and_arithmetic():
     assert (f + z).x == f.x
     psi = random_w_one_form(2, 9)
     assert (psi - psi).is_zero()
+
+
+# -- the Saint-Venant route takes each curl once ------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_saint_venant_takes_each_curl_once(monkeypatch):
+    w_curls = _count_calls(monkeypatch, connection, "w_curl")
+    curl_curls = _count_calls(monkeypatch, connection, "curl_curl")
+    u = random_field("vec", 4, 3)
+    v = saint_venant_reconstruct(sym_grad(u))
+    assert (len(w_curls), len(curl_curls)) == (1, 1)
+    assert normalize_rigid(v) == normalize_rigid(u)
+
+
+def test_incompatible_strain_carries_its_residual(monkeypatch):
+    w_curls = _count_calls(monkeypatch, connection, "w_curl")
+    for seed in range(4):
+        strain = random_field("sym", 3, seed + 300)
+        residual = curl_curl(strain)
+        assert not residual.is_zero()
+        with pytest.raises(CompatibilityError) as info:
+            saint_venant_reconstruct(strain)
+        assert info.value.residual == residual
+    assert w_curls == []
+
+
+def test_w_poincare_rejects_random_non_closed_forms():
+    for seed in range(4):
+        psi = random_w_one_form(2, seed + 40)
+        residual = w_curl(psi)
+        assert not residual.is_zero()
+        with pytest.raises(CompatibilityError) as info:
+            w_poincare(psi)
+        assert info.value.residual == residual
+
+
+def test_saint_venant_checks_both_curl_slots(monkeypatch):
+    strain = sym_grad(random_field("vec", 3, 8))
+    real = connection.w_curl
+    bump = Mat3Field.unit(2, 3, X1)
+    monkeypatch.setattr(connection, "w_curl",
+                        lambda psi: WOneForm(real(psi).sigma + bump, real(psi).xi))
+    with pytest.raises(AssertionError, match="first curl slot"):
+        saint_venant_reconstruct(strain)
+    monkeypatch.setattr(connection, "w_curl",
+                        lambda psi: WOneForm(real(psi).sigma, real(psi).xi + bump))
+    with pytest.raises(AssertionError, match="second curl slot"):
+        saint_venant_reconstruct(strain)

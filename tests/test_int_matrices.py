@@ -215,3 +215,21 @@ def test_singular_block_is_eliminated_once(monkeypatch):
     assert str(info.value) == "selected block is not invertible (rank 1 of 2)"
     assert (info.value.rank, info.value.size) == (1, 2)
     assert calls == [2]
+
+
+def test_explicit_zero_entries_are_dropped():
+    one = space("a", 1)
+    zero = LinOpMatrix(one, one, [{0: 0}])
+    assert zero.cols == [{}] and zero.den == 1
+    assert zero.is_zero()
+    assert zero.proportionality(LinOpMatrix(one, one, [{}])) == 1
+    assert LinOpMatrix(one, one, [{0: 3}]).proportionality(zero) is None
+    mixed = LinOpMatrix(space("b", 2), space("c", 2), [{0: F(0), 1: F(2, 3)}, {0: 0}])
+    assert mixed.cols == [{1: 2}, {}] and mixed.den == 3
+
+
+def test_den_must_be_a_positive_int():
+    one = space("a", 1)
+    for bad in (0, -2, F(1, 2), 1.0, True):
+        with pytest.raises(ValueError, match="positive int"):
+            LinOpMatrix(one, one, [{0: 1}], den=bad)

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from strainkit import riemannian
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.errors import SingularMetricError
 from strainkit.fields import AXES, Mat3Field, SymField, random_field
-from strainkit.poly import ONE, X1, X2, X3, Poly3
+from strainkit.poly import ONE, X1, X2, X3, Poly3, monomials_up_to
 from strainkit.riemannian import (ChristoffelJet, CurvatureJet, JetPoly,
                                   MetricJet, PolyMetric, bianchi_check,
                                   christoffel_jet, jet_inverse,
@@ -250,3 +252,182 @@ def test_einstein_trace_is_scalar():
         trace = sum((curv.einstein[k][k] for k in range(3)),
                     curv.scalar - curv.scalar)
         assert (trace - curv.scalar).is_zero()
+
+
+# -- each intermediate is formed once; every check still runs ----------------
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def fraction_strains(draw):
+    """Symmetric fields of degree <= 3 with denominators up to 6."""
+    monos = monomials_up_to(draw(st.integers(0, 3)))
+
+    def poly() -> Poly3:
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=5, unique=True))
+        return Poly3({e: draw(fractions) for e in chosen})
+
+    return SymField.from_parts(tuple(poly() for _ in SymField.KEYS))
+
+
+def reference_pointwise(metric: PolyMetric, point):
+    """Ricci, scalar and Einstein at a point, with every entry of the metric
+    and every derivative of it formed and evaluated separately."""
+    p = tuple(Fraction(v) for v in point)
+    idx = range(3)
+
+    def ev(poly, *axes):
+        for a in axes:
+            poly = poly.partial(a + 1)
+        return poly.evaluate(p)
+
+    g = [[ev(metric.entry(i + 1, j + 1)) for j in idx] for i in idx]
+    dg = [[[ev(metric.entry(i + 1, j + 1), m) for j in idx] for i in idx] for m in idx]
+    ddg = [[[[ev(metric.entry(i + 1, j + 1), m, l) for j in idx] for i in idx]
+            for l in idx] for m in idx]
+    det = sympy.Matrix(g).det()
+    if det == 0:
+        return None
+    inv = sympy.Matrix(g).inv()
+    ginv = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in idx] for i in idx]
+    dginv = [[[-sum(ginv[i][a] * dg[m][a][b] * ginv[b][j] for a in idx for b in idx)
+               for j in idx] for i in idx] for m in idx]
+
+    def bracket(i, j, l, d=None):
+        if d is None:
+            return dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
+        return ddg[d][i][j][l] + ddg[d][j][i][l] - ddg[d][l][i][j]
+
+    gam = [[[sum(ginv[k][l] * bracket(i, j, l) for l in idx) / 2 for k in idx]
+            for j in idx] for i in idx]
+    dgam = [[[[sum(dginv[m][k][l] * bracket(i, j, l) + ginv[k][l] * bracket(i, j, l, m)
+                   for l in idx) / 2 for k in idx] for j in idx] for i in idx]
+            for m in idx]
+    ricci = [[sum(dgam[i][j][k][k] - dgam[k][i][j][k] for k in idx)
+              + sum(gam[i][k][m] * gam[j][m][k] for k in idx for m in idx)
+              - sum(gam[i][j][m] * gam[m][k][k] for k in idx for m in idx)
+              for j in idx] for i in idx]
+    scalar = sum(ginv[k][l] * ricci[k][l] for k in idx for l in idx)
+    einstein = [[scalar * g[i][j] - 2 * ricci[i][j] for j in idx] for i in idx]
+    return ricci, scalar, einstein
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(sigma=fraction_strains())
+def test_linearized_einstein_equals_compat_with_fractions(sigma):
+    assert linearized_einstein(sigma) == curl_curl(sigma)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(sigma=fraction_strains(), point=st.tuples(fractions, fractions, fractions))
+def test_pointwise_matches_reference_with_fractions(sigma, point):
+    metric = PolyMetric(sigma + SymField.identity())
+    want = reference_pointwise(metric, point)
+    if want is None:
+        with pytest.raises(SingularMetricError):
+            pointwise_curvature(metric, point)
+        return
+    values = pointwise_curvature(metric, point)
+    ricci, scalar, einstein = want
+    assert values.ricci == tuple(tuple(row) for row in ricci)
+    assert values.scalar == scalar
+    assert values.einstein == tuple(tuple(row) for row in einstein)
+
+
+def test_pointwise_evaluates_each_distinct_derivative_once(monkeypatch):
+    calls = {"partial": 0, "evaluate": 0}
+    partial, evaluate = Poly3.partial, Poly3.evaluate
+
+    def counting_partial(self, axis):
+        calls["partial"] += 1
+        return partial(self, axis)
+
+    def counting_evaluate(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    metric = PolyMetric(random_field("sym", 3, 7) + SymField.identity())
+    want = pointwise_curvature(metric, (Fraction(1, 3), Fraction(-2), Fraction(5, 4)))
+    monkeypatch.setattr(Poly3, "partial", counting_partial)
+    monkeypatch.setattr(Poly3, "evaluate", counting_evaluate)
+    got = pointwise_curvature(metric, (Fraction(1, 3), Fraction(-2), Fraction(5, 4)))
+    # 6 entries; 3 first and 6 distinct second derivatives of each
+    assert calls == {"partial": 54, "evaluate": 60}
+    assert got == want
+
+
+def test_ricci_jet_builds_one_inverse(monkeypatch):
+    calls = []
+    real = riemannian.jet_inverse
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(riemannian, "jet_inverse", counting)
+    g = MetricJet.from_strain(random_field("sym", 3, 5))
+    riemannian.ricci_jet(g)
+    assert len(calls) == 1
+    # called alone, christoffel_jet still builds and checks its own inverse
+    riemannian.christoffel_jet(g)
+    assert len(calls) == 2
+
+
+def test_jet_inverse_product_check_runs(monkeypatch):
+    real = riemannian._mat3_mul
+
+    def off_by_x1(a, b):
+        prod = real(a, b)
+        return ((prod[0][0] + JetPoly(Poly3(), X1),) + prod[0][1:],) + prod[1:]
+
+    monkeypatch.setattr(riemannian, "_mat3_mul", off_by_x1)
+    with pytest.raises(AssertionError, match="product check"):
+        jet_inverse(MetricJet.from_strain(random_field("sym", 2, 3)))
+
+
+def test_christoffel_jet_rejects_asymmetric_or_background():
+    zero = JetPoly(Poly3(), Poly3())
+    asym = [[[zero] * 3 for _ in AXES] for _ in AXES]
+    asym[0][1][2] = JetPoly(Poly3(), X1)
+    with pytest.raises(ValueError, match="symmetric"):
+        ChristoffelJet(tuple(tuple(tuple(row) for row in plane) for plane in asym))
+    background = [[[zero] * 3 for _ in AXES] for _ in AXES]
+    background[1][1][1] = JetPoly(ONE, Poly3())
+    with pytest.raises(ValueError, match="background"):
+        ChristoffelJet(tuple(tuple(tuple(row) for row in plane) for plane in background))
+
+
+def test_metric_jet_rejects_asymmetric_strain():
+    entries = [[JetPoly(ONE if i == j else Poly3(), Poly3()) for j in AXES] for i in AXES]
+    entries[0][1] = JetPoly(Poly3(), X3)
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricJet(tuple(tuple(row) for row in entries))
+
+
+def test_ricci_jet_checks_quadratic_terms(monkeypatch):
+    class Background:
+        """Christoffel stand-in with a background part, which ChristoffelJet
+        itself would reject: Gamma_12^1 = Gamma_11^2 = x1."""
+
+        def entry(self, i, j, k):
+            return JetPoly(X1 if (i, j, k) in ((1, 2, 1), (1, 1, 2)) else Poly3(), Poly3())
+
+    monkeypatch.setattr(riemannian, "_christoffel", lambda g, ginv: Background())
+    with pytest.raises(AssertionError, match="quadratic"):
+        ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
+
+
+def test_linearized_einstein_checks_background(monkeypatch):
+    curvature = ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
+    shifted = CurvatureJet.__new__(CurvatureJet)
+    object.__setattr__(shifted, "einstein", tuple(
+        tuple(JetPoly(e.p0 + ONE, e.p1) for e in row) for row in curvature.einstein))
+    monkeypatch.setattr(riemannian, "ricci_jet", lambda metric: shifted)
+    with pytest.raises(AssertionError, match="background"):
+        linearized_einstein(random_field("sym", 2, 9))
+
+
+def test_from_map_jacobian_needs_three_components():
+    with pytest.raises(ValueError, match="three components"):
+        PolyMetric.from_map_jacobian([X1, X2])

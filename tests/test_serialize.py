@@ -175,3 +175,16 @@ def test_all_keys_always_emitted():
     doc = fieldio.field_to_doc(VecField.zero())
     assert sorted(doc["components"]) == ["1", "2", "3"]
     assert all(v == [] for v in doc["components"].values())
+
+
+def test_coefficients_load_in_canonical_form():
+    def load_coef(coef):
+        doc = {"kind": "scalar", "components": {"": [{"exp": [1, 0, 0], "coef": coef}]}}
+        return fieldio.field_from_doc(doc).terms
+
+    assert load_coef("4/2") == {(1, 0, 0): 2}
+    assert type(load_coef("4/2")[(1, 0, 0)]) is int
+    assert type(load_coef("-12")[(1, 0, 0)]) is int
+    assert load_coef("-6/4") == {(1, 0, 0): Fraction(-3, 2)}
+    assert load_coef("-0") == {}
+    assert load_coef("0/7") == {}
