@@ -144,7 +144,6 @@ class LinOpMatrix:
         self.codomain = codomain
         self.cols, self.den = exactlin.lowest_terms(cols, den)
         self.name = name
-        self._rank: int | None = None
 
     @classmethod
     def from_operator(cls, domain: GradedSpace, codomain: GradedSpace,
@@ -209,9 +208,7 @@ class LinOpMatrix:
         return LinOpMatrix(inner.domain, self.codomain, cols, name, self.den * inner.den)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = exactlin.sparse_rank(self.cols, self.codomain.dim)
-        return self._rank
+        return exactlin.sparse_rank(self.cols, self.codomain.dim)
 
     def kernel_dim(self) -> int:
         return self.domain.dim - self.rank()
@@ -305,7 +302,7 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
                              comp.den)
             residuals.append(f"nonzero composition at stage {k} (max |entry| {worst})")
     ranks = [m.rank() for m in c.maps]
-    kdims = [m.kernel_dim() for m in c.maps]
+    kdims = [m.domain.dim - r for m, r in zip(c.maps, ranks)]
     defects = [kdims[s] - ranks[s - 1] for s in range(1, len(c.maps))]
     return ComplexReport(
         name=c.name,

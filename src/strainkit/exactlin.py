@@ -9,11 +9,14 @@ a gcd division after every update bounds coefficient growth.  The rank is
 the number of pivots.  `solve_square` eliminates the rows of [phi | rhs],
 then back-substitutes in reverse pivot order, dividing once per pivot.
 
-A `_PivotIndex` lives across the elimination: for every column the rows
-holding it, and the rows not yet used as pivots bucketed by length.  A step
-touches only the rows listed under its pivot column, so no step rescans the
-matrix.  The pivot is a shortest waiting row and, in it, the column held by
-the fewest rows: a cheap Markowitz-style bound on fill.
+Columns are eliminated in ascending index order, each on the shortest row
+that holds it and has not been a pivot row; there is no pivot search.
+Operator matrices are stencil matrices whose columns come in graded-lex
+monomial order, and in that order the elimination makes as few row updates
+as a Markowitz-style search, within 0.2 % on the maps of the three
+complexes (`test_elimination_row_updates_frozen` pins the counts).  A map
+from each column to the rows holding it lets a step touch only the rows its
+column names, so no step rescans the matrix.
 
 The pivot order changes the work, never the answer: the number of pivots is
 the rank whatever their order, and an invertible block has one solution.
@@ -59,66 +62,6 @@ def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
     return out
 
 
-class _PivotIndex:
-    """Rows holding each column, and the waiting rows bucketed by length.
-
-    A waiting row is one not yet used as a pivot.  Callers report every
-    entry a step adds to or removes from a row (`holders`) and every row
-    whose length changed (`resize`), so both maps stay exact.
-    """
-
-    __slots__ = ("rows", "holders", "by_len", "shortest", "waiting")
-
-    def __init__(self, rows: dict[int, dict]):
-        self.rows = rows
-        self.holders: dict[int, list[int]] = {}
-        self.by_len: dict[int, set[int]] = {}
-        self.shortest = 1  # no waiting row is shorter
-        self.waiting = len(rows)
-        for i, row in rows.items():
-            for j in row:
-                if j in self.holders:
-                    self.holders[j].append(i)
-                else:
-                    self.holders[j] = [i]
-            self.by_len.setdefault(len(row), set()).add(i)
-
-    def choose(self) -> tuple[int, int] | None:
-        """A shortest waiting row and its least-held column; None if none wait."""
-        if not self.waiting:
-            return None
-        n = self.shortest
-        while not self.by_len.get(n):
-            n += 1
-        self.shortest = n
-        i = next(iter(self.by_len[n]))
-        best, fewest = -1, 0
-        for j in self.rows[i]:
-            held = len(self.holders[j])
-            if held == 1:
-                return i, j
-            if best < 0 or held < fewest:
-                best, fewest = j, held
-        return i, best
-
-    def retire(self, i: int) -> None:
-        """Row i, as last resized, stops waiting: it is the next pivot row."""
-        self.by_len[len(self.rows[i])].remove(i)
-        self.waiting -= 1
-
-    def resize(self, i: int, old: int, n: int) -> None:
-        """Waiting row i went from old to n entries; at 0 it stops waiting."""
-        if old == n:
-            return
-        self.by_len[old].remove(i)
-        if not n:
-            self.waiting -= 1
-            return
-        self.by_len.setdefault(n, set()).add(i)
-        if n < self.shortest:
-            self.shortest = n
-
-
 def accumulate(acc: Column, factor, col: Column) -> None:
     """acc += factor * col in place; entries that become zero are dropped."""
     for i, v in col.items():
@@ -161,21 +104,25 @@ def _eliminate(rows: dict[int, dict[int, int]],
     Returns the pivots in order as (column, value, rest of the pivot row,
     row index).  A pivot row holds no column pivoted before it.
     """
-    index = _PivotIndex(rows)
-    holders = index.holders
+    holders: dict[int, list[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            holders.setdefault(j, []).append(i)
     pivots = []
-    while (pivot := index.choose()) is not None:
-        p, pcol = pivot
-        index.retire(p)
+    for pcol in sorted(holders):
+        held = holders.pop(pcol)
+        if not held:
+            continue
+        p = min(held, key=lambda i: len(rows[i]))
+        held.remove(p)
         pivot_row = rows.pop(p)
+        pivot_val = pivot_row.pop(pcol)
         for j in pivot_row:
             holders[j].remove(p)
-        pivot_val = pivot_row.pop(pcol)
         pivot_items = list(pivot_row.items())
         pivots.append((pcol, pivot_val, pivot_items, p))
-        for i in holders.pop(pcol):
+        for i in held:
             row = rows[i]
-            old = len(row)
             factor = row.pop(pcol)
             g = gcd(pivot_val, factor)
             scale, factor = pivot_val // g, factor // g
@@ -197,7 +144,6 @@ def _eliminate(rows: dict[int, dict[int, int]],
             if g > 1:
                 for j in row:
                     row[j] //= g
-            index.resize(i, old, len(row))
     return pivots
 
 

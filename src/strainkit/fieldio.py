@@ -58,6 +58,9 @@ def _poly_from_terms(raw, where: str) -> Poly3:
         except ZeroDivisionError as exc:
             raise FieldFormatError(f"bad coefficient {raw_coef!r} in component "
                                    f"{where!r}") from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise FieldFormatError(f"coefficient of {len(raw_coef)} characters in "
+                                   f"component {where!r} has too many digits") from exc
         key = tuple(exp)
         if key in terms:
             raise FieldFormatError(f"duplicate exponent {exp!r} in component {where!r}")
@@ -112,6 +115,8 @@ def loads(text: str, expect_kind: str | None = None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSON number with more digits than int() converts
+        raise FieldFormatError("a number in the file has too many digits") from exc
     return field_from_doc(doc, expect_kind=expect_kind)
 
 

@@ -149,6 +149,39 @@ def test_reconstruct_rejects_unhashable_kind(tmp_path, capsys, kind):
     assert not (tmp_path / "x.json").exists()
 
 
+# More digits than CPython's int() converts by default (4300).
+_LONG = "1" + "0" * 4999
+_OVERSIZED = {
+    "coefficient": json.dumps({"kind": "sym", "components": {
+        "11": [{"exp": [0, 0, 0], "coef": _LONG}]}}),
+    "denominator": json.dumps({"kind": "sym", "components": {
+        "11": [{"exp": [0, 0, 0], "coef": "1/" + _LONG}]}}),
+    "json number": ('{"kind": "sym", "components": {"11": [{"exp": [' + _LONG
+                    + ', 0, 0], "coef": "1"}]}}'),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no integer string-conversion limit")
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+@pytest.mark.parametrize("command", ["reconstruct", "linearize", "ricci"])
+def test_oversized_number_is_a_parse_error(tmp_path, capsys, command, case):
+    path = tmp_path / "big.json"
+    path.write_text(_OVERSIZED[case])
+    out = tmp_path / "x.json"
+    if command == "ricci":
+        argv = ["ricci", "--metric", str(path), "--point", "0,0,0"]
+    else:
+        argv = [command, "--input", str(path), "--output", str(out)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 65
+    assert captured.err.startswith("input error:")
+    assert "0" * 100 not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- linearize ----------------------------------------------------------------
 
 

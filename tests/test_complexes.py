@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from strainkit import exactlin
 from strainkit.calculus import curl, curl_curl, div, div_sym, grad, sym_grad
 from strainkit.complexes import (ChainComplex, GradedSpace, LinOpMatrix,
                                  OPERATOR_IDS, SkewMat4, Slot,
@@ -186,6 +187,33 @@ def test_rank_matches_dense_reference():
                           ("w_grad", 1)):
         mat = matrix_of(op_id, degree)
         assert mat.rank() == dense_rank_reference(mat)
+
+
+def test_elimination_row_updates_frozen(monkeypatch):
+    """Pins the cost of the pivot rule, which no answer reveals.
+
+    Each call of `exactlin._subtract` is one row update.  The counts are
+    deterministic; pivoting each column on its first holder instead of the
+    shortest one makes about 15 % more updates and fails here.
+    """
+    calls = [0]
+    subtract = exactlin._subtract
+
+    def counting(*args):
+        calls[0] += 1
+        return subtract(*args)
+
+    monkeypatch.setattr(exactlin, "_subtract", counting)
+    for degree, want in ((5, 1922), (7, 4897)):
+        calls[0] = 0
+        for build in (build_grad_curl_div_complex, build_elasticity_complex,
+                      build_w_complex):
+            for m in build(degree).maps:
+                m.rank()
+        assert calls[0] == want, degree
+    calls[0] = 0
+    derive_elasticity(5)
+    assert calls[0] == 1867
 
 
 def test_matrix_constructor_and_compose_validation():
