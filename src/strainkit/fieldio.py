@@ -23,6 +23,8 @@ from .fields import Mat3Field, SymField, VecField, _Field
 from .poly import Poly3, grlex_key
 
 _COEF_RE = re.compile(r"-?\d+(/\d+)?")
+# Longest repr of an input value that an error message repeats in full.
+_ECHO_CHARS = 40
 
 # Field type of every kind; a scalar is a bare Poly3 with the one key "".
 FIELD_TYPES = {t.KIND: t for t in (VecField, SymField, Mat3Field, WField, WOneForm)}
@@ -36,6 +38,14 @@ def _poly_to_terms(p: Poly3) -> list[dict]:
     return out
 
 
+def _brief(value) -> str:
+    """repr of a value read from a file, cut to its first _ECHO_CHARS characters."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _poly_from_terms(raw, where: str) -> Poly3:
     if not isinstance(raw, list):
         raise FieldFormatError(f"component {where!r} must be a list of terms")
@@ -47,23 +57,23 @@ def _poly_from_terms(raw, where: str) -> Poly3:
         if (not isinstance(exp, list) or len(exp) != 3
                 or any(not isinstance(a, int) or isinstance(a, bool) or a < 0
                        for a in exp)):
-            raise FieldFormatError(f"bad exponent {exp!r} in component {where!r}")
+            raise FieldFormatError(f"bad exponent {_brief(exp)} in component {where!r}")
         raw_coef = item["coef"]
         if not isinstance(raw_coef, str) or not _COEF_RE.fullmatch(raw_coef):
-            raise FieldFormatError(f"bad coefficient {raw_coef!r} in component "
+            raise FieldFormatError(f"bad coefficient {_brief(raw_coef)} in component "
                                    f"{where!r}; expected an exact 'p/q' string")
         try:
             # The regex has validated the string; only "p/q" needs a Fraction.
             coef = Fraction(raw_coef) if "/" in raw_coef else int(raw_coef)
         except ZeroDivisionError as exc:
-            raise FieldFormatError(f"bad coefficient {raw_coef!r} in component "
+            raise FieldFormatError(f"bad coefficient {_brief(raw_coef)} in component "
                                    f"{where!r}") from exc
         except ValueError as exc:  # more digits than int() converts
             raise FieldFormatError(f"coefficient of {len(raw_coef)} characters in "
                                    f"component {where!r} has too many digits") from exc
         key = tuple(exp)
         if key in terms:
-            raise FieldFormatError(f"duplicate exponent {exp!r} in component {where!r}")
+            raise FieldFormatError(f"duplicate exponent {_brief(exp)} in component {where!r}")
         if coef:
             terms[key] = coef
     return Poly3(terms)
@@ -88,7 +98,7 @@ def field_from_doc(doc, expect_kind: str | None = None):
         raise FieldFormatError("field document must be a JSON object")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KIND_COMPONENT_KEYS:
-        raise FieldFormatError(f"unknown field kind {kind!r}")
+        raise FieldFormatError(f"unknown field kind {_brief(kind)}")
     if expect_kind is not None and kind != expect_kind:
         raise FieldFormatError(f"expected a {expect_kind!r} field, got {kind!r}")
     raw = doc.get("components", {})
@@ -98,7 +108,7 @@ def field_from_doc(doc, expect_kind: str | None = None):
     unknown = set(raw) - set(allowed)
     if unknown:
         raise FieldFormatError(f"unknown component keys for kind {kind!r}: "
-                               f"{sorted(unknown)}")
+                               f"{_brief(sorted(unknown))}")
     parts = tuple(_poly_from_terms(raw[key], key) if key in raw else Poly3()
                   for key in allowed)
     if kind == "scalar":

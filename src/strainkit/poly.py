@@ -6,7 +6,9 @@ integral and as a Fraction with denominator > 1 otherwise; `_canonical`
 enforces this form on every path that stores a coefficient, so integer
 polynomials are added, multiplied and differentiated without building any
 Fraction.  An int compares and hashes like the equal Fraction, and
-`coefficient`/`evaluate` return Fractions.  The zero polynomial is the empty
+`coefficient`/`evaluate` return Fractions; `second_jets` returns the
+values and first and second partials of several polynomials at a point as
+integers over one common denominator.  The zero polynomial is the empty
 map and has degree -1 by convention.  Monomials are ordered
 graded-lexicographically with x1 > x2 > x3; display lists the leading term
 first.
@@ -184,28 +186,12 @@ class Poly3:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (p1, p2, p3).
 
-        Runs in integers over one common denominator: with p_i = n_i/d_i,
-        D_i the largest exponent of x_i and L the lcm of the coefficient
-        denominators, the value is
-        sum (L c) prod_i n_i^a_i d_i^(D_i - a_i) / (L prod_i d_i^D_i).
-        Powers are taken only for the exponents the terms use.
+        Runs in integers over one common denominator (see `_int_frame`):
+        the value is sum (L c) prod_i n_i^a_i d_i^(D_i - a_i) / denom.
         """
-        if len(point) != 3:
-            raise ValueError("a point must have exactly three coordinates")
-        p = [_canonical(v) for v in point]
-        terms = self.terms
-        scale = lcm(*(c.denominator for c in terms.values()))
-        denom = scale
-        powers = []
-        for i, v in enumerate(p):
-            used = {exp[i] for exp in terms}
-            top = max(used, default=0)
-            n, d = v.numerator, v.denominator
-            powers.append({a: n ** a * d ** (top - a) for a in used})
-            denom *= d ** top
-        pw1, pw2, pw3 = powers
+        scale, denom, (pw1, pw2, pw3) = _int_frame((self,), point, 0)
         total = 0
-        for (a, b, c), coef in terms.items():
+        for (a, b, c), coef in self.terms.items():
             total += coef.numerator * (scale // coef.denominator) * pw1[a] * pw2[b] * pw3[c]
         return Fraction(total, denom)
 
@@ -251,6 +237,81 @@ def _check_axis(axis: int) -> int:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis
+
+
+def _int_frame(polys: Sequence[Poly3], point: Sequence[Scalar],
+               reach: int) -> tuple[int, int, list[dict[int, int]]]:
+    """Integer power tables of a rational point, shared by a set of polynomials.
+
+    With p_i = n_i/d_i, D_i the largest exponent of x_i in any of the
+    polynomials and L the lcm of all their coefficient denominators, returns
+    (L, L prod_i d_i^D_i, tables) with tables[i] = {a: n_i^a d_i^(D_i - a)}.
+    A table holds the exponents the terms use and the `reach` exponents just
+    below each, never a range sized by the degree: a term x1^(10^8) adds
+    at most 1 + reach entries, not 10^8.
+    """
+    if len(point) != 3:
+        raise ValueError("a point must have exactly three coordinates")
+    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    denom = scale
+    tables = []
+    for i, v in enumerate(point):
+        v = _canonical(v)
+        used = {exp[i] for p in polys for exp in p.terms}
+        if reach:
+            used |= {a - s for a in used for s in range(1, min(a, reach) + 1)}
+        top = max(used, default=0)
+        n, d = v.numerator, v.denominator
+        tables.append({a: n ** a * d ** (top - a) for a in used})
+        denom *= d ** top
+    return scale, denom, tables
+
+
+def second_jets(polys: Sequence[Poly3],
+                point: Sequence[Scalar]) -> tuple[int, list[tuple[int, ...]]]:
+    """Values, first and second partials of polynomials at a rational point.
+
+    Returns (D, rows) where rows[k] holds the integer numerators over the one
+    common denominator D > 0 of polys[k] and its partials, in the order
+    p, p_1, p_2, p_3, p_11, p_12, p_13, p_22, p_23, p_33 (p_ml = d_m d_l p).
+    One pass over each polynomial's terms builds all ten; no partial
+    polynomial and no Fraction is formed.
+    """
+    scale, denom, (pw1, pw2, pw3) = _int_frame(polys, point, 2)
+    rows = []
+    for poly in polys:
+        v = v1 = v2 = v3 = v11 = v12 = v13 = v22 = v23 = v33 = 0
+        for (a, b, c), coef in poly.terms.items():
+            k = coef.numerator * (scale // coef.denominator)
+            x, y, z = pw1[a], pw2[b], pw3[c]
+            yz = y * z
+            v += k * x * yz
+            if a:
+                ka = k * a
+                x1 = pw1[a - 1]
+                v1 += ka * x1 * yz
+                if a > 1:
+                    v11 += ka * (a - 1) * pw1[a - 2] * yz
+                if b:
+                    v12 += ka * b * x1 * pw2[b - 1] * z
+                if c:
+                    v13 += ka * c * x1 * y * pw3[c - 1]
+            if b:
+                kb = k * b
+                y1 = pw2[b - 1]
+                v2 += kb * x * y1 * z
+                if b > 1:
+                    v22 += kb * (b - 1) * x * pw2[b - 2] * z
+                if c:
+                    v23 += kb * c * x * y1 * pw3[c - 1]
+            if c:
+                kc = k * c
+                z1 = pw3[c - 1]
+                v3 += kc * x * y * z1
+                if c > 1:
+                    v33 += kc * (c - 1) * x * y * pw3[c - 2]
+        rows.append((v, v1, v2, v3, v11, v12, v13, v22, v23, v33))
+    return denom, rows
 
 
 ZERO = Poly3()

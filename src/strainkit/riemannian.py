@@ -20,8 +20,17 @@ inverse, the 27 derivative jets d_m g_ij, the 27 brackets
 d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
 every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
 are computed), vanishing quadratic terms and einstein = scalar * g - 2 * ricci.
-Pointwise evaluation forms and evaluates each distinct derivative of each
-distinct metric entry once, using g_ij = g_ji and d_m d_l = d_l d_m.
+
+Pointwise evaluation builds no Fraction between reading the point and
+returning its 19 results (9 Ricci, 1 scalar, 9 Einstein values).  One
+integer pass over the terms of each of the 6 distinct metric entries
+(`poly.second_jets`) gives the value, 3 first and 6 distinct second partials
+as numerators G, dG_m, ddG_ml over one common denominator D; its per-axis
+power tables {a: n^a d^(top-a)} hold only the exponents the terms use and
+the two below each, never a range sized by the degree.  With A = adj G and
+Delta = det G the metric is singular iff Delta = 0, and the numerators of
+Gamma, d_m Gamma, Ricci, scalar and Einstein are integers over 2 Delta,
+2 Delta^2, 4 Delta^2, 4 Delta^3 and 4 Delta^3 D.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import Sequence
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
 from .fields import AXES, Mat3Field, SymField, delta
-from .poly import Poly3, Scalar, _coerce
+from .poly import Poly3, Scalar, _coerce, second_jets
 
 
 @dataclass(frozen=True)
@@ -313,77 +322,77 @@ class CurvatureValues:
         return all(v == 0 for row in self.ricci for v in row)
 
 
-def _inverse3(m: Mat3Q) -> Mat3Q:
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    if det == 0:
-        raise SingularMetricError("metric is singular at the evaluation point")
-    cof = [[Fraction(0)] * 3 for _ in range(3)]
-    idx = (0, 1, 2)
-    for r in idx:
-        for c in idx:
-            rr = [v for v in idx if v != r]
-            cc = [v for v in idx if v != c]
-            minor = m[rr[0]][cc[0]] * m[rr[1]][cc[1]] - m[rr[0]][cc[1]] * m[rr[1]][cc[0]]
-            cof[c][r] = (-1) ** (r + c) * minor / det
-    return tuple(tuple(row) for row in cof)
+def _dot(u, v) -> int:
+    """Dot product of two integer 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def pointwise_curvature(metric: PolyMetric, point: Sequence[Scalar]) -> CurvatureValues:
     """Ricci, scalar and Einstein values of a polynomial metric at a point.
 
-    Works entirely with exact evaluations: the 6 distinct metric entries,
-    their 18 first and 36 distinct second derivatives are evaluated at the
-    point (60 evaluations, 54 derivatives), the inverse metric is
-    computed exactly, and derivatives of the inverse use
-    d(g^{-1}) = -g^{-1} (dg) g^{-1}.  The full nonlinear Ricci formula is
-    used, in the package's sign convention.
+    One integer pass per distinct metric entry (`second_jets`) gives G, dG_m
+    and ddG_ml with g = G/D, d_m g = dG_m/D and d_m d_l g = ddG_ml/D.  With
+    A = adj G and Delta = det G (g^{-1} = D A/Delta), the full nonlinear
+    formula runs in integers: brackets B, Gamma = A B/(2 Delta),
+    d_m Gamma = (Delta A dB_m - (A dG_m A) B)/(2 Delta^2),
+    Ricci = N/(4 Delta^2), scalar = D sum A o N/(4 Delta^3) and
+    Einstein = (S G - 2 Delta D N)/(4 Delta^3 D).  Only the 19 results are
+    Fractions.
     """
     p = tuple(Fraction(v) for v in point)
-    # g_ij = g_ji and d_m d_l = d_l d_m: each distinct derivative of each
-    # distinct entry is formed and evaluated once, keyed by sorted indices.
-    value, d1, d2 = {}, {}, {}
-    for i, j in ((i, j) for i in AXES for j in AXES if i <= j):
-        entry = metric.entry(i, j)
-        value[i, j] = entry.evaluate(p)
-        for m in AXES:
-            dm = entry.partial(m)
-            d1[m, i, j] = dm.evaluate(p)
-            for l in AXES[m - 1:]:
-                d2[m, l, i, j] = dm.partial(l).evaluate(p)
-    g = _mat3(lambda i, j: value[min(i, j), max(i, j)])
-    dg = {m: _mat3(lambda i, j: d1[m, min(i, j), max(i, j)]) for m in AXES}
-    ddg = {(m, l): _mat3(lambda i, j: d2[min(m, l), max(m, l), min(i, j), max(i, j)])
-           for m in AXES for l in AXES}
-    ginv = _inverse3(g)
-    dginv = {}
-    for m in AXES:
-        inner = _mat3_mul(_mat3_mul(ginv, dg[m]), ginv)
-        dginv[m] = _mat3(lambda i, j: -inner[i - 1][j - 1])
+    r = range(3)
+    # g_ij = g_ji: one jet row per distinct entry, shared by both positions.
+    pairs = [(i, j) for i in r for j in r if i <= j]
+    denom, rows = second_jets([metric.entry(i + 1, j + 1) for i, j in pairs], p)
+    jet = dict(zip(pairs, rows))
+    entry = [[jet[min(i, j), max(i, j)] for j in r] for i in r]
+    g = [[entry[i][j][0] for j in r] for i in r]
+    dg = [[[entry[i][j][1 + m] for j in r] for i in r] for m in r]
+    # d_m d_l = d_l d_m: column of p_ml in a jet row.
+    second = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+    ddg = [[[[entry[i][j][second[m][l]] for j in r] for i in r] for l in r] for m in r]
 
-    # The brackets d_i g_jl + d_j g_il - d_l g_ij and their derivatives, then
-    # Gamma_ij^k and d_m Gamma_ij^k: each value is computed once per point.
-    triples = [(i, j, l) for i in AXES for j in AXES for l in AXES]
-    bracket = {(i, j, l): dg[i][j - 1][l - 1] + dg[j][i - 1][l - 1] - dg[l][i - 1][j - 1]
-               for i, j, l in triples}
-    dbracket = {(m, i, j, l): (ddg[m, i][j - 1][l - 1] + ddg[m, j][i - 1][l - 1]
-                               - ddg[m, l][i - 1][j - 1])
-                for m in AXES for i, j, l in triples}
-    gamma = {(i, j, k): sum(ginv[k - 1][l - 1] * bracket[i, j, l] for l in AXES) / 2
-             for i, j, k in triples}
-    dgamma = {(m, i, j, k): sum(dginv[m][k - 1][l - 1] * bracket[i, j, l]
-                                + ginv[k - 1][l - 1] * dbracket[m, i, j, l]
-                                for l in AXES) / 2
-              for m in AXES for i, j, k in triples}
+    adj = [[g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
+            - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3]
+            for j in r] for i in r]
+    det = g[0][0] * adj[0][0] + g[0][1] * adj[1][0] + g[0][2] * adj[2][0]
+    if det == 0:
+        raise SingularMetricError("metric is singular at the evaluation point")
+    # A dG_m A (all three factors symmetric): d_m g^{-1} = -D A dG_m A / Delta^2.
+    adg = [[[_dot(adj[i], dg[m][b]) for b in r] for i in r] for m in r]
+    ada = [[[_dot(adg[m][i], adj[j]) for j in r] for i in r] for m in r]
 
-    def ricci_entry(i: int, j: int) -> Fraction:
-        lead = sum(dgamma[i, j, k, k] - dgamma[k, i, j, k] for k in AXES)
-        quad = sum(gamma[i, k, m] * gamma[j, m, k] for k in AXES for m in AXES) \
-            - sum(gamma[i, j, m] * gamma[m, k, k] for k in AXES for m in AXES)
-        return lead + quad
+    # Brackets d_i g_jl + d_j g_il - d_l g_ij and their derivatives, over D,
+    # as vectors over l; Gamma_ij^k over 2 Delta.
+    bracket = [[[dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in r] for j in r]
+               for i in r]
+    dbracket = [[[[ddg[m][i][j][l] + ddg[m][j][i][l] - ddg[m][l][i][j] for l in r]
+                  for j in r] for i in r] for m in r]
+    gamma = [[[_dot(adj[k], bracket[i][j]) for k in r] for j in r] for i in r]
+    trace = [gamma[j][0][0] + gamma[j][1][1] + gamma[j][2][2] for j in r]
 
-    ricci = _mat3(ricci_entry)
-    scalar = sum(ginv[k - 1][l - 1] * ricci[k - 1][l - 1] for k in AXES for l in AXES)
-    einstein = _mat3(lambda i, j: scalar * g[i - 1][j - 1] - 2 * ricci[i - 1][j - 1])
-    return CurvatureValues(ricci=ricci, scalar=scalar, einstein=einstein)
+    def ricci_entry(i: int, j: int) -> int:
+        """R_ij over 4 Delta^2.
+
+        d_m Gamma_ij^k is Delta (A dB_mij)_k - (A dG_m A B_ij)_k over
+        2 Delta^2; lead sums d_i Gamma_jk^k - d_k Gamma_ij^k over k.
+        """
+        lead = sum(det * (_dot(adj[k], dbracket[i][j][k]) - _dot(adj[k], dbracket[k][i][j]))
+                   - _dot(ada[i][k], bracket[j][k]) + _dot(ada[k][k], bracket[i][j])
+                   for k in r)
+        quad = sum(gamma[i][k][m] * gamma[j][m][k] for k in r for m in r) \
+            - _dot(gamma[i][j], trace)
+        return 2 * lead + quad
+
+    # Numerators N of Ricci and S of the scalar.
+    ricci = [[ricci_entry(i, j) for j in r] for i in r]
+    scalar = denom * sum(adj[k][l] * ricci[k][l] for k in r for l in r)
+    den_ricci = 4 * det * det
+    den_scalar = den_ricci * det
+    den_einstein = den_scalar * denom
+    return CurvatureValues(
+        ricci=_mat3(lambda i, j: Fraction(ricci[i - 1][j - 1], den_ricci)),
+        scalar=Fraction(scalar, den_scalar),
+        einstein=_mat3(lambda i, j: Fraction(
+            scalar * g[i - 1][j - 1] - 2 * det * denom * ricci[i - 1][j - 1],
+            den_einstein)))

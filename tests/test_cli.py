@@ -182,6 +182,29 @@ def test_oversized_number_is_a_parse_error(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+# A 200 000-character value that is not what the format allows, in three places.
+_JUNK = "x" * 200_000
+_LONG_BAD = {
+    "coefficient": {"kind": "sym", "components": {"11": [{"exp": [0, 0, 0], "coef": _JUNK}]}},
+    "exponent": {"kind": "sym", "components": {"11": [{"exp": [_JUNK, 0, 0], "coef": "1"}]}},
+    "kind": {"kind": _JUNK, "components": {}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_BAD))
+def test_long_bad_value_is_echoed_briefly(tmp_path, capsys, case):
+    path = tmp_path / "junk.json"
+    path.write_text(json.dumps(_LONG_BAD[case]))
+    out = tmp_path / "x.json"
+    rc = main(["linearize", "--input", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 65
+    assert captured.err.startswith("input error:")
+    assert len(captured.err.encode()) < 1024
+    assert "characters)" in captured.err
+    assert not out.exists()
+
+
 # -- linearize ----------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from strainkit import fieldio
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
-                            monomials_up_to)
+                            monomials_up_to, second_jets)
 
 
 def random_poly(rng, degree, nterms=6):
@@ -133,6 +133,15 @@ def test_evaluate_exact():
         pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(3))
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
         assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
+
+
+@pytest.mark.parametrize("point", [(1, 2), (1, 2, 3, 4), ()])
+def test_point_needs_three_coordinates(point):
+    for p in (ZERO, X1 * X2):
+        with pytest.raises(ValueError, match="exactly three coordinates"):
+            p.evaluate(point)
+        with pytest.raises(ValueError, match="exactly three coordinates"):
+            second_jets([p], point)
 
 
 def test_grlex_key_ordering():
@@ -276,6 +285,33 @@ def test_evaluate_and_coefficient_match_reference(ta, point):
         assert coef == Fraction(ta.get(exp, 0))
 
 
+# Partials of one jet row, in its column order.
+JET_AXES = ((), (1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+@PROPS
+@given(maps=st.lists(term_maps, min_size=1, max_size=4), point=points)
+@example(maps=[{}], point=(0, 0, 0))
+@example(maps=[{(0, 0, 0): Fraction(-7, 3)}, {}, {(0, 0, 0): 2}], point=(Fraction(1, 3), -2, 0))
+@example(maps=[{(5000, 0, 0): Fraction(3, 2), (1, 0, 0): -1}, {(1, 2, 1): Fraction(1, 4)}],
+         point=(Fraction(-3, 2), Fraction(1, 5), 0))
+@example(maps=[{(5000, 0, 0): 1}, {(2, 1, 3): Fraction(-5, 6)}],
+         point=(Fraction(-1, 2), Fraction(-4, 3), Fraction(2, 5)))
+def test_second_jets_match_partial_evaluate(maps, point):
+    polys = [Poly3({e: Fraction(c) for e, c in ta.items()}) for ta in maps]
+    denom, rows = second_jets(polys, point)
+    assert type(denom) is int and denom > 0
+    assert len(rows) == len(polys)
+    for p, row in zip(polys, rows):
+        assert len(row) == len(JET_AXES)
+        for axes, num in zip(JET_AXES, row):
+            assert type(num) is int
+            q = p
+            for axis in axes:
+                q = q.partial(axis)
+            assert Fraction(num, denom) == q.evaluate(point)
+
+
 @PROPS
 @given(ta=term_maps, tb=term_maps, tc=term_maps)
 def test_ring_axioms_and_leibniz(ta, tb, tc):
@@ -329,3 +365,7 @@ def test_evaluate_huge_exponent_is_not_sized_by_degree():
     p = Poly3.monomial((10 ** 12, 0, 0)) - Poly3.monomial((0, 0, 10 ** 12 + 1), 3)
     assert p.evaluate((1, 0, -1)) == Fraction(4)
     assert p.evaluate((-1, Fraction(1, 2), 1)) == Fraction(-2)
+    n = 10 ** 12
+    denom, [row] = second_jets([p], (1, 0, -1))
+    assert denom == 1
+    assert row == (4, n, 0, -3 * (n + 1), n * (n - 1), 0, 0, 0, 0, 3 * (n + 1) * n)
