@@ -285,9 +285,6 @@ def main(argv=None) -> int:
     except FieldFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"input error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE

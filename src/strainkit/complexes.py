@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 from . import exactlin
 from .errors import SingularBlockError
-from .fields import Mat3Field, SymField, VecField, _seeded_rng
-from .poly import Poly3, monomials_up_to
+from .fields import Mat3Field, SymField, VecField, _random_rationals, _seeded_rng
+from .poly import Poly3, Scalar, _canonical, monomials_up_to
 from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
                        make_stencil, operator_stencil)
 
@@ -544,12 +544,13 @@ _IDX4 = (1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class SkewMat4:
-    """Skew 4x4 rational matrix; a two-form on R^4."""
+    """Skew 4x4 rational matrix; a two-form on R^4.  Entries are stored
+    like Poly3 coefficients: int when integral, else Fraction."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(_canonical(v) for v in row) for row in self.entries)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         for i in range(4):
@@ -560,16 +561,16 @@ class SkewMat4:
 
     @classmethod
     def from_wedge(cls, v: Sequence, a: Sequence) -> "SkewMat4":
-        v = [Fraction(c) for c in v]
-        a = [Fraction(c) for c in a]
+        v = [_canonical(c) for c in v]
+        a = [_canonical(c) for c in a]
         return cls(tuple(tuple(v[i] * a[j] - v[j] * a[i] for j in range(4))
                          for i in range(4)))
 
     @classmethod
     def zero(cls) -> "SkewMat4":
-        return cls(tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4)))
+        return cls(((0,) * 4,) * 4)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i - 1][j - 1]
 
     def __add__(self, other: "SkewMat4") -> "SkewMat4":
@@ -584,15 +585,15 @@ class SkewMat4:
         return all(v == 0 for row in self.entries for v in row)
 
 
-def interior_product(v: Sequence, omega: SkewMat4) -> tuple[Fraction, ...]:
+def interior_product(v: Sequence, omega: SkewMat4) -> tuple[Scalar, ...]:
     """(v contracted into omega)_j = sum_i v_i omega_ij."""
-    v = [Fraction(c) for c in v]
+    v = [_canonical(c) for c in v]
     return tuple(sum(v[i] * omega.entries[i][j] for i in range(4)) for j in range(4))
 
 
-def wedge_with_vector(v: Sequence, omega: SkewMat4) -> dict[tuple[int, int, int], Fraction]:
+def wedge_with_vector(v: Sequence, omega: SkewMat4) -> dict[tuple[int, int, int], Scalar]:
     """Components of the three-form v ^ omega, indexed by i < j < k (1-based)."""
-    v = [Fraction(c) for c in v]
+    v = [_canonical(c) for c in v]
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -612,11 +613,11 @@ def lambda2_split(v: Sequence, omega: SkewMat4) -> tuple[SkewMat4, SkewMat4]:
     The split does not see the sign of v.  Both postconditions are checked
     componentwise before returning.
     """
-    v = tuple(Fraction(c) for c in v)
+    v = [_canonical(c) for c in v]
     norm2 = sum(c * c for c in v)
     if norm2 == 0:
         raise ValueError("the direction vector must be nonzero")
-    a = [c / norm2 for c in interior_product(v, omega)]
+    a = [Fraction(c, norm2) for c in interior_product(v, omega)]
     alpha = SkewMat4.from_wedge(v, a)
     beta = omega - alpha
     if any(c != 0 for c in interior_product(v, beta)):
@@ -630,20 +631,17 @@ def random_vec4(seed: int) -> tuple[Fraction, ...]:
     """Deterministic nonzero rational 4-vector."""
     rng = _seeded_rng("vec4", 0, seed)
     while True:
-        v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        v = tuple(_random_rationals(rng, 4, 4, 3))
         if any(v):
             return v
 
 
 def random_skew4(seed: int) -> SkewMat4:
     """Deterministic rational two-form on R^4."""
-    rng = _seeded_rng("skew4", 0, seed)
-    vals = {}
+    draws = iter(_random_rationals(_seeded_rng("skew4", 0, seed), 6, 4, 3))
+    rows = [[0] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
-            vals[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
-    for (i, j), v in vals.items():
-        rows[i][j] = v
-        rows[j][i] = -v
+            rows[i][j] = next(draws)
+            rows[j][i] = -rows[i][j]
     return SkewMat4(tuple(tuple(r) for r in rows))

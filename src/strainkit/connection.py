@@ -21,7 +21,7 @@ from .calculus import curl_curl, curl_row, homotopy_antiderivative
 from .errors import CompatibilityError
 from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
                      random_field)
-from .poly import Poly3
+from .poly import Poly3, _canonical
 
 
 @dataclass(frozen=True)
@@ -102,39 +102,29 @@ def w_div(theta: WOneForm) -> WField:
     return WField(slot1, slot2)
 
 
+# e_1, e_2, e_3: unit vectors, and the exponents of x1, x2, x3.
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def rigid_motion(a, b) -> VecField:
     """The infinitesimal rigid motion x -> a + b x x with rational a, b."""
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    x = [Poly3.variable(i) for i in AXES]
-
-    def comp(j: int) -> Poly3:
-        cross = Poly3()
-        for k in AXES:
-            for l in AXES:
-                e = eps(j, k, l)
-                if e:
-                    cross = cross + x[l - 1] * (e * b[k - 1])
-        return cross + a[j - 1]
-
-    return VecField(tuple(comp(j) for j in AXES))
+    a1, a2, a3 = map(_canonical, a)
+    b1, b2, b3 = map(_canonical, b)
+    x1, x2, x3 = (Poly3.variable(i) for i in AXES)
+    return VecField.of(a1 + b2 * x3 - b3 * x2, a2 + b3 * x1 - b1 * x3,
+                       a3 + b1 * x2 - b2 * x1)
 
 
 def flat_sections_basis() -> list[WField]:
     """Six flat sections: three translations, then three rotations.
 
-    Translation m: X = e_m, Y = 0.  Rotation m: X_l = eps_{jl}^m x_j (which is
-    e_m x x), Y = e_m.  Together their X components span all rigid motions.
+    Translation m: X = e_m, Y = 0.  Rotation m: X = e_m x x (that is,
+    rigid_motion(0, e_m)), Y = e_m.  Together their X components span all
+    rigid motions.
     """
-    basis = []
-    for m in AXES:
-        basis.append(WField(VecField.basis(m), VecField.zero()))
-    for m in AXES:
-        xl = VecField(tuple(
-            sum((Poly3.variable(j) * eps(j, l, m) for j in AXES), Poly3())
-            for l in AXES))
-        basis.append(WField(xl, VecField.basis(m)))
-    return basis
+    return ([WField(VecField.basis(m), VecField.zero()) for m in AXES]
+            + [WField(rigid_motion((0, 0, 0), _UNIT[m - 1]), VecField.basis(m))
+               for m in AXES])
 
 
 def w_poincare(psi: WOneForm) -> WField:
@@ -192,14 +182,16 @@ def normalize_rigid(x: VecField) -> VecField:
 
     Two fields with the same symmetrized gradient differ by a rigid motion,
     so this fixes a canonical representative without changing sym_grad.
+    The gauge is read from coefficients: X_j(0) is the constant coefficient
+    of X_j and d_i X_j(0) its x_i coefficient, so nothing is differentiated
+    or evaluated.
     """
-    origin = (0, 0, 0)
-    a = x.evaluate(origin)
-    jac = [[x.comp(j).partial(i).evaluate(origin) for j in AXES] for i in AXES]
-    # Axial vector of the skew Jacobian: S_ij = eps_{jki} b_k has b1 = S_23 etc.
-    skew = [[(jac[i - 1][j - 1] - jac[j - 1][i - 1]) / 2 for j in AXES] for i in AXES]
-    b = (skew[1][2], skew[2][0], skew[0][1])
-    return x - rigid_motion(a, b)
+    def d(i: int, j: int) -> Fraction:
+        return x.comp(j).coefficient(_UNIT[i - 1])
+
+    # Axial vector of the skew Jacobian: b1 = (d_2 X_3 - d_3 X_2)/2 etc.
+    b = [(d(j, k) - d(k, j)) / 2 for j, k in ((2, 3), (3, 1), (1, 2))]
+    return x - rigid_motion([p.coefficient((0, 0, 0)) for p in x.components], b)
 
 
 def random_w_field(degree: int, seed: int) -> WField:

@@ -91,7 +91,7 @@ class VecField(_Field):
 
     @classmethod
     def of(cls, c1: Poly3 | Scalar, c2: Poly3 | Scalar, c3: Poly3 | Scalar) -> "VecField":
-        return cls((_coerce(c1), _coerce(c2), _coerce(c3)))
+        return cls((c1, c2, c3))
 
     @property
     def parts(self) -> tuple[Poly3, ...]:
@@ -132,7 +132,7 @@ class Mat3Field(_Field):
 
     @classmethod
     def from_entries(cls, entry: Callable[[int, int], Poly3 | Scalar]) -> "Mat3Field":
-        return cls(tuple(tuple(_coerce(entry(i, j)) for j in AXES) for i in AXES))
+        return cls(tuple(tuple(entry(i, j) for j in AXES) for i in AXES))
 
     @property
     def parts(self) -> tuple[Poly3, ...]:
@@ -148,8 +148,7 @@ class Mat3Field(_Field):
 
     @classmethod
     def unit(cls, i: int, j: int, coef: Poly3 | Scalar = 1) -> "Mat3Field":
-        p = _coerce(coef)
-        return cls.from_entries(lambda a, b: p if (a, b) == (i, j) else 0)
+        return cls.from_entries(lambda a, b: coef if (a, b) == (i, j) else 0)
 
     def entry(self, i: int, j: int) -> Poly3:
         return self.rows[_check_axis(i) - 1][_check_axis(j) - 1]
@@ -205,7 +204,7 @@ class SymField(_Field):
 
     @classmethod
     def from_entries(cls, entry: Callable[[int, int], Poly3 | Scalar]) -> "SymField":
-        return cls(tuple(_coerce(entry(i, j)) for i, j in SYM_INDEX_PAIRS))
+        return cls(tuple(entry(i, j) for i, j in SYM_INDEX_PAIRS))
 
     @classmethod
     def from_matrix(cls, mat: Mat3Field) -> "SymField":
@@ -228,8 +227,7 @@ class SymField(_Field):
 
     @classmethod
     def unit(cls, i: int, j: int, coef: Poly3 | Scalar = 1) -> "SymField":
-        p = _coerce(coef)
-        return cls.from_entries(lambda a, b: p if (min(i, j), max(i, j)) == (a, b) else 0)
+        return cls.from_entries(lambda a, b: coef if (min(i, j), max(i, j)) == (a, b) else 0)
 
     def entry(self, i: int, j: int) -> Poly3:
         _check_axis(i), _check_axis(j)
@@ -309,12 +307,15 @@ def random_field(kind: str, degree: int, seed: int):
     return T.from_parts(tuple(_random_poly(rng, degree) for _ in T.KEYS))
 
 
+def _random_rationals(rng: random.Random, count: int, span: int,
+                      max_den: int) -> list[Fraction]:
+    """`count` rationals n/d, n in [-span, span] and d in [1, max_den], each
+    drawn numerator first."""
+    return [Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+            for _ in range(count)]
+
+
 def random_point(seed: int) -> tuple[Fraction, Fraction, Fraction]:
     """Deterministic rational point with small numerators and denominators."""
-    rng = _seeded_rng("point", _POINT_SPAN, seed)
-    coords = []
-    for _ in range(3):
-        num = rng.randint(-_POINT_SPAN, _POINT_SPAN)
-        den = rng.randint(1, 4)
-        coords.append(Fraction(num, den))
-    return tuple(coords)
+    return tuple(_random_rationals(_seeded_rng("point", _POINT_SPAN, seed), 3,
+                                   _POINT_SPAN, 4))

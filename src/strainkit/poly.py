@@ -5,7 +5,9 @@ rational coefficients.  A coefficient is stored as an int when it is
 integral and as a Fraction with denominator > 1 otherwise; `_canonical`
 enforces this form on every path that stores a coefficient, so integer
 polynomials are added, multiplied and differentiated without building any
-Fraction.  An int compares and hashes like the equal Fraction, and
+Fraction.  It also checks the exact scalars a caller passes to the point,
+vector, two-form and stencil entries of the package: an int or a Fraction,
+never a float or a bool.  An int compares and hashes like the equal Fraction, and
 `coefficient`/`evaluate` return Fractions; `second_jets` returns the
 values and first and second partials of several polynomials at a point as
 integers over one common denominator.  The zero polynomial is the empty
@@ -34,7 +36,7 @@ def _canonical(value: Scalar) -> Scalar:
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+    raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 
 def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
@@ -110,7 +112,7 @@ class Poly3:
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly3 | Scalar") -> "Poly3":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly3):
             c = _canonical(other)
             res = Poly3.__new__(Poly3)
             res.terms = ({exp: _canonical(coef * c) for exp, coef in self.terms.items()}

@@ -339,11 +339,10 @@ def pointwise_curvature(metric: PolyMetric, point: Sequence[Scalar]) -> Curvatur
     Einstein = (S G - 2 Delta D N)/(4 Delta^3 D).  Only the 19 results are
     Fractions.
     """
-    p = tuple(Fraction(v) for v in point)
     r = range(3)
     # g_ij = g_ji: one jet row per distinct entry, shared by both positions.
     pairs = [(i, j) for i in r for j in r if i <= j]
-    denom, rows = second_jets([metric.entry(i + 1, j + 1) for i, j in pairs], p)
+    denom, rows = second_jets([metric.entry(i + 1, j + 1) for i, j in pairs], point)
     jet = dict(zip(pairs, rows))
     entry = [[jet[min(i, j), max(i, j)] for j in r] for i in r]
     g = [[entry[i][j][0] for j in r] for i in r]

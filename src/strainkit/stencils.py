@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Sequence
 
 from . import calculus, connection
 from .fields import AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, delta, eps
-from .poly import Exponent
+from .poly import Exponent, Scalar, _canonical
 
-Term = tuple[int, int, int, int, Exponent, Fraction]
+Term = tuple[int, int, int, int, Exponent, Scalar]
 Stencil = tuple[Term, ...]
 
 _MAT_PAIRS = tuple(product(AXES, repeat=2))
@@ -76,10 +76,10 @@ OPERATOR_IDS = tuple(OPERATORS)
 
 def make_stencil(terms: Iterable[Sequence]) -> Stencil:
     """Canonical stencil: equal terms merged, zero factors dropped, sorted."""
-    merged: dict[tuple, Fraction] = {}
+    merged: dict[tuple, Scalar] = {}
     for s, c, t, d, alpha, factor in terms:
         key = (s, c, t, d, tuple(alpha))
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(factor)
+        merged[key] = merged.get(key, 0) + _canonical(factor)
     return tuple((*key, f) for key, f in sorted(merged.items()) if f)
 
 

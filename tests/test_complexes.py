@@ -439,6 +439,23 @@ def test_lambda2_split_hand_example():
     assert beta.entry(3, 4) == 1 and beta.entry(1, 2) == 0
 
 
+def test_lambda2_split_exact_on_int_input():
+    # v . omega = (-2, 1, 3, 0) and |v|^2 = 6, so a = (-1/3, 1/6, 1/2, 0).
+    v = (1, 2, 0, -1)
+    omega = SkewMat4(((0, 1, 2, 0), (-1, 0, 0, 0), (-2, 0, 0, 1), (0, 0, -1, 0)))
+    assert interior_product(v, omega) == (-2, 1, 3, 0)
+    alpha, beta = lambda2_split(v, omega)
+    assert all(type(c) in (int, Fraction)
+               for part in (alpha, beta) for row in part.entries for c in row)
+    assert alpha == SkewMat4.from_wedge(v, (Fraction(-1, 3), Fraction(1, 6),
+                                            Fraction(1, 2), 0))
+    assert (alpha.entry(1, 2), alpha.entry(2, 4), beta.entry(2, 3)) == \
+        (Fraction(5, 6), Fraction(1, 6), -1)
+    assert (alpha + beta - omega).is_zero()
+    assert all(c == 0 for c in interior_product(v, beta))
+    assert all(c == 0 for c in wedge_with_vector(v, alpha).values())
+
+
 def test_lambda2_split_random_two_forms():
     for seed in range(30):
         v = random_vec4(seed)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strainkit import connection
 from strainkit.calculus import curl_curl, sym_grad
@@ -12,7 +12,7 @@ from strainkit.connection import (WField, WOneForm, flat_sections_basis,
                                   w_grad, w_poincare)
 from strainkit.errors import CompatibilityError
 from strainkit.fields import AXES, Mat3Field, SymField, VecField, random_field
-from strainkit.poly import X1, X2, X3, Poly3
+from strainkit.poly import X1, X2, X3, Poly3, monomials_up_to
 
 ORIGIN = (Fraction(0), Fraction(0), Fraction(0))
 
@@ -150,6 +150,76 @@ def test_normalize_rigid_idempotent():
         u = random_field("vec", 4, seed + 240)
         v = normalize_rigid(u)
         assert normalize_rigid(v) == v
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def fraction_vec_fields(draw):
+    """Vector fields of degree <= 4 with denominators up to 6."""
+    monos = monomials_up_to(draw(st.integers(0, 4)))
+
+    def poly() -> Poly3:
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+        return Poly3({e: draw(_fractions) for e in chosen})
+
+    return VecField.from_parts(tuple(poly() for _ in VecField.KEYS))
+
+
+def normalize_by_partial_evaluate(x: VecField) -> VecField:
+    """x - (a + b x x) with a = X(0) and b the axial vector of the skew
+    Jacobian at 0, both found by differentiating and evaluating."""
+    a = x.evaluate(ORIGIN)
+    jac = [[x.comp(j).partial(i).evaluate(ORIGIN) for j in AXES] for i in AXES]
+    b = [(jac[1][2] - jac[2][1]) / 2, (jac[2][0] - jac[0][2]) / 2,
+         (jac[0][1] - jac[1][0]) / 2]
+    motion = VecField.of(a[0] + b[1] * X3 - b[2] * X2,
+                         a[1] + b[2] * X1 - b[0] * X3,
+                         a[2] + b[0] * X2 - b[1] * X1)
+    return x - motion
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(u=fraction_vec_fields())
+@example(u=VecField.zero())
+@example(u=VecField.of(Fraction(1, 2) + 3 * X2 - X1 * X3, Fraction(-2, 3) * X1,
+                       X1 * X2 * X3 + Fraction(5, 4) * X3))
+def test_normalize_rigid_matches_partial_evaluate_gauge(u):
+    assert normalize_rigid(u) == normalize_by_partial_evaluate(u)
+
+
+def test_normalize_rigid_forms_no_partial_and_no_evaluation(monkeypatch):
+    """Cost pin: the gauge is read from the constant and linear coefficients,
+    so no partial polynomial is formed and no Poly3.evaluate runs."""
+    calls = {"partial": 0, "evaluate": 0}
+    partial, evaluate = Poly3.partial, Poly3.evaluate
+
+    def counting_partial(self, axis):
+        calls["partial"] += 1
+        return partial(self, axis)
+
+    def counting_evaluate(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    u = random_field("vec", 4, 17)
+    want = normalize_rigid(u)
+    monkeypatch.setattr(Poly3, "partial", counting_partial)
+    monkeypatch.setattr(Poly3, "evaluate", counting_evaluate)
+    got = normalize_rigid(u)
+    assert calls == {"partial": 0, "evaluate": 0}
+    assert got == want
+
+
+def test_flat_sections_basis_is_the_explicit_construction():
+    want = [WField(VecField.basis(m), VecField.zero()) for m in AXES]
+    for m in AXES:
+        e = [1 if k == m else 0 for k in AXES]
+        cross = VecField.of(e[1] * X3 - e[2] * X2, e[2] * X1 - e[0] * X3,
+                            e[0] * X2 - e[1] * X1)
+        want.append(WField(cross, VecField.basis(m)))
+    assert flat_sections_basis() == want
 
 
 def test_w_field_random_deterministic():

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from strainkit import fieldio
+from strainkit.complexes import (SkewMat4, interior_product, lambda2_split,
+                                 wedge_with_vector)
+from strainkit.connection import rigid_motion
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
                             monomials_up_to, second_jets)
+from strainkit.riemannian import PolyMetric, pointwise_curvature
+from strainkit.stencils import make_stencil
 
 
 def random_poly(rng, degree, nterms=6):
@@ -83,6 +88,33 @@ def test_boolean_coefficients_rejected():
         with pytest.raises(TypeError):
             X1 * flag
         assert ONE != flag
+
+
+_OMEGA = SkewMat4.from_wedge((1, 0, 0, 0), (0, 1, 0, 0))
+_EXACT_ENTRIES = {
+    "pointwise_curvature":
+        lambda c: pointwise_curvature(PolyMetric.euclidean(), (c, 0, 0)),
+    "rigid_motion": lambda c: rigid_motion((0, 0, 0), (0, c, 0)),
+    "SkewMat4": lambda c: SkewMat4(((0, c, 0, 0), (-c, 0, 0, 0),
+                                    (0, 0, 0, 0), (0, 0, 0, 0))),
+    "SkewMat4.from_wedge": lambda c: SkewMat4.from_wedge((1, 0, 0, 0), (0, c, 0, 0)),
+    "interior_product": lambda c: interior_product((c, 0, 0, 0), _OMEGA),
+    "wedge_with_vector": lambda c: wedge_with_vector((0, 0, c, 0), _OMEGA),
+    "lambda2_split": lambda c: lambda2_split((1, c, 0, 0), _OMEGA),
+    "Poly3.__mul__": lambda c: X1 * c,
+    "make_stencil": lambda c: make_stencil([(0, 0, 0, 0, (1, 0, 0), c)]),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRIES))
+def test_public_entries_take_exact_rationals_only(entry, value):
+    """Every public entry reads a caller's rationals through poly._canonical:
+    0.1 is not silently read as its binary value, nor True as 1."""
+    with pytest.raises(TypeError, match="exact rational"):
+        _EXACT_ENTRIES[entry](value)
+    _EXACT_ENTRIES[entry](Fraction(1, 10))
+    _EXACT_ENTRIES[entry](1)
 
 
 def test_malformed_exponents_rejected():
