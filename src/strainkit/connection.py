@@ -8,8 +8,10 @@ displacement field from a compatible strain.
 
 `saint_venant_reconstruct` takes curl_curl and the connection curl once
 each: the curl of its one-form, checked slot by slot against the
-compatibility residual, is the closedness proof, so it integrates through
-the same private helper as `w_poincare` without a second curl.
+compatibility residual, is the closedness proof.  It then integrates through
+the same private helper as `w_poincare`, and there `homotopy_antiderivative`
+still checks that each of the 6 columns it integrates is curl-free: 6 vector
+`curl`s per reconstruction.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def saint_venant_reconstruct(sigma: SymField) -> VecField:
     CompatibilityError carrying that exact residual is raised.  The strain is
     paired with the derived rotation-gradient matrix to form a one-form
     whose connection curl is taken once: its first slot must vanish and its
-    second must equal the (zero) residual, which proves the one-form closed,
-    so it is integrated without a second curl.  The result vanishes at the
-    origin and has symmetric Jacobian there.
+    second must equal the (zero) residual, which proves the one-form closed.
+    Integrating it still curls each of the 6 columns it integrates (see
+    `homotopy_antiderivative`).  The result vanishes at the origin and has
+    symmetric Jacobian there.
     """
     residual = curl_curl(sigma)
     if not residual.is_zero():

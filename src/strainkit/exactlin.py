@@ -28,6 +28,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from .poly import _canonical
+
 # Ints in operator matrices; Fractions in solutions and field coordinates.
 Column = dict[int, int | Fraction]
 
@@ -35,7 +37,8 @@ Column = dict[int, int | Fraction]
 def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]], int]:
     """(int columns, den) in lowest terms for the matrix cols / den."""
     if not all(type(v) is int for col in cols for v in col.values()):
-        scale = lcm(*(v.denominator for col in cols for v in col.values()))
+        # _canonical rejects a bool or a float entry with TypeError.
+        scale = lcm(*(_canonical(v).denominator for col in cols for v in col.values()))
         cols = [{i: v.numerator * (scale // v.denominator) for i, v in col.items()}
                 for col in cols]
         den *= scale

@@ -8,6 +8,8 @@ with exact "p/q" coefficient strings.  Round trips are bit-exact.  Index
 strings are "" for scalars, "1".."3" for vectors, the upper triangle
 "11".."33" for symmetric fields, all nine "11".."33" for matrices,
 "x1".."y3" for coupled sections and "sigma11".."xi33" for their one-forms.
+A file holds the text of json.dumps(doc, indent=2, sort_keys=True), which
+`dumps` writes directly from the field's components.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from typing import IO
 from .connection import WField, WOneForm
 from .errors import FieldFormatError
 from .fields import Mat3Field, SymField, VecField, _Field
-from .poly import Poly3, grlex_key
+from .poly import Poly3, _canonical, grlex_key
 
 _COEF_RE = re.compile(r"-?\d+(/\d+)?")
+_TERM_KEYS = {"exp", "coef"}
+# One term of a written file, at the depth `dumps` puts it: coefficient, exponents.
+_TERM = ('      {\n        "coef": "%s",\n        "exp": [\n          %d,\n'
+         '          %d,\n          %d\n        ]\n      }')
 # Longest repr of an input value that an error message repeats in full.
 _ECHO_CHARS = 40
 
@@ -47,46 +53,58 @@ def _brief(value) -> str:
 
 
 def _poly_from_terms(raw, where: str) -> Poly3:
+    """Check each term of a component once and build its Poly3 directly."""
     if not isinstance(raw, list):
         raise FieldFormatError(f"component {where!r} must be a list of terms")
     terms = {}
     for item in raw:
-        if not isinstance(item, dict) or set(item) != {"exp", "coef"}:
+        if not isinstance(item, dict) or item.keys() != _TERM_KEYS:
             raise FieldFormatError(f"malformed term in component {where!r}")
         exp = item["exp"]
-        if (not isinstance(exp, list) or len(exp) != 3
-                or any(not isinstance(a, int) or isinstance(a, bool) or a < 0
-                       for a in exp)):
+        if not isinstance(exp, list) or len(exp) != 3:
+            raise FieldFormatError(f"bad exponent {_brief(exp)} in component {where!r}")
+        key = a1, a2, a3 = tuple(exp)
+        # type(), not isinstance(): a bool or another int subclass is no exponent.
+        if (type(a1) is not int or type(a2) is not int or type(a3) is not int
+                or a1 < 0 or a2 < 0 or a3 < 0):
             raise FieldFormatError(f"bad exponent {_brief(exp)} in component {where!r}")
         raw_coef = item["coef"]
         if not isinstance(raw_coef, str) or not _COEF_RE.fullmatch(raw_coef):
             raise FieldFormatError(f"bad coefficient {_brief(raw_coef)} in component "
                                    f"{where!r}; expected an exact 'p/q' string")
+        # The regex has validated the string: an int, or "p/q" as two ints.
+        num, _, den = raw_coef.partition("/")
         try:
-            # The regex has validated the string; only "p/q" needs a Fraction.
-            coef = Fraction(raw_coef) if "/" in raw_coef else int(raw_coef)
+            coef = int(num)
+            if den:
+                coef = _canonical(Fraction(coef, int(den)))
         except ZeroDivisionError as exc:
             raise FieldFormatError(f"bad coefficient {_brief(raw_coef)} in component "
                                    f"{where!r}") from exc
         except ValueError as exc:  # more digits than int() converts
             raise FieldFormatError(f"coefficient of {len(raw_coef)} characters in "
                                    f"component {where!r} has too many digits") from exc
-        key = tuple(exp)
         if key in terms:
             raise FieldFormatError(f"duplicate exponent {_brief(exp)} in component {where!r}")
         if coef:
             terms[key] = coef
-    return Poly3(terms)
+    poly = Poly3.__new__(Poly3)
+    poly.terms = terms
+    return poly
+
+
+def _kind_parts(field) -> tuple[str, tuple[Poly3, ...]]:
+    """The file kind of a field and its Poly3 components in KEYS order."""
+    if isinstance(field, Poly3):
+        return "scalar", (field,)
+    if isinstance(field, _Field):
+        return field.KIND, field.parts
+    raise TypeError(f"cannot serialize object of type {type(field).__name__}")
 
 
 def field_to_doc(field) -> dict:
     """Serializable document for any supported field type."""
-    if isinstance(field, Poly3):
-        kind, parts = "scalar", (field,)
-    elif isinstance(field, _Field):
-        kind, parts = field.KIND, field.parts
-    else:
-        raise TypeError(f"cannot serialize object of type {type(field).__name__}")
+    kind, parts = _kind_parts(field)
     return {"kind": kind,
             "components": {key: _poly_to_terms(p)
                            for key, p in zip(KIND_COMPONENT_KEYS[kind], parts)}}
@@ -117,7 +135,25 @@ def field_from_doc(doc, expect_kind: str | None = None):
 
 
 def dumps(field) -> str:
-    return json.dumps(field_to_doc(field), indent=2, sort_keys=True)
+    """The text of json.dumps(field_to_doc(field), indent=2, sort_keys=True).
+
+    Written directly from the field's parts: object keys in sorted order
+    ("coef" before "exp", "components" before "kind"; the KEYS of every
+    kind are sorted already), one list item or object member per line.  Keys
+    and coefficient strings hold no character that JSON escapes.
+    """
+    kind, parts = _kind_parts(field)
+    components = []
+    for key, p in zip(KIND_COMPONENT_KEYS[kind], parts):
+        terms = p.terms
+        if terms:
+            body = ",\n".join(_TERM % (terms[exp], *exp)
+                               for exp in sorted(terms, key=grlex_key))
+            components.append(f'    "{key}": [\n{body}\n    ]')
+        else:
+            components.append(f'    "{key}": []')
+    return ('{\n  "components": {\n' + ",\n".join(components)
+            + f'\n  }},\n  "kind": "{kind}"\n}}')
 
 
 def loads(text: str, expect_kind: str | None = None):

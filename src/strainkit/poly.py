@@ -14,6 +14,11 @@ integers over one common denominator.  The zero polynomial is the empty
 map and has degree -1 by convention.  Monomials are ordered
 graded-lexicographically with x1 > x2 > x3; display lists the leading term
 first.
+
+`Poly3` values are immutable: no code changes `.terms` once a polynomial is
+built.  So an operation may return one of its operands, or the shared ZERO,
+instead of a copy: p + 0, 0 + p and p - 0 return p, p * 1 returns p, and a
+product with a constant polynomial takes the scalar path.
 """
 
 from __future__ import annotations
@@ -87,13 +92,17 @@ class Poly3:
 
     def __add__(self, other: "Poly3 | Scalar") -> "Poly3":
         other = _coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exp, coef in other.terms.items():
             s = out.get(exp, 0) + coef
             if s:
-                out[exp] = _canonical(s)
+                out[exp] = s if type(s) is int else _canonical(s)
             else:
-                out.pop(exp, None)
+                del out[exp]
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res
@@ -106,34 +115,54 @@ class Poly3:
         return res
 
     def __sub__(self, other: "Poly3 | Scalar") -> "Poly3":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        if not other.terms:
+            return self
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Poly3":
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly3 | Scalar") -> "Poly3":
         if not isinstance(other, Poly3):
-            c = _canonical(other)
-            res = Poly3.__new__(Poly3)
-            res.terms = ({exp: _canonical(coef * c) for exp, coef in self.terms.items()}
-                         if c else {})
-            return res
-        if not self.terms or not other.terms:
-            return Poly3()
+            return self._scaled(_canonical(other))
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ZERO
+        # A constant factor takes the scalar path through _scaled, not through a
+        # second __mul__, so a product stays one __mul__ call (perfbench counts them).
+        if len(b) == 1 and ZERO_EXP in b:
+            return self._scaled(b[ZERO_EXP])
+        if len(a) == 1 and ZERO_EXP in a:
+            return other._scaled(a[ZERO_EXP])
         out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 s = out.get(exp, 0) + c1 * c2
                 if s:
-                    out[exp] = _canonical(s)
+                    out[exp] = s if type(s) is int else _canonical(s)
                 else:
-                    out.pop(exp, None)
+                    del out[exp]
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Scalar) -> "Poly3":
+        """self * c for a canonical scalar c; self itself when c is 1."""
+        if c == 1:
+            return self
+        if not c:
+            return ZERO
+        out = {}
+        for exp, coef in self.terms.items():
+            v = coef * c
+            out[exp] = v if type(v) is int else _canonical(v)
+        res = Poly3.__new__(Poly3)
+        res.terms = out
+        return res
 
     def __truediv__(self, other: Scalar) -> "Poly3":
         c = _canonical(other)
@@ -180,7 +209,8 @@ class Poly3:
                 continue
             new = list(exp)
             new[i] = a - 1
-            out[tuple(new)] = _canonical(coef * a)
+            v = coef * a
+            out[tuple(new)] = v if type(v) is int else _canonical(v)
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res

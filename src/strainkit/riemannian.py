@@ -42,12 +42,16 @@ from typing import Sequence
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
 from .fields import AXES, Mat3Field, SymField, delta
-from .poly import Poly3, Scalar, _coerce, second_jets
+from .poly import ZERO, Poly3, Scalar, _coerce, second_jets
 
 
 @dataclass(frozen=True)
 class JetPoly:
-    """First-order jet p0 + eps*p1 with eps^2 = 0."""
+    """First-order jet p0 + eps*p1 with eps^2 = 0.
+
+    The public constructor coerces scalar parts to Poly3; arithmetic builds
+    its results with `_of` from parts that are Poly3 already.
+    """
 
     p0: Poly3
     p1: Poly3
@@ -57,28 +61,36 @@ class JetPoly:
         object.__setattr__(self, "p1", _coerce(self.p1))
 
     @classmethod
+    def _of(cls, p0: Poly3, p1: Poly3) -> "JetPoly":
+        """The jet p0 + eps*p1 from two Poly3 parts, without coercion."""
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "p0", p0)
+        object.__setattr__(jet, "p1", p1)
+        return jet
+
+    @classmethod
     def constant(cls, c: Scalar) -> "JetPoly":
         return cls(Poly3.constant(c), Poly3())
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
-        return JetPoly(self.p0 + other.p0, self.p1 + other.p1)
+        return JetPoly._of(self.p0 + other.p0, self.p1 + other.p1)
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
-        return JetPoly(self.p0 - other.p0, self.p1 - other.p1)
+        return JetPoly._of(self.p0 - other.p0, self.p1 - other.p1)
 
     def __neg__(self) -> "JetPoly":
-        return JetPoly(-self.p0, -self.p1)
+        return JetPoly._of(-self.p0, -self.p1)
 
     def __mul__(self, other: "JetPoly | Scalar") -> "JetPoly":
         if isinstance(other, (int, Fraction)):
-            return JetPoly(self.p0 * other, self.p1 * other)
+            return JetPoly._of(self.p0 * other, self.p1 * other)
         # eps^2 truncates: only the mixed terms survive at first order.
-        return JetPoly(self.p0 * other.p0, self.p0 * other.p1 + self.p1 * other.p0)
+        return JetPoly._of(self.p0 * other.p0, self.p0 * other.p1 + self.p1 * other.p0)
 
     __rmul__ = __mul__
 
     def partial(self, axis: int) -> "JetPoly":
-        return JetPoly(self.p0.partial(axis), self.p1.partial(axis))
+        return JetPoly._of(self.p0.partial(axis), self.p1.partial(axis))
 
     def is_zero(self) -> bool:
         return self.p0.is_zero() and self.p1.is_zero()
@@ -91,7 +103,7 @@ JetMatrix = tuple[tuple[JetPoly, ...], ...]
 
 
 def _jet_zero() -> JetPoly:
-    return JetPoly(Poly3(), Poly3())
+    return JetPoly._of(ZERO, ZERO)
 
 
 def _mat3(entry):

@@ -260,6 +260,19 @@ def test_proportionality_of_int_matrices_is_exact():
     assert near.proportionality(third) is None
 
 
+@pytest.mark.parametrize("entry", [True, 0.5], ids=["bool", "float"])
+def test_matrix_entries_take_exact_rationals_only(entry):
+    """A bool entry is not read as 1, and a float raises TypeError, not
+    AttributeError: lowest_terms reads non-int entries through poly._canonical."""
+    one = GradedSpace([Slot("a", "scalar", 0)])
+    two = GradedSpace([Slot("a", "scalar", 0), Slot("b", "scalar", 0)])
+    with pytest.raises(TypeError, match="exact rational"):
+        LinOpMatrix(one, one, [{0: entry}])
+    with pytest.raises(TypeError, match="exact rational"):
+        LinOpMatrix(two, one, [{0: F(1, 2)}, {0: entry}])
+    assert LinOpMatrix(one, one, [{0: F(1, 10)}]).den == 10
+
+
 # -- standard complexes -------------------------------------------------------
 
 

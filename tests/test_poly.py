@@ -10,7 +10,7 @@ from strainkit.complexes import (SkewMat4, interior_product, lambda2_split,
 from strainkit.connection import rigid_motion
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
                             monomials_up_to, second_jets)
-from strainkit.riemannian import PolyMetric, pointwise_curvature
+from strainkit.riemannian import JetPoly, PolyMetric, pointwise_curvature
 from strainkit.stencils import make_stencil
 
 
@@ -380,6 +380,42 @@ def test_fieldio_round_trip_is_byte_stable(ta):
     assert back == p
     assert_canonical(back)
     assert fieldio.dumps(back) == text
+
+
+def _results(x, y, s):
+    """x and y combined by every Poly3 or JetPoly operation, with 0, 1 and s."""
+    out = [x + y, y + x, x - y, y - x, x * y, y * x, -x,
+           x * 0, x * 1, x * s, s * x, 0 * x, 1 * x, x.partial(1), x.partial(3)]
+    if isinstance(x, Poly3):
+        out += [x + 0, 0 + x, x + s, x - s, s - x]
+    return out
+
+
+def _snapshot(values):
+    return [[list(p.terms.items()) for p in
+             ((v,) if isinstance(v, Poly3) else (v.p0, v.p1))] for v in values]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ta=term_maps, tb=term_maps, s=rationals)
+@example(ta={(1, 0, 0): 1}, tb={}, s=1)
+@example(ta={(0, 2, 1): Fraction(3, 2)}, tb={(0, 0, 0): 2}, s=0)
+def test_operations_leave_their_operands_unchanged(ta, tb, s):
+    """Operations may return an operand (p + 0, p * 1, a constant factor), so
+    none may change the .terms of an operand, nor of a result it passes on."""
+    a, b = Poly3(ta), Poly3(tb)
+    polys = [a, b, ZERO, ONE, Poly3.constant(s)]
+    jets = [JetPoly(a, b), JetPoly(b, a), JetPoly(ZERO, a), JetPoly.constant(1),
+            JetPoly.constant(s)]
+    for operands in (polys, jets):
+        before = _snapshot(operands)
+        results = [r for x in operands for y in operands for r in _results(x, y, s)]
+        kept = _snapshot(results)
+        for x in results[::20]:
+            for y in operands:
+                _results(x, y, s)
+        assert _snapshot(operands) == before
+        assert _snapshot(results) == kept
 
 
 def test_integral_results_are_ints():

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from strainkit import fieldio
 from strainkit.connection import random_w_field, random_w_one_form
@@ -188,3 +190,56 @@ def test_coefficients_load_in_canonical_form():
     assert load_coef("-6/4") == {(1, 0, 0): Fraction(-3, 2)}
     assert load_coef("-0") == {}
     assert load_coef("0/7") == {}
+
+
+# -- the direct writer against the json encoder --------------------------------
+
+# Exponents up to 3 and from 1000 on; integer and p/q coefficients with
+# multi-digit denominators, of either sign, and zeros (which Poly3 drops).
+_exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(1000, 10 ** 6))] * 3)
+_coefs = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                   st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+_parts = st.one_of(st.just({}), st.dictionaries(_exponents, _coefs, max_size=5))
+
+
+def _field_of(kind, term_maps):
+    parts = tuple(Poly3(terms) for terms in term_maps)
+    return parts[0] if kind == "scalar" else fieldio.FIELD_TYPES[kind].from_parts(parts)
+
+
+@st.composite
+def _fields(draw):
+    kind = draw(st.sampled_from(sorted(FILE_FORMAT_KEYS)))
+    return _field_of(kind, [draw(_parts) for _ in FILE_FORMAT_KEYS[kind]])
+
+
+def _oracle(field) -> str:
+    return json.dumps(fieldio.field_to_doc(field), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_FORMAT_KEYS))
+def test_dumps_of_zero_fields_matches_json_encoder(kind):
+    zero = _field_of(kind, [{}] * len(FILE_FORMAT_KEYS[kind]))
+    assert fieldio.dumps(zero) == _oracle(zero)
+    assert fieldio.loads(fieldio.dumps(zero), expect_kind=kind) == zero
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(field=_fields())
+@example(field=Poly3({(1000, 0, 2): Fraction(-7, 123456), (0, 0, 0): 5}))
+@example(field=SymField.unit(1, 2, Poly3({(3, 1000, 1): -1})))
+def test_dumps_matches_json_encoder(field):
+    text = fieldio.dumps(field)
+    assert text == _oracle(field)
+    assert fieldio.loads(text) == field
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    form = random_w_one_form(4, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        fieldio.dumps(form)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
