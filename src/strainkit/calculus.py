@@ -9,11 +9,11 @@ implementations are deliberately kept independent.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import CompatibilityError
 from .fields import AXES, Mat3Field, SymField, VecField, eps
-from .poly import Poly3, poly_from_terms
+from .poly import Exponent, Poly3, Scalar, _canonical
 
 
 def grad(f: Poly3) -> VecField:
@@ -103,19 +103,42 @@ def div_sym(s: SymField) -> VecField:
 def homotopy_antiderivative(x: VecField) -> Poly3:
     """Scalar potential of a curl-free field, vanishing at the origin.
 
-    Implements the radial homotopy f(x) = Int_0^1 sum_i x_i X_i(t x) dt: a
-    monomial contribution of total degree d picks up a factor 1/d.  Requires
-    curl X = 0 exactly; otherwise a CompatibilityError carrying the curl
-    residual is raised.
+    Implements the radial homotopy f(x) = Int_0^1 sum_i x_i X_i(t x) dt in
+    numerator/denominator form: `_potential_numerator` returns m f and m,
+    and each coefficient is divided by m once.  Requires curl X = 0 exactly,
+    checked on X as given; otherwise a CompatibilityError carrying the curl
+    residual is raised.  The connection's integrations call the helper on
+    integer numerators, so there the column curl checks run on numerators.
+    """
+    f, m = _potential_numerator(x)
+    return f / m
+
+
+def _potential_numerator(x: VecField) -> tuple[Poly3, int]:
+    """(m f, m) for the potential f of a curl-free field (see
+    `homotopy_antiderivative`).
+
+    A term c x^e of X_i contributes (c / d) x^e x_i to f, with d = |e| + 1.
+    m is the lcm of the values d that occur in the field, not of 1..degree+1,
+    so m f has the coefficients c (m / d), integers when the c are, and a
+    sparse field with a few huge exponents does not grow m by its degree.
+    The curl is checked on x as given: callers that pass integer numerators
+    check the scaled field, which is curl-free exactly when the field is.
     """
     residual = curl(x)
     if not residual.is_zero():
         raise CompatibilityError("field is not curl-free", residual=residual)
-    pairs = []
-    for i in AXES:
-        for exp, coef in x.comp(i).terms.items():
-            lifted = list(exp)
-            lifted[i - 1] += 1
-            d = exp[0] + exp[1] + exp[2] + 1
-            pairs.append((tuple(lifted), coef * Fraction(1, d)))
-    return poly_from_terms(pairs)
+    comps = [p.terms for p in x.components]
+    m = lcm(*{a + b + c + 1 for terms in comps for a, b, c in terms})
+    out: dict[Exponent, Scalar] = {}
+    for axis, terms in enumerate(comps):
+        for exp, coef in terms.items():
+            lifted = exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]
+            s = out.get(lifted, 0) + coef * (m // (exp[0] + exp[1] + exp[2] + 1))
+            if s:
+                out[lifted] = s if type(s) is int else _canonical(s)
+            else:
+                del out[lifted]
+    f = Poly3.__new__(Poly3)
+    f.terms = out
+    return f, m

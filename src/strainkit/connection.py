@@ -6,20 +6,28 @@ tensor; its flat sections are exactly the infinitesimal rigid motions
 a + b x x (in the X component).  Inverting the connection gradient recovers a
 displacement field from a compatible strain.
 
+`saint_venant_reconstruct` and `w_poincare` work on integer numerators:
+the input is read as N / L with L the lcm of its coefficient denominators,
+and curl_curl, the connection curl and both integrations run on N.
 `saint_venant_reconstruct` takes curl_curl and the connection curl once
 each: the curl of its one-form, checked slot by slot against the
 compatibility residual, is the closedness proof.  It then integrates through
-the same private helper as `w_poincare`, and there `homotopy_antiderivative`
-still checks that each of the 6 columns it integrates is curl-free: 6 vector
-`curl`s per reconstruction.
+the same private helper as `w_poincare`, which still checks that each of the
+6 columns it integrates is curl-free (6 vector `curl`s per reconstruction,
+on numerators; a nonzero scale leaves each check equivalent).  Each column
+potential comes as m times the potential (see
+`calculus._potential_numerator`), so each output coefficient is divided
+once.  A CompatibilityError carries the residual of the caller's own input,
+divided back by L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .calculus import curl_curl, curl_row, homotopy_antiderivative
+from .calculus import _potential_numerator, curl_curl, curl_row
 from .errors import CompatibilityError
 from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
                      random_field)
@@ -132,44 +140,65 @@ def flat_sections_basis() -> list[WField]:
 def w_poincare(psi: WOneForm) -> WField:
     """Primitive of a connection-closed one-form, vanishing at the origin.
 
-    Requires w_curl(psi) = 0 exactly.  The Y component is recovered first by
-    integrating the columns of xi; the X component then comes from the
-    columns of A = sigma + eps . Y, which the closedness condition makes
-    curl-free.
+    Requires w_curl(psi) = 0 exactly; the curl is taken on the integer
+    numerators of psi, and a CompatibilityError carries the residual of psi
+    itself.  The Y component is recovered first by integrating the columns
+    of xi; the X component then comes from the columns of A = sigma + eps . Y,
+    which the closedness condition makes curl-free.
     """
-    residual = w_curl(psi)
+    form, den = psi.numerators()
+    residual = w_curl(form)
     if not residual.is_zero():
-        raise CompatibilityError("one-form is not connection-closed", residual=residual)
-    return _integrate_closed(psi)
+        raise CompatibilityError("one-form is not connection-closed",
+                                 residual=residual.scaled(Fraction(1, den)))
+    x, y, y_den = _integrate_closed(form, den)
+    return WField(x, y.scaled(Fraction(1, y_den)))
 
 
-def _integrate_closed(psi: WOneForm) -> WField:
-    """Primitive of a one-form whose closedness the caller has just proved."""
-    y = VecField(tuple(homotopy_antiderivative(psi.xi.column(l)) for l in AXES))
+def _column_potentials(mat: Mat3Field) -> tuple[VecField, int]:
+    """(m F, m): the potentials F_l of the columns of mat over one common m."""
+    pairs = [_potential_numerator(mat.column(l)) for l in AXES]
+    m = lcm(*(k for _, k in pairs))
+    return VecField(tuple(f * (m // k) for f, k in pairs)), m
+
+
+def _integrate_closed(psi: WOneForm, den: int) -> tuple[VecField, VecField, int]:
+    """Primitive (x, Y / n) of psi / den, whose closedness the caller has
+    just proved, from its integer numerators psi.
+
+    The column potentials of psi.xi give Y = n y with n = den m1.  The
+    corrected matrix m1 psi.sigma + eps . Y is n A, and its column
+    potentials are m2 n x, so x is divided once, by den m1 m2.  Y is
+    returned undivided, for a caller that needs y to divide.
+    """
+    y, m1 = _column_potentials(psi.xi)
     corrected = Mat3Field.from_entries(
-        lambda j, l: psi.sigma.entry(j, l)
+        lambda j, l: psi.sigma.entry(j, l) * m1
         + sum((y.comp(m) * eps(j, l, m) for m in AXES), Poly3()))
-    x = VecField(tuple(homotopy_antiderivative(corrected.column(l)) for l in AXES))
-    return WField(x, y)
+    x, m2 = _column_potentials(corrected)
+    return x.scaled(Fraction(1, den * m1 * m2)), y, den * m1
 
 
 def saint_venant_reconstruct(sigma: SymField) -> VecField:
     """Displacement field whose symmetrized gradient is the given strain.
 
     Requires the compatibility condition curl_curl(sigma) = 0; on failure a
-    CompatibilityError carrying that exact residual is raised.  The strain is
-    paired with the derived rotation-gradient matrix to form a one-form
-    whose connection curl is taken once: its first slot must vanish and its
-    second must equal the (zero) residual, which proves the one-form closed.
-    Integrating it still curls each of the 6 columns it integrates (see
-    `homotopy_antiderivative`).  The result vanishes at the origin and has
-    symmetric Jacobian there.
+    CompatibilityError carrying that exact residual is raised.  The work runs
+    on the integer numerators S = L sigma, L the lcm of sigma's coefficient
+    denominators: S is paired with the derived rotation-gradient matrix to
+    form a one-form whose connection curl is taken once: its first slot must
+    vanish and its second must equal the (zero) residual, which proves the
+    one-form closed.  Integrating it still curls each of the 6 columns it
+    integrates (see `calculus._potential_numerator`), and each output
+    coefficient is divided once.  The result vanishes at the origin and has symmetric
+    Jacobian there.
     """
-    residual = curl_curl(sigma)
+    numerators, den = sigma.numerators()
+    residual = curl_curl(numerators)
     if not residual.is_zero():
         raise CompatibilityError("strain violates the compatibility equations",
-                                 residual=residual)
-    strain = sigma.as_matrix()
+                                 residual=residual.scaled(Fraction(1, den)))
+    strain = numerators.as_matrix()
     # xi_{jl} = eps_l^{im} d_i Sigma_{mj}, the transposed row-curl.
     psi = WOneForm(strain, curl_row(strain).transpose())
     check = w_curl(psi)
@@ -177,7 +206,7 @@ def saint_venant_reconstruct(sigma: SymField) -> VecField:
         raise AssertionError("first curl slot must vanish for symmetric input")
     if not (check.xi - residual.as_matrix()).is_zero():
         raise AssertionError("second curl slot must equal the compatibility residual")
-    return _integrate_closed(psi).x
+    return _integrate_closed(psi, den)[0]
 
 
 def normalize_rigid(x: VecField) -> VecField:

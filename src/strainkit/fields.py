@@ -11,6 +11,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .poly import Poly3, Scalar, _check_axis, _coerce, monomials_up_to
@@ -66,6 +67,12 @@ class _Field:
 
     def scaled(self, c: Scalar):
         return self.from_parts(tuple(a * c for a in self.parts))
+
+    def numerators(self):
+        """(N, L) with self = N / L: L is the lcm of all coefficient
+        denominators, so N has integer coefficients."""
+        den = lcm(*(c.denominator for p in self.parts for c in p.terms.values()))
+        return self.scaled(den), den
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)

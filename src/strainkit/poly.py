@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, int, int]
 Scalar = Union[int, Fraction]
@@ -367,18 +367,3 @@ def monomials_up_to(bound: int) -> list[Exponent]:
                 exps.append((a1, a2, total - a1 - a2))
     exps.sort(key=grlex_key)
     return exps
-
-
-def poly_from_terms(pairs: Iterable[tuple[Exponent, Scalar]]) -> Poly3:
-    """Build a polynomial by accumulating (exponent, coefficient) pairs."""
-    out: dict[Exponent, Scalar] = {}
-    for exp, coef in pairs:
-        e = tuple(exp)
-        s = out.get(e, 0) + _canonical(coef)
-        if s:
-            out[e] = _canonical(s)
-        else:
-            out.pop(e, None)
-    res = Poly3.__new__(Poly3)
-    res.terms = out
-    return res

@@ -20,6 +20,11 @@ inverse, the 27 derivative jets d_m g_ij, the 27 brackets
 d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
 every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
 are computed), vanishing quadratic terms and einstein = scalar * g - 2 * ricci.
+The jet route carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and
+runs the Gamma and quadratic-term checks on these numerators, which scaling
+by a nonzero constant leaves equivalent; Ricci, scalar and Einstein are
+scaled by 1/4 once at the end, before their relation is checked, and
+`christoffel_jet` halves 2 Gamma.
 
 Pointwise evaluation builds no Fraction between reading the point and
 returning its 19 results (9 Ricci, 1 scalar, 9 Einstein values).  One
@@ -183,15 +188,21 @@ class ChristoffelJet:
 
 def christoffel_jet(g: MetricJet) -> ChristoffelJet:
     """Gamma_ij^k = (1/2) g^{kl} [d_i g_jl + d_j g_il - d_l g_ij] in jets."""
-    return _christoffel(g, jet_inverse(g))
+    doubled = _christoffel(g, jet_inverse(g))
+    half = Fraction(1, 2)
+    return ChristoffelJet(tuple(
+        tuple(tuple(doubled.entry(i, j, k) * half for k in AXES) for j in AXES)
+        for i in AXES))
 
 
 def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
-    """Christoffel jets from g and its verified inverse.
+    """Doubled Christoffel jets 2 Gamma_ij^k = g^{kl} [bracket] from g and its
+    verified inverse, integer when Sigma is.
 
     Each derivative jet d_m g_ij and each of the 27 brackets is formed once;
-    Gamma_ij^k is still computed for all 27 (i, j, k), so the symmetry check
-    in ChristoffelJet compares two computed values.
+    2 Gamma_ij^k is still computed for all 27 (i, j, k), so the symmetry and
+    background checks in ChristoffelJet, which doubling leaves equivalent,
+    compare computed values.
     """
     triples = [(i, j, l) for i in AXES for j in AXES for l in AXES]
     dg = {(m, i, j): g.entry(i, j).partial(m) for m, i, j in triples}
@@ -201,7 +212,7 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
         total = _jet_zero()
         for l in AXES:
             total = total + ginv.entry(k, l) * bracket[i, j, l]
-        return total * Fraction(1, 2)
+        return total
 
     return ChristoffelJet(tuple(
         tuple(tuple(gamma(i, j, k) for k in AXES) for j in AXES) for i in AXES))
@@ -234,12 +245,17 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
 
     One inverse (with its two-sided product check) serves the Christoffel
     jets and the scalar, and the three traces Gamma_jk^k are formed once.
-    The two quadratic Christoffel sums are computed in jet arithmetic and
+    The route carries 2 Gamma and 4 Ricci, integer jets when Sigma is
+    integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k) plus the
+    quadratic sums of 2 Gamma, which are computed in jet arithmetic and
     asserted to vanish; at first order only the derivative terms survive.
+    The scalar and Einstein jets follow as 4 S and 4 G, and Ricci, scalar and
+    Einstein are each scaled by 1/4 once at the end; CurvatureJet then checks
+    the defining relation on them.
     """
     ginv = jet_inverse(g)
     gamma = _christoffel(g, ginv)
-    # Gamma_jk^k summed over k.
+    # 2 Gamma_jk^k summed over k.
     trace = {j: sum((gamma.entry(j, k, k) for k in AXES), _jet_zero()) for j in AXES}
 
     def quad_terms(i: int, j: int) -> JetPoly:
@@ -254,14 +270,18 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     def ricci_entry(i: int, j: int) -> JetPoly:
         lead = trace[j].partial(i) - sum(
             (gamma.entry(i, j, k).partial(k) for k in AXES), _jet_zero())
-        return lead + quad_terms(i, j)
+        return lead * 2 + quad_terms(i, j)
 
     ricci = _mat3(ricci_entry)
     scalar = sum((ginv.entry(k, l) * ricci[k - 1][l - 1]
                   for k in AXES for l in AXES), _jet_zero())
     einstein = _mat3(
         lambda i, j: scalar * g.entry(i, j) - ricci[i - 1][j - 1] * 2)
-    return CurvatureJet(metric=g, ricci=ricci, scalar=scalar, einstein=einstein)
+    quarter = Fraction(1, 4)
+    return CurvatureJet(
+        metric=g, ricci=_mat3(lambda i, j: ricci[i - 1][j - 1] * quarter),
+        scalar=scalar * quarter,
+        einstein=_mat3(lambda i, j: einstein[i - 1][j - 1] * quarter))
 
 
 def linearized_einstein(sigma: SymField) -> SymField:

@@ -3,14 +3,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from strainkit import cli, fieldio
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.cli import main
-from strainkit.fields import SymField, VecField
-from strainkit.poly import Poly3
+from strainkit.fields import SymField, VecField, random_field
+from strainkit.poly import X1, X3, Poly3
+from strainkit.suites import residual_text
 
 
 def _write(field, path) -> str:
@@ -117,6 +119,45 @@ def test_reconstruct_rejects_incompatible_strain(tmp_path, capsys):
     assert "strain is not compatible" in captured.err
     assert "[33] 2" in captured.err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_reconstruct_reports_a_half_integer_residual_unscaled(tmp_path, capsys):
+    """The route works on the integer numerators 2 sigma; the reported
+    residual is still curl_curl(sigma) itself, byte for byte."""
+    strain = _write(
+        SymField.unit(1, 1, Poly3({(0, 2, 0): Fraction(1, 2), (1, 0, 1): Fraction(3, 2)}))
+        + SymField.unit(2, 3, Poly3({(1, 1, 0): Fraction(-1, 2), (2, 0, 0): Fraction(5, 2)})),
+        tmp_path / "strain.json")
+    rc = main(["reconstruct", "--input", strain,
+               "--output", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("strain is not compatible; curl curl residual:\n"
+                            "[13] -1/2; [23] -5; [33] 1\n")
+
+
+def test_reconstruct_verify_output_reports_the_residual(tmp_path, capsys, monkeypatch):
+    sigma = sym_grad(_bent_rod())
+    wrong = _bent_rod() + VecField.of(Poly3(), Fraction(1, 3) * X1 * X3, X1)
+    monkeypatch.setattr(cli, "saint_venant_reconstruct", lambda s: wrong)
+    rc = main(["reconstruct", "--input", _write(sigma, tmp_path / "strain.json"),
+               "--output", str(tmp_path / "x.json"), "--verify-output"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "round trip verified" not in captured.out
+    assert captured.err == ("round trip failed; residual: "
+                            + residual_text(sym_grad(wrong) - sigma) + "\n")
+
+
+def test_round_trip_check_on_numerators_matches_sym_grad():
+    for seed in range(6):
+        u = random_field("vec", 3, seed).scaled(Fraction(1, seed + 1))
+        for bump in (SymField.zero(), SymField.unit(2, 3, Fraction(1, 7)),
+                     random_field("sym", 2, seed).scaled(Fraction(2, 3))):
+            sigma = sym_grad(u) + bump
+            assert cli._sym_grad_is(u, sigma) is bump.is_zero()
+            assert (sym_grad(u) == sigma) is bump.is_zero()
 
 
 def test_reconstruct_rejects_wrong_field_kind(tmp_path, capsys):

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from strainkit import connection
-from strainkit.calculus import curl_curl, sym_grad
+from strainkit.calculus import (_potential_numerator, curl, curl_curl, curl_row,
+                                grad, homotopy_antiderivative, sym_grad)
 from strainkit.connection import (WField, WOneForm, flat_sections_basis,
                                   normalize_rigid, random_w_field,
                                   random_w_one_form, rigid_motion,
                                   saint_venant_reconstruct, w_curl, w_div,
                                   w_grad, w_poincare)
 from strainkit.errors import CompatibilityError
-from strainkit.fields import AXES, Mat3Field, SymField, VecField, random_field
+from strainkit.fields import (AXES, Mat3Field, SymField, VecField, eps,
+                              random_field)
 from strainkit.poly import X1, X2, X3, Poly3, monomials_up_to
 
 ORIGIN = (Fraction(0), Fraction(0), Fraction(0))
@@ -152,19 +154,20 @@ def test_normalize_rigid_idempotent():
         assert normalize_rigid(v) == v
 
 
-_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-
-
 @st.composite
-def fraction_vec_fields(draw):
-    """Vector fields of degree <= 4 with denominators up to 6."""
-    monos = monomials_up_to(draw(st.integers(0, 4)))
+def fraction_polys(draw, max_degree: int, max_den: int) -> Poly3:
+    """Up to 6 terms of degree <= a drawn bound <= max_degree, with
+    coefficients n/d, |n| <= 9 and d <= max_den."""
+    monos = monomials_up_to(draw(st.integers(0, max_degree)))
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    coefs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, max_den))
+    return Poly3({e: draw(coefs) for e in chosen})
 
-    def poly() -> Poly3:
-        chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
-        return Poly3({e: draw(_fractions) for e in chosen})
 
-    return VecField.from_parts(tuple(poly() for _ in VecField.KEYS))
+def fraction_fields(cls, max_degree: int = 4, max_den: int = 6):
+    """Fields of the given kind with fraction_polys components."""
+    part = fraction_polys(max_degree, max_den)
+    return st.tuples(*(part for _ in cls.KEYS)).map(cls.from_parts)
 
 
 def normalize_by_partial_evaluate(x: VecField) -> VecField:
@@ -181,7 +184,7 @@ def normalize_by_partial_evaluate(x: VecField) -> VecField:
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(u=fraction_vec_fields())
+@given(u=fraction_fields(VecField))
 @example(u=VecField.zero())
 @example(u=VecField.of(Fraction(1, 2) + 3 * X2 - X1 * X3, Fraction(-2, 3) * X1,
                        X1 * X2 * X3 + Fraction(5, 4) * X3))
@@ -256,32 +259,118 @@ def _count_calls(monkeypatch, module, name):
 def test_saint_venant_takes_each_curl_once(monkeypatch):
     w_curls = _count_calls(monkeypatch, connection, "w_curl")
     curl_curls = _count_calls(monkeypatch, connection, "curl_curl")
+    columns = _count_calls(monkeypatch, connection, "_potential_numerator")
     u = random_field("vec", 4, 3)
     v = saint_venant_reconstruct(sym_grad(u))
-    assert (len(w_curls), len(curl_curls)) == (1, 1)
+    assert (len(w_curls), len(curl_curls), len(columns)) == (1, 1, 6)
     assert normalize_rigid(v) == normalize_rigid(u)
 
 
+def test_saint_venant_curls_each_integrated_column(monkeypatch):
+    """With both closedness checks stubbed to pass, the column curl-free
+    check of the integration still refuses a non-closed one-form."""
+    monkeypatch.setattr(connection, "curl_curl", lambda s: SymField.zero())
+    monkeypatch.setattr(connection, "w_curl", lambda psi: WOneForm.zero())
+    with pytest.raises(CompatibilityError, match="not curl-free"):
+        saint_venant_reconstruct(SymField.unit(1, 1, Fraction(1, 3) * X2 * X2))
+
+
+# Denominators per component: integral, 2, 3, 7 and mixed (lcm 42).
+_DENOMINATORS = ((1,) * 18, (2,) * 18, (3,) * 18, (7,) * 18,
+                 (2, 3, 7, 1, 7, 2) * 3)
+
+
+def _over(field, dens):
+    """field with its k-th component divided by dens[k]."""
+    return field.from_parts(tuple(p / d for p, d in zip(field.parts, dens)))
+
+
 def test_incompatible_strain_carries_its_residual(monkeypatch):
+    """The residual is curl_curl of the caller's strain, not of the integer
+    numerators the route works on."""
     w_curls = _count_calls(monkeypatch, connection, "w_curl")
     for seed in range(4):
-        strain = random_field("sym", 3, seed + 300)
-        residual = curl_curl(strain)
-        assert not residual.is_zero()
-        with pytest.raises(CompatibilityError) as info:
-            saint_venant_reconstruct(strain)
-        assert info.value.residual == residual
+        for dens in _DENOMINATORS:
+            strain = _over(random_field("sym", 3, seed + 300), dens)
+            residual = curl_curl(strain)
+            assert not residual.is_zero()
+            with pytest.raises(CompatibilityError) as info:
+                saint_venant_reconstruct(strain)
+            assert info.value.residual == residual
     assert w_curls == []
 
 
 def test_w_poincare_rejects_random_non_closed_forms():
     for seed in range(4):
-        psi = random_w_one_form(2, seed + 40)
-        residual = w_curl(psi)
-        assert not residual.is_zero()
-        with pytest.raises(CompatibilityError) as info:
-            w_poincare(psi)
-        assert info.value.residual == residual
+        for dens in _DENOMINATORS:
+            psi = _over(random_w_one_form(2, seed + 40), dens)
+            residual = w_curl(psi)
+            assert not residual.is_zero()
+            with pytest.raises(CompatibilityError) as info:
+                w_poincare(psi)
+            assert info.value.residual == residual
+
+
+# -- the integer-numerator route against the per-term Fraction formula ---------
+
+def oracle_antiderivative(x: VecField) -> Poly3:
+    """The radial homotopy term by term: c x^e in X_i contributes
+    c * Fraction(1, d) x^e x_i with d = |e| + 1."""
+    assert curl(x).is_zero()
+    total = Poly3()
+    for i in AXES:
+        for exp, coef in x.comp(i).terms.items():
+            lifted = list(exp)
+            lifted[i - 1] += 1
+            total = total + Poly3.monomial(tuple(lifted), coef * Fraction(1, sum(exp) + 1))
+    return total
+
+
+def oracle_integrate(sigma: Mat3Field, xi: Mat3Field) -> WField:
+    """Y from the columns of xi, then X from the columns of sigma + eps . Y."""
+    y = VecField(tuple(oracle_antiderivative(xi.column(l)) for l in AXES))
+    corrected = Mat3Field.from_entries(
+        lambda j, l: sigma.entry(j, l)
+        + sum((y.comp(m) * eps(j, l, m) for m in AXES), Poly3()))
+    return WField(VecField(tuple(oracle_antiderivative(corrected.column(l))
+                                 for l in AXES)), y)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(f=fraction_polys(6, 7))
+def test_homotopy_antiderivative_matches_per_term_formula(f):
+    x = grad(f)
+    assert homotopy_antiderivative(x) == oracle_antiderivative(x)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(f=fraction_fields(WField, 5, 7))
+def test_w_poincare_matches_per_term_formula(f):
+    form = w_grad(f)
+    assert w_poincare(form) == oracle_integrate(form.sigma, form.xi)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(u=fraction_fields(VecField, 5, 7))
+def test_saint_venant_matches_per_term_formula(u):
+    strain = sym_grad(u)
+    matrix = strain.as_matrix()
+    want = oracle_integrate(matrix, curl_row(matrix).transpose()).x
+    got = saint_venant_reconstruct(strain)
+    assert got == want
+    assert normalize_rigid(got) == normalize_rigid(want) == normalize_rigid(u)
+
+
+def test_potential_scale_is_the_lcm_of_the_degrees_that_occur():
+    """Three terms of pairwise coprime total degree near 10^5: the scale m
+    is their product, not lcm(1, ..., 10^5 + 1), and the result is exact."""
+    p, q, r = 99991, 100003, 100019
+    f = Poly3({(p, 0, 0): 2, (0, q - 1, 1): Fraction(-3, 5), (0, 0, r): Fraction(1, 7)})
+    x = grad(f)
+    numerator, m = _potential_numerator(x)
+    assert m == p * q * r
+    assert numerator == f * m
+    assert homotopy_antiderivative(x) == f == oracle_antiderivative(x)
 
 
 def test_saint_venant_checks_both_curl_slots(monkeypatch):

@@ -167,6 +167,21 @@ def test_linearized_einstein_against_sympy():
                 assert diff == 0, (which, i, j)
 
 
+def test_ricci_jet_on_fraction_strains():
+    """The route carries 2 Gamma and 4 Ricci; the results are the curvature
+    jets themselves: Einstein is curl_curl, the scalar is the trace of Ricci
+    (first order, flat background) and the public constructor accepts them."""
+    for seed, den in enumerate((2, 3, 7, 42)):
+        sigma = random_field("sym", 3, seed + 90).scaled(Fraction(1, den))
+        curv = ricci_jet(MetricJet.from_strain(sigma))
+        CurvatureJet(metric=curv.metric, ricci=curv.ricci, scalar=curv.scalar,
+                     einstein=curv.einstein)
+        assert SymField.from_entries(lambda i, j: curv.einstein[i - 1][j - 1].p1) \
+            == curl_curl(sigma)
+        trace = curv.ricci[0][0] + curv.ricci[1][1] + curv.ricci[2][2]
+        assert (trace - curv.scalar).is_zero()
+
+
 def test_linearized_einstein_kills_strains():
     for seed in range(10):
         u = random_field("vec", 4, seed + 70)
