@@ -18,14 +18,14 @@ monomial positions; no field operator is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from . import exactlin
 from .errors import SingularBlockError
-from .fields import Mat3Field, SymField, VecField, _random_rationals, _seeded_rng
+from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
+                     _Value)
 from .poly import Poly3, Scalar, _canonical, monomials_up_to
 from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
                        make_stencil, operator_stencil)
@@ -35,21 +35,21 @@ _KIND_NCOMP = {"scalar": 1, "skew": len(VecField.KEYS),
                **{t.KIND: len(t.KEYS) for t in (VecField, SymField, Mat3Field)}}
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(_Value):
     """One labelled summand of a graded space: a field kind with a degree cap.
 
     A bound of -1 denotes the zero space (no monomials).
     """
 
-    label: str
-    kind: str
-    bound: int
+    __slots__ = ("label", "kind", "bound")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_NCOMP:
-            raise ValueError(f"unknown slot kind {self.kind!r}")
-        if self.bound < -1:
+    def __init__(self, label: str, kind: str, bound: int) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bound", bound)
+        if kind not in _KIND_NCOMP:
+            raise ValueError(f"unknown slot kind {kind!r}")
+        if bound < -1:
             raise ValueError("slot bound must be >= -1")
 
     @property
@@ -238,34 +238,43 @@ class LinOpMatrix:
         return lam * Fraction(other.den, self.den)
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(_Value):
     """Spaces and maps with the usual adjacency: maps[k]: spaces[k] -> spaces[k+1]."""
 
-    name: str
-    spaces: list[GradedSpace]
-    maps: list[LinOpMatrix]
+    __slots__ = ("name", "spaces", "maps")
+    # A mutable record: fields may be reassigned, so it has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if len(self.maps) != len(self.spaces) - 1:
+    def __init__(self, name: str, spaces: list[GradedSpace],
+                 maps: list[LinOpMatrix]) -> None:
+        self.name, self.spaces, self.maps = name, spaces, maps
+        if len(maps) != len(spaces) - 1:
             raise ValueError("a complex with n spaces has n-1 maps")
-        for k, m in enumerate(self.maps):
-            if m.domain is not self.spaces[k] and m.domain != self.spaces[k]:
+        for k, m in enumerate(maps):
+            if m.domain is not spaces[k] and m.domain != spaces[k]:
                 raise ValueError(f"map {k} has the wrong domain")
-            if m.codomain is not self.spaces[k + 1] and m.codomain != self.spaces[k + 1]:
+            if m.codomain is not spaces[k + 1] and m.codomain != spaces[k + 1]:
                 raise ValueError(f"map {k} has the wrong codomain")
 
 
-@dataclass
-class ComplexReport:
+class ComplexReport(_Value):
     """Exact diagnostic data for one complex."""
 
-    name: str
-    slot_info: list[list[dict]]
-    ranks: list[int]
-    kernel_dims: list[int]
-    composition_residuals: list[str]
-    defects: list[int]
+    __slots__ = ("name", "slot_info", "ranks", "kernel_dims", "composition_residuals",
+                 "defects")
+    # A mutable record: fields may be reassigned, so it has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, slot_info: list[list[dict]], ranks: list[int],
+                 kernel_dims: list[int], composition_residuals: list[str],
+                 defects: list[int]) -> None:
+        self.name, self.slot_info, self.ranks = name, slot_info, ranks
+        self.kernel_dims, self.composition_residuals = kernel_dims, composition_residuals
+        self.defects = defects
 
     @property
     def compositions_zero(self) -> bool:
@@ -477,17 +486,22 @@ SCHUR_CANCELLATIONS = ((1, ("xi",), ("theta1",)),
                        (2, ("theta2_skew",), ("z1",)))
 
 
-@dataclass
-class DerivationResult:
+class DerivationResult(_Value):
     """Everything produced while deriving the elasticity complex."""
 
-    full: ChainComplex
-    halfway: ChainComplex
-    reduced: ChainComplex
-    hand_coded: ChainComplex
-    stage_factors: list[Fraction | None]
-    full_report: ComplexReport
-    reduced_report: ComplexReport
+    __slots__ = ("full", "halfway", "reduced", "hand_coded", "stage_factors",
+                 "full_report", "reduced_report")
+    # A mutable record: fields may be reassigned, so it has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, full: ChainComplex, halfway: ChainComplex, reduced: ChainComplex,
+                 hand_coded: ChainComplex, stage_factors: list[Fraction | None],
+                 full_report: ComplexReport, reduced_report: ComplexReport) -> None:
+        self.full, self.halfway, self.reduced = full, halfway, reduced
+        self.hand_coded, self.stage_factors = hand_coded, stage_factors
+        self.full_report, self.reduced_report = full_report, reduced_report
 
     @property
     def factors_ok(self) -> bool:
@@ -542,15 +556,14 @@ def derive_elasticity(degree: int) -> DerivationResult:
 _IDX4 = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class SkewMat4:
+class SkewMat4(_Value):
     """Skew 4x4 rational matrix; a two-form on R^4.  Entries are stored
     like Poly3 coefficients: int when integral, else Fraction."""
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_canonical(v) for v in row) for row in self.entries)
+    def __init__(self, entries: Sequence[Sequence[Scalar]]) -> None:
+        rows = tuple(tuple(_canonical(v) for v in row) for row in entries)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         for i in range(4):

@@ -23,7 +23,6 @@ divided back by L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -34,15 +33,16 @@ from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
 from .poly import Poly3, _canonical
 
 
-@dataclass(frozen=True)
 class WField(_Field):
     """Section (X, Y) of the coupled bundle."""
 
+    __slots__ = ("x", "y")
     KIND = "w"
     KEYS = tuple("x" + k for k in VecField.KEYS) + tuple("y" + k for k in VecField.KEYS)
 
-    x: VecField
-    y: VecField
+    def __init__(self, x: VecField, y: VecField) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def parts(self) -> tuple[Poly3, ...]:
@@ -53,7 +53,6 @@ class WField(_Field):
         return cls(VecField.from_parts(parts[:3]), VecField.from_parts(parts[3:]))
 
 
-@dataclass(frozen=True)
 class WOneForm(_Field):
     """Bundle-valued one-form: matrices (sigma, xi).
 
@@ -61,12 +60,14 @@ class WOneForm(_Field):
     bundle index l, i.e. rows are form indices and columns bundle indices.
     """
 
+    __slots__ = ("sigma", "xi")
     KIND = "wform"
     KEYS = (tuple("sigma" + k for k in Mat3Field.KEYS)
             + tuple("xi" + k for k in Mat3Field.KEYS))
 
-    sigma: Mat3Field
-    xi: Mat3Field
+    def __init__(self, sigma: Mat3Field, xi: Mat3Field) -> None:
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "xi", xi)
 
     @property
     def parts(self) -> tuple[Poly3, ...]:

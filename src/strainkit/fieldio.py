@@ -163,6 +163,8 @@ def loads(text: str, expect_kind: str | None = None):
         raise FieldFormatError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # a JSON number with more digits than int() converts
         raise FieldFormatError("a number in the file has too many digits") from exc
+    except RecursionError as exc:
+        raise FieldFormatError("invalid JSON: arrays or objects nested too deeply") from exc
     return field_from_doc(doc, expect_kind=expect_kind)
 
 
@@ -172,4 +174,10 @@ def save(field, fp: IO[str]) -> None:
 
 
 def load(fp: IO[str], expect_kind: str | None = None):
-    return loads(fp.read(), expect_kind=expect_kind)
+    """Read a field from a text file; the file's decoding happens here."""
+    try:
+        text = fp.read()
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"file is not {exc.encoding.upper()} text: "
+                               f"{exc.reason} at byte {exc.start}") from exc
+    return loads(text, expect_kind=expect_kind)

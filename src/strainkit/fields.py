@@ -7,9 +7,7 @@ upper and lower indices.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -33,7 +31,50 @@ def delta(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
-class _Field:
+class _Value:
+    """Value semantics read from `__slots__`, a class's field names in
+    constructor order: same-class field-wise ==, a hash of the fields and the
+    repr `Name(field=value, ...)`.
+
+    Values are frozen: `__init__` sets each field once with
+    object.__setattr__, and assignment or deletion afterwards raises
+    AttributeError.  A mutable record restores object's `__setattr__` and
+    `__delattr__` and sets `__hash__` to None.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self.__slots__:
+            if not getattr(self, name) == getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+                + ")")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assigning fields.
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Field(_Value):
     """Linear structure shared by every field kind, written once.
 
     A kind declares `KIND` and `KEYS`, the file-format labels of its Poly3
@@ -82,19 +123,18 @@ class _Field:
         return max(p.degree for p in self.parts)
 
 
-@dataclass(frozen=True)
 class VecField(_Field):
     """Vector field with three polynomial components."""
 
+    __slots__ = ("components",)
     KIND = "vec"
     KEYS = tuple(str(i) for i in AXES)
 
-    components: tuple[Poly3, Poly3, Poly3]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(_coerce(c) for c in self.components))
-        if len(self.components) != 3:
+    def __init__(self, components: Sequence[Poly3 | Scalar]) -> None:
+        components = tuple(_coerce(c) for c in components)
+        if len(components) != 3:
             raise ValueError("a vector field has exactly three components")
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def of(cls, c1: Poly3 | Scalar, c2: Poly3 | Scalar, c3: Poly3 | Scalar) -> "VecField":
@@ -122,17 +162,15 @@ class VecField(_Field):
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-@dataclass(frozen=True)
 class Mat3Field(_Field):
     """3x3 matrix of polynomials, stored row-major."""
 
+    __slots__ = ("rows",)
     KIND = "mat"
     KEYS = tuple(f"{i}{j}" for i in AXES for j in AXES)
 
-    rows: tuple[tuple[Poly3, Poly3, Poly3], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_coerce(p) for p in row) for row in self.rows)
+    def __init__(self, rows: Sequence[Sequence[Poly3 | Scalar]]) -> None:
+        rows = tuple(tuple(_coerce(p) for p in row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a matrix field has shape 3x3")
         object.__setattr__(self, "rows", rows)
@@ -194,17 +232,15 @@ SYM_INDEX_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 _SYM_POS = {pair: k for k, pair in enumerate(SYM_INDEX_PAIRS)}
 
 
-@dataclass(frozen=True)
 class SymField(_Field):
     """Symmetric 2-tensor field; stores the six upper-triangle components."""
 
+    __slots__ = ("upper",)
     KIND = "sym"
     KEYS = tuple(f"{i}{j}" for i, j in SYM_INDEX_PAIRS)
 
-    upper: tuple[Poly3, Poly3, Poly3, Poly3, Poly3, Poly3]
-
-    def __post_init__(self) -> None:
-        upper = tuple(_coerce(p) for p in self.upper)
+    def __init__(self, upper: Sequence[Poly3 | Scalar]) -> None:
+        upper = tuple(_coerce(p) for p in upper)
         if len(upper) != 6:
             raise ValueError("a symmetric field stores six components")
         object.__setattr__(self, "upper", upper)
@@ -282,6 +318,9 @@ _POINT_SPAN = 6
 
 def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
     # Hash-derived seed: stable across processes, unlike hash() on strings.
+    # hashlib is imported here, by its one user, to keep it out of start-up.
+    import hashlib
+
     material = f"{kind}:{degree}:{seed}".encode()
     digest = hashlib.blake2b(material, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))

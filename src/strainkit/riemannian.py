@@ -40,30 +40,27 @@ Gamma, d_m Gamma, Ricci, scalar and Einstein are integers over 2 Delta,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
-from .fields import AXES, Mat3Field, SymField, delta
+from .fields import AXES, Mat3Field, SymField, _Value, delta
 from .poly import ZERO, Poly3, Scalar, _coerce, second_jets
 
 
-@dataclass(frozen=True)
-class JetPoly:
+class JetPoly(_Value):
     """First-order jet p0 + eps*p1 with eps^2 = 0.
 
     The public constructor coerces scalar parts to Poly3; arithmetic builds
     its results with `_of` from parts that are Poly3 already.
     """
 
-    p0: Poly3
-    p1: Poly3
+    __slots__ = ("p0", "p1")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p0", _coerce(self.p0))
-        object.__setattr__(self, "p1", _coerce(self.p1))
+    def __init__(self, p0: Poly3 | Scalar, p1: Poly3 | Scalar) -> None:
+        object.__setattr__(self, "p0", _coerce(p0))
+        object.__setattr__(self, "p1", _coerce(p1))
 
     @classmethod
     def _of(cls, p0: Poly3, p1: Poly3) -> "JetPoly":
@@ -122,21 +119,20 @@ def _mat3_mul(a, b):
                  + a[i - 1][2] * b[2][j - 1])
 
 
-@dataclass(frozen=True)
-class MetricJet:
+class MetricJet(_Value):
     """Metric jet delta + eps*Sigma; the eps^0 part must be exactly delta."""
 
-    entries: JetMatrix
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = _mat3(lambda i, j: self.entries[i - 1][j - 1])
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: JetMatrix) -> None:
+        rows = _mat3(lambda i, j: entries[i - 1][j - 1])
+        object.__setattr__(self, "entries", rows)
         for i in AXES:
             for j in AXES:
-                e = entries[i - 1][j - 1]
+                e = rows[i - 1][j - 1]
                 if e.p0 != Poly3.constant(delta(i, j)):
                     raise ValueError("background part of a metric jet must be the identity")
-                if not (e.p1 - entries[j - 1][i - 1].p1).is_zero():
+                if not (e.p1 - rows[j - 1][i - 1].p1).is_zero():
                     raise ValueError("metric jet must be symmetric")
 
     @classmethod
@@ -164,13 +160,13 @@ def jet_inverse(g: MetricJet) -> MetricJet:
     return inv
 
 
-@dataclass(frozen=True)
-class ChristoffelJet:
+class ChristoffelJet(_Value):
     """Christoffel symbols Gamma_ij^k as jets, with vanishing background."""
 
-    gamma: tuple[tuple[tuple[JetPoly, ...], ...], ...]
+    __slots__ = ("gamma",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, gamma: tuple[tuple[tuple[JetPoly, ...], ...], ...]) -> None:
+        object.__setattr__(self, "gamma", gamma)
         for i in AXES:
             for j in AXES:
                 for k in AXES:
@@ -218,25 +214,25 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
         tuple(tuple(gamma(i, j, k) for k in AXES) for j in AXES) for i in AXES))
 
 
-@dataclass(frozen=True)
-class CurvatureJet:
+class CurvatureJet(_Value):
     """Ricci, scalar and Einstein jets of a metric jet.
 
     The defining relation einstein = scalar * g - 2 * ricci is re-checked on
     construction.
     """
 
-    metric: MetricJet
-    ricci: JetMatrix
-    scalar: JetPoly
-    einstein: JetMatrix
+    __slots__ = ("metric", "ricci", "scalar", "einstein")
 
-    def __post_init__(self) -> None:
+    def __init__(self, metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
+                 einstein: JetMatrix) -> None:
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "ricci", ricci)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "einstein", einstein)
         for i in AXES:
             for j in AXES:
-                expect = self.scalar * self.metric.entry(i, j) \
-                    - self.ricci[i - 1][j - 1] * 2
-                if not (self.einstein[i - 1][j - 1] - expect).is_zero():
+                expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
+                if not (einstein[i - 1][j - 1] - expect).is_zero():
                     raise ValueError("einstein jet must equal scalar*g - 2*ricci")
 
 
@@ -314,11 +310,13 @@ def bianchi_check(sigma: SymField):
 Mat3Q = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class PolyMetric:
+class PolyMetric(_Value):
     """Symmetric polynomial metric, evaluated exactly where needed."""
 
-    entries: SymField
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: SymField) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_matrix(cls, mat: Mat3Field) -> "PolyMetric":
@@ -342,13 +340,15 @@ class PolyMetric:
         return self.entries.entry(i, j)
 
 
-@dataclass(frozen=True)
-class CurvatureValues:
+class CurvatureValues(_Value):
     """Exact curvature data of a metric at a single rational point."""
 
-    ricci: Mat3Q
-    scalar: Fraction
-    einstein: Mat3Q
+    __slots__ = ("ricci", "scalar", "einstein")
+
+    def __init__(self, ricci: Mat3Q, scalar: Fraction, einstein: Mat3Q) -> None:
+        object.__setattr__(self, "ricci", ricci)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "einstein", einstein)
 
     def ricci_is_zero(self) -> bool:
         return all(v == 0 for row in self.ricci for v in row)

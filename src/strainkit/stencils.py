@@ -19,14 +19,13 @@ of field it acts on and its reference.  Its stencil sits under the same id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import calculus, connection
-from .fields import AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, delta, eps
+from .fields import AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, _Value, delta, eps
 from .poly import Exponent, Scalar, _canonical
 
 Term = tuple[int, int, int, int, Exponent, Scalar]
@@ -37,8 +36,7 @@ _MAT_PAIRS = tuple(product(AXES, repeat=2))
 SlotSpec = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(_Value):
     """One registered operator.
 
     Slots are (label, kind, bound - degree).  Codomain bounds drop by the
@@ -49,10 +47,14 @@ class Operator:
     `acts_on` is the field kind the reference function takes.
     """
 
-    domain: tuple[SlotSpec, ...]
-    codomain: tuple[SlotSpec, ...]
-    acts_on: str
-    reference: Callable
+    __slots__ = ("domain", "codomain", "acts_on", "reference")
+
+    def __init__(self, domain: tuple[SlotSpec, ...], codomain: tuple[SlotSpec, ...],
+                 acts_on: str, reference: Callable) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "acts_on", acts_on)
+        object.__setattr__(self, "reference", reference)
 
 
 _W_SECTION = (("x", "vec", 0), ("y", "vec", 0))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -27,7 +26,7 @@ from .connection import (WField, WOneForm, flat_sections_basis,
                          rigid_motion, saint_venant_reconstruct, w_curl,
                          w_div, w_grad, w_poincare)
 from .errors import CompatibilityError
-from .fields import (AXES, Mat3Field, SymField, VecField, delta, eps,
+from .fields import (AXES, Mat3Field, SymField, VecField, _Value, delta, eps,
                      random_field, random_point)
 from .poly import Poly3
 from .riemannian import (MetricJet, PolyMetric, bianchi_check, jet_inverse,
@@ -41,23 +40,28 @@ MIN_DEGREE = 1
 MIN_TRIALS = 1
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(_Value):
     """Parameters of one verification run."""
 
-    suite: str = "all"
-    degree: int = 3
-    trials: int = 2
-    seed: int = 0
-    corrupt: str | None = None
+    __slots__ = ("suite", "degree", "trials", "seed", "corrupt")
+
+    def __init__(self, suite: str = "all", degree: int = 3, trials: int = 2,
+                 seed: int = 0, corrupt: str | None = None) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "corrupt", corrupt)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str
-    residual: str
-    elapsed: float
+class CheckRecord(_Value):
+    __slots__ = ("name", "status", "residual", "elapsed")
+
+    def __init__(self, name: str, status: str, residual: str, elapsed: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def passed(self) -> bool:
@@ -68,12 +72,18 @@ class CheckRecord:
                 "residual": self.residual, "elapsed": self.elapsed}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of a suite run; records are sorted by check name."""
 
-    config: SuiteConfig
-    records: list[CheckRecord] = field(default_factory=list)
+    __slots__ = ("config", "records")
+    # A mutable record: fields may be reassigned, so it has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, config: SuiteConfig, records: list[CheckRecord] | None = None) -> None:
+        self.config = config
+        self.records = [] if records is None else records
 
     @property
     def passed(self) -> bool:

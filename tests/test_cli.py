@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,36 @@ def test_oversized_number_is_a_parse_error(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+# Files that never become a JSON document, with the message each one gets.
+_UNREADABLE = {
+    "not UTF-8": (b"\xff\xfe\x00{",
+                  "input error: file is not UTF-8 text: invalid start byte at byte 0\n"),
+    "nested arrays": (b"[" * 200_000,
+                      "input error: invalid JSON: arrays or objects nested too deeply\n"),
+    "nested objects": (b'{"kind": "sym", "components": ' + b'{"11": ' * 100_000,
+                       "input error: invalid JSON: arrays or objects nested too deeply\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+@pytest.mark.parametrize("command", ["reconstruct", "linearize", "ricci"])
+def test_unreadable_file_is_a_parse_error(tmp_path, capsys, command, case):
+    data, message = _UNREADABLE[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    out = tmp_path / "x.json"
+    if command == "ricci":
+        argv = ["ricci", "--metric", str(path), "--point", "0,0,0"]
+    else:
+        argv = [command, "--input", str(path), "--output", str(out)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 65
+    assert captured.err == message
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # A 200 000-character value that is not what the format allows, in three places.
 _JUNK = "x" * 200_000
 _LONG_BAD = {
@@ -403,6 +435,41 @@ def test_missing_argument_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["reconstruct", "--input", "whatever.json"])
     assert info.value.code == 64
+
+
+def _run_python(code: str) -> list[str]:
+    """stdout lines of a fresh interpreter that runs `code` with this
+    strainkit first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return proc.stdout.splitlines()
+
+
+_PRINT_MODULES = "\nimport sys; print(*sys.modules)"
+_STARTUP = "import strainkit.cli; strainkit.cli.build_parser()"
+
+
+def test_startup_imports_no_dataclasses_inspect_or_hashlib():
+    """What a CLI call imports before its first op, beyond the stdlib modules
+    the CLI needs anyway; the baseline absorbs what each Python version's
+    stdlib imports by itself."""
+    baseline = set(_run_python("import argparse, functools, json, fractions"
+                               + _PRINT_MODULES)[0].split())
+    added = set(_run_python(_STARTUP + _PRINT_MODULES)[0].split()) - baseline
+    assert "strainkit.cli" in added
+    assert not added & {"dataclasses", "inspect", "hashlib"}
+
+
+def test_verify_imports_hashlib_when_it_draws():
+    lines = _run_python(
+        _STARTUP + "\nimport sys; print('hashlib' in sys.modules)"
+        "\nrc = strainkit.cli.main(['verify', '--suite', 'calculus', '--degree', '2',"
+        " '--trials', '1'])\nprint('hashlib' in sys.modules, rc)")
+    assert lines[0] == "False"
+    assert lines[-2].endswith("checks passed (suite=calculus, degree=2, trials=1, seed=0)")
+    assert lines[-1] == "True 0"
 
 
 def test_console_module_reports_version():

@@ -1,6 +1,5 @@
 """Frozen draws, report bodies and residual texts of the check suites."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -116,7 +115,8 @@ def test_identity_row_reports_the_residual_of_its_callee(monkeypatch):
 def test_agreement_check_reports_a_wrong_reference(monkeypatch):
     op = stencils.OPERATORS["w_curl"]
     monkeypatch.setitem(stencils.OPERATORS, "w_curl",
-                        dataclasses.replace(op, reference=lambda psi: -w_curl(psi)))
+                        stencils.Operator(op.domain, op.codomain, op.acts_on,
+                                          reference=lambda psi: -w_curl(psi)))
     assert _failures(SuiteConfig(suite="complex", trials=1)) == {
         "complex.matrix_operator_agreement": "operator 'w_curl' disagrees with its matrix",
     }
