@@ -30,7 +30,7 @@ from .errors import (CompatibilityError, FieldFormatError, SingularBlockError,
 from .fields import SYM_INDEX_PAIRS
 from .riemannian import PolyMetric, linearized_einstein, pointwise_curvature
 from .suites import (MIN_DEGREE, MIN_TRIALS, SUITE_NAMES, SuiteConfig,
-                     residual_text, run_suite)
+                     check_names, residual_text, run_suite)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,6 +105,9 @@ def _rows(mat) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.corrupt is not None and args.corrupt not in check_names(args.suite):
+        args.usage_error(f"argument --corrupt: {args.corrupt!r} is not a check "
+                         f"of suite {args.suite!r}")
     config = SuiteConfig(suite=args.suite, degree=args.degree,
                          trials=args.trials, seed=args.seed,
                          corrupt=args.corrupt)
@@ -247,7 +250,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write a machine-readable report")
     p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("reconstruct",
                        help="integrate a compatible strain to a displacement")

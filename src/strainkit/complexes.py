@@ -26,7 +26,7 @@ from . import exactlin
 from .errors import SingularBlockError
 from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
                      _Value)
-from .poly import Poly3, Scalar, _canonical, monomials_up_to
+from .poly import Poly3, Scalar, _canonical, _monomial_table
 from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
                        make_stencil, operator_stencil)
 
@@ -58,7 +58,8 @@ class Slot(_Value):
 
     @property
     def dim(self) -> int:
-        return self.ncomp * len(monomials_up_to(self.bound))
+        b = self.bound  # (b + 1)(b + 2)(b + 3)/6 monomials of degree <= b
+        return self.ncomp * (b + 1) * (b + 2) * (b + 3) // 6
 
 
 class GradedSpace:
@@ -69,7 +70,7 @@ class GradedSpace:
         labels = [s.label for s in self.slots]
         if len(set(labels)) != len(labels):
             raise ValueError("slot labels must be unique")
-        self._monos = [monomials_up_to(s.bound) for s in self.slots]
+        self._monos = [_monomial_table(s.bound) for s in self.slots]
         self._mono_pos = [{e: k for k, e in enumerate(ms)} for ms in self._monos]
         self.offsets = []
         total = 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .poly import Poly3, Scalar, _check_axis, _coerce, monomials_up_to
+from .poly import Poly3, Scalar, _check_axis, _coerce, _monomial_table
 
 AXES = (1, 2, 3)
 
@@ -328,7 +328,7 @@ def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
 
 def _random_poly(rng: random.Random, degree: int) -> Poly3:
     terms = {}
-    for exp in monomials_up_to(degree):
+    for exp in _monomial_table(degree):
         c = rng.randint(*_COEF_RANGE)
         if c:
             terms[exp] = c

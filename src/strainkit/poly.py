@@ -24,6 +24,7 @@ product with a constant polynomial takes the scalar path.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -356,14 +357,23 @@ X3 = Poly3.variable(3)
 def monomials_up_to(bound: int) -> list[Exponent]:
     """All exponent triples of total degree <= bound, ascending graded lex.
 
-    A bound of -1 denotes the zero space and yields the empty list.
+    A bound of -1 denotes the zero space and yields the empty list.  The
+    list is a fresh copy of `_monomial_table(bound)`.
     """
+    return list(_monomial_table(bound))
+
+
+# typed: a float or bool bound gets its own entry and fails or works as it
+# would uncached, instead of reading the table of the equal int.
+@lru_cache(maxsize=None, typed=True)
+def _monomial_table(bound: int) -> tuple[Exponent, ...]:
+    """The exponent triples of `monomials_up_to(bound)`, built once per bound."""
     if bound < 0:
-        return []
+        return ()
     exps: list[Exponent] = []
     for total in range(bound + 1):
         for a1 in range(total + 1):
             for a2 in range(total - a1 + 1):
                 exps.append((a1, a2, total - a1 - a2))
     exps.sort(key=grlex_key)
-    return exps
+    return tuple(exps)

@@ -16,9 +16,9 @@ from functools import cache
 from . import exactlin, fieldio
 from .calculus import (curl, curl_curl, curl_curl_direct, div, div_sym, grad,
                        homotopy_antiderivative, sym_grad)
-from .complexes import (MIN_COMPLEX_DEGREE, GradedSpace, Slot, SkewMat4,
-                        build_elasticity_complex, build_grad_curl_div_complex,
-                        build_w_complex, derive_elasticity, lambda2_split, matrix_of,
+from .complexes import (MIN_COMPLEX_DEGREE, ComplexReport, DerivationResult,
+                        GradedSpace, Slot, SkewMat4, build_grad_curl_div_complex,
+                        derive_elasticity, lambda2_split, matrix_of,
                         random_skew4, random_vec4, verify_complex,
                         wedge_with_vector, interior_product)
 from .connection import (WField, WOneForm, flat_sections_basis,
@@ -392,8 +392,21 @@ def _report_residual(report) -> str:
     return "0"
 
 
+# The derivation and the elasticity report of a degree are shared by the
+# rows of one run_suite call, which clears both caches when it ends: they
+# hold mutable complexes, so no later call may see them.
+@cache
+def _derivation(degree: int) -> DerivationResult:
+    return derive_elasticity(degree)
+
+
+@cache
+def _elasticity_report(degree: int) -> ComplexReport:
+    return verify_complex(_derivation(degree).hand_coded)
+
+
 def _check_derivation(cfg: SuiteConfig) -> str:
-    result = derive_elasticity(_complex_degree(cfg))
+    result = _derivation(_complex_degree(cfg))
     if not result.factors_ok:
         return f"stage factors {result.stage_factors}"
     if not result.reduced_report.compositions_zero:
@@ -404,15 +417,16 @@ def _check_derivation(cfg: SuiteConfig) -> str:
     return "0"
 
 
-def _exact(build):
-    """Check that the complex build(d) composes to zero and is exact."""
-    return lambda cfg: _report_residual(verify_complex(build(_complex_degree(cfg))))
+def _exact(report):
+    """Check that the complex of report(d) composes to zero and is exact."""
+    return lambda cfg: _report_residual(report(_complex_degree(cfg)))
 
 
-def _rigid_kernel(build):
-    """Check that the first map of build(d) has the six-dimensional kernel."""
+def _rigid_kernel(report):
+    """Check that the first map of the complex of report(d) has the
+    six-dimensional kernel."""
     def check(cfg: SuiteConfig) -> str:
-        k = build(_complex_degree(cfg)).maps[0].kernel_dim()
+        k = report(_complex_degree(cfg)).kernel_dims[0]
         return "0" if k == 6 else f"kernel dimension {k} of 6"
     return check
 
@@ -534,12 +548,14 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
     ],
     "complex": [
         ("complex.grad_curl_div_exact",
-         _exact(lambda d: build_grad_curl_div_complex(d))),
-        ("complex.elasticity_exact", _exact(lambda d: build_elasticity_complex(d))),
+         _exact(lambda d: verify_complex(build_grad_curl_div_complex(d)))),
+        ("complex.elasticity_exact", _exact(lambda d: _elasticity_report(d))),
         ("complex.elasticity_kernel_rigid",
-         _rigid_kernel(lambda d: build_elasticity_complex(d))),
-        ("complex.coupled_exact", _exact(lambda d: build_w_complex(d))),
-        ("complex.coupled_kernel_flat", _rigid_kernel(lambda d: build_w_complex(d))),
+         _rigid_kernel(lambda d: _elasticity_report(d))),
+        # The derivation's full complex is build_w_complex(d).
+        ("complex.coupled_exact", _exact(lambda d: _derivation(d).full_report)),
+        ("complex.coupled_kernel_flat",
+         _rigid_kernel(lambda d: _derivation(d).full_report)),
         ("complex.derivation_matches_hand_coded", _check_derivation),
         ("complex.matrix_operator_agreement", _check_matrix_operator_agreement),
         ("complex.lambda2_split", _check_lambda2_split),
@@ -569,15 +585,23 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     for s in suites:
         pairs.extend(_CHECKS[s])
     pairs.sort(key=lambda item: item[0])
+    if config.corrupt is not None and config.corrupt not in check_names(config.suite):
+        raise ValueError(f"{config.corrupt!r} is not a check of suite {config.suite!r}")
 
+    # A record's elapsed time includes building any shared complex that its
+    # check is the first to need.
     records = []
-    for name, fn in pairs:
-        start = time.perf_counter()
-        residual = fn(config)
-        if config.corrupt == name and residual == "0":
-            residual = "1 (forced by the corruption hook)"
-        elapsed = time.perf_counter() - start
-        status = "pass" if residual == "0" else "fail"
-        records.append(CheckRecord(name=name, status=status,
-                                   residual=residual, elapsed=elapsed))
+    try:
+        for name, fn in pairs:
+            start = time.perf_counter()
+            residual = fn(config)
+            if config.corrupt == name and residual == "0":
+                residual = "1 (forced by the corruption hook)"
+            elapsed = time.perf_counter() - start
+            status = "pass" if residual == "0" else "fail"
+            records.append(CheckRecord(name=name, status=status,
+                                       residual=residual, elapsed=elapsed))
+    finally:
+        _derivation.cache_clear()
+        _elasticity_report.cache_clear()
     return VerificationReport(config=config, records=records)

@@ -96,6 +96,19 @@ def test_verify_rejects_unknown_suite():
     assert info.value.code == 64
 
 
+@pytest.mark.parametrize("name", ["nosuch.check", "complex.lambda2_split"])
+def test_verify_rejects_a_corrupt_name_outside_the_suite(name, capsys):
+    # A name the suite does not run would force no failure and exit 0.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "calculus", "--trials", "1", "--corrupt", name])
+    assert info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --corrupt: {name!r} is not a check of suite 'calculus'"
+            in captured.err)
+    assert "Traceback" not in captured.err
+
+
 # -- reconstruct --------------------------------------------------------------
 
 

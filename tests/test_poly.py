@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from strainkit import fieldio
-from strainkit.complexes import (SkewMat4, interior_product, lambda2_split,
-                                 wedge_with_vector)
+from strainkit.complexes import (GradedSpace, SkewMat4, Slot, interior_product,
+                                 lambda2_split, wedge_with_vector)
 from strainkit.connection import rigid_motion
+from strainkit.fields import random_field
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
                             monomials_up_to, second_jets)
 from strainkit.riemannian import JetPoly, PolyMetric, pointwise_curvature
@@ -188,6 +189,32 @@ def test_grlex_key_ordering():
     assert len(monomials_up_to(5)) == 56
     assert monomials_up_to(-1) == []
     assert monomials_up_to(0) == [(0, 0, 0)]
+
+
+def test_monomial_table_is_not_shared_with_callers():
+    # monomials_up_to copies a table built once per bound; what a caller
+    # does to its list reaches no later call and no space or draw.
+    field, space = random_field("sym", 3, 5), GradedSpace([Slot("u", "vec", 3)])
+    coords = space.to_coords((random_field("vec", 3, 6),))
+    table = monomials_up_to(3)
+    want = list(table)
+    table.reverse()
+    table.append((9, 9, 9))
+    del table[:5]
+    assert monomials_up_to(3) == want and len(want) == 20
+    assert monomials_up_to(3) is not monomials_up_to(3)
+    assert random_field("sym", 3, 5) == field
+    again = GradedSpace([Slot("u", "vec", 3)])
+    assert again.dim == space.dim == 60
+    assert again.to_coords((random_field("vec", 3, 6),)) == coords
+
+
+@pytest.mark.parametrize("bound", range(-1, 13))
+def test_slot_dim_is_the_monomial_count(bound):
+    count = len(monomials_up_to(bound))
+    for kind, ncomp in (("scalar", 1), ("vec", 3), ("sym", 6), ("mat", 9)):
+        assert Slot("s", kind, bound).dim == ncomp * count
+    assert GradedSpace([Slot("s", "sym", bound)]).dim == 6 * count
 
 
 def test_str_descending_order():

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from strainkit import complexes, fields, stencils, suites
+from strainkit import complexes, exactlin, fields, stencils, suites
 from strainkit.calculus import curl
-from strainkit.complexes import SkewMat4
+from strainkit.complexes import ChainComplex, LinOpMatrix, SkewMat4
 from strainkit.connection import WField, WOneForm, w_curl
 from strainkit.errors import CompatibilityError
 from strainkit.fields import Mat3Field, SymField, VecField
@@ -186,3 +186,90 @@ def test_rejects_row_computes_the_obstruction_once_per_draw(monkeypatch):
     check = suites._rejects("vec", 1, 14, obstruction, integrate, "differs: {}", "accepted")
     assert check(SuiteConfig(degree=1, seed=124, trials=2)) == "0"
     assert len(draws) == len(calls) == 3
+
+
+def test_run_suite_rejects_a_corrupt_name_outside_the_suite():
+    with pytest.raises(ValueError, match="'complex.lambda2_split' is not a check "
+                                         "of suite 'calculus'"):
+        run_suite(SuiteConfig(suite="calculus", corrupt="complex.lambda2_split"))
+
+
+def test_complex_suite_builds_each_complex_once(monkeypatch):
+    """Cost pin, not a correctness check: one run at degree 5 derives the
+    coupled complex once and verifies the elasticity complex once, so it
+    makes 12 ranks (17 when each row built its own), assembles 18 matrices
+    (30) and builds the coupled complex once (3)."""
+    counts = {"rank": 0, "assemble": 0, "w_builds": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    from_operator = complexes.LinOpMatrix.__dict__["from_operator"].__func__
+    monkeypatch.setattr(exactlin, "sparse_rank", counting("rank", exactlin.sparse_rank))
+    monkeypatch.setattr(complexes.LinOpMatrix, "from_operator",
+                        classmethod(counting("assemble", from_operator)))
+    monkeypatch.setattr(complexes, "build_w_complex",
+                        counting("w_builds", complexes.build_w_complex))
+    assert run_suite(SuiteConfig("complex", degree=5)).passed
+    assert counts == {"rank": 12, "assemble": 18, "w_builds": 1}
+
+
+_real_build_w_complex = complexes.build_w_complex
+
+
+def _build_perturbed_w_complex(degree: int) -> ChainComplex:
+    """The coupled complex with 1 added to one w_curl entry, in the
+    sigma_sym -> theta2_sym block that survives the Schur reduction."""
+    c = _real_build_w_complex(degree)
+    m = c.maps[1]
+    j = m.domain.slot_range("sigma_sym")[0]
+    i = m.codomain.slot_range("theta2_sym")[0]
+    cols = [dict(col) for col in m.cols]
+    cols[j][i] = cols[j].get(i, 0) + m.den
+    maps = [c.maps[0], LinOpMatrix(m.domain, m.codomain, cols, m.name, m.den), c.maps[2]]
+    return ChainComplex(c.name, c.spaces, maps)
+
+
+def _perturb(monkeypatch, target: str) -> None:
+    if target == "build_w_complex":
+        monkeypatch.setattr(complexes, "build_w_complex", _build_perturbed_w_complex)
+        return
+    real = suites.derive_elasticity
+
+    def derive(degree):
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "build_w_complex", _build_perturbed_w_complex)
+            return real(degree)
+
+    monkeypatch.setattr(suites, "derive_elasticity", derive)
+
+
+@pytest.mark.parametrize("target", ["build_w_complex", "derive_elasticity"])
+def test_perturbed_coupled_complex_fails_its_rows_in_one_run_only(monkeypatch, target):
+    # The rows read one derivation per run, so either patch reaches the
+    # coupled exactness row and the derivation row.  The kernel row reads
+    # w_grad, which the patch leaves as it is.
+    _perturb(monkeypatch, target)
+    assert _failures(SuiteConfig(suite="complex", trials=1)) == {
+        "complex.coupled_exact": "nonzero composition at stage 0 (max |entry| 1)",
+        "complex.derivation_matches_hand_coded":
+            "stage factors [Fraction(1, 1), None, Fraction(1, 1)]",
+    }
+    monkeypatch.undo()
+    assert run_suite(SuiteConfig(suite="complex", trials=1)).passed
+
+
+def test_no_derivation_outlives_a_run_that_raised(monkeypatch):
+    # complex.coupled_exact derives first; the agreement row raises later.
+    def broken(op_id, degree):
+        raise RuntimeError("no matrix")
+
+    _perturb(monkeypatch, "build_w_complex")
+    monkeypatch.setattr(suites, "matrix_of", broken)
+    with pytest.raises(RuntimeError, match="no matrix"):
+        run_suite(SuiteConfig(suite="complex", trials=1))
+    monkeypatch.undo()
+    assert run_suite(SuiteConfig(suite="complex", trials=1)).passed
