@@ -12,13 +12,15 @@ canonical order, monomials ascend in graded lex order with x1 > x2 > x3.
 
 Every operator is given as a stencil, a table of constant-coefficient
 terms (see `stencils`).  A derivative sends a monomial to a single monomial,
-so `LinOpMatrix.from_operator` builds each column by index arithmetic on the
-monomial positions; no field operator is applied.
+so `LinOpMatrix.from_operator` fills the columns by index arithmetic on the
+monomial positions, read from a shift table cached per (input bound, output
+bound, derivative); no field operator is applied.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -26,7 +28,7 @@ from . import exactlin
 from .errors import SingularBlockError
 from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
                      _Value)
-from .poly import Poly3, Scalar, _canonical, _monomial_table
+from .poly import Exponent, Poly3, Scalar, _canonical, _monomial_table
 from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
                        make_stencil, operator_stencil)
 
@@ -125,6 +127,35 @@ class GradedSpace:
                 for s in self.slots]
 
 
+# typed, like poly._monomial_table: a float or bool bound is not read as
+# the equal int.
+@lru_cache(maxsize=None, typed=True)
+def _shift_table(in_bound: int, out_bound: int,
+                 alpha: Exponent) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """Where d^alpha sends the monomials of degree <= in_bound.
+
+    d^alpha x^e = n x^(e - alpha), n the falling factorials of e.  Returns
+    (shifts, over): shifts lists (input monomial index, output monomial
+    index, n) for each monomial with n != 0, in input order, and over is -1.
+    When some image has degree above out_bound, shifts is empty and over is
+    the index of the first such monomial.  Ints only, built once per key.
+    """
+    out_pos = {e: k for k, e in enumerate(_monomial_table(out_bound))}
+    shifts = []
+    for k, e in enumerate(_monomial_table(in_bound)):
+        n = 1
+        for a, m in zip(e, alpha):
+            for r in range(m):
+                n *= a - r
+        if not n:
+            continue
+        where = out_pos.get((e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2]))
+        if where is None:
+            return (), k
+        shifts.append((k, where, n))
+    return tuple(shifts), -1
+
+
 class LinOpMatrix:
     """Exact matrix of a linear operator between graded spaces.
 
@@ -156,38 +187,33 @@ class LinOpMatrix:
         """
         stencil = make_stencil(stencil)
         den = lcm(*(term[-1].denominator for term in stencil))
-        by_input: dict[tuple[int, int], list] = {}
+        terms = []
         for s, c, t, d, alpha, factor in stencil:
             if not (0 <= s < len(domain.slots) and 0 <= c < domain.slots[s].ncomp
                     and 0 <= t < len(codomain.slots)
                     and 0 <= d < codomain.slots[t].ncomp):
                 raise ValueError(f"stencil term {(s, c, t, d)} does not fit "
                                  f"{domain!r} -> {codomain!r}")
-            base = codomain.offsets[t] + d * len(codomain._monos[t])
-            by_input.setdefault((s, c), []).append(
-                (base, codomain._mono_pos[t], codomain.slots[t], alpha, int(factor * den)))
-        cols: list[exactlin.Column] = []
-        for k, slot in enumerate(domain.slots):
-            for c in range(slot.ncomp):
-                targets = by_input.get((k, c), ())
-                for e in domain._monos[k]:
-                    col: exactlin.Column = {}
-                    for base, pos, out_slot, alpha, factor in targets:
-                        # falling factorials: d^alpha x^e = n x^(e - alpha)
-                        n = 1
-                        for a, m in zip(e, alpha):
-                            for r in range(m):
-                                n *= a - r
-                        if not n:
-                            continue
-                        where = pos.get((e[0] - alpha[0], e[1] - alpha[1],
-                                         e[2] - alpha[2]))
-                        if where is None:
-                            raise ValueError(
-                                f"term of degree {sum(e) - sum(alpha)} exceeds bound "
-                                f"{out_slot.bound} in slot {out_slot.label!r}")
-                        col[base + where] = factor * n if n != 1 else factor
-                    cols.append(col)
+            shifts, over = _shift_table(domain.slots[s].bound, codomain.slots[t].bound,
+                                        alpha)
+            terms.append((domain.offsets[s] + c * len(domain._monos[s]),
+                          codomain.offsets[t] + d * len(codomain._monos[t]), shifts, over,
+                          factor.numerator * (den // factor.denominator)))
+        # Report the overflow a column-by-column assembly meets first: the
+        # least column, and in it the first term in stencil order.
+        over = [(col0 + k, i) for i, (col0, _, _, k, _) in enumerate(terms) if k >= 0]
+        if over:
+            _, i = min(over)
+            s, _, t, _, alpha, _ = stencil[i]
+            e = domain._monos[s][terms[i][3]]
+            out_slot = codomain.slots[t]
+            raise ValueError(f"term of degree {sum(e) - sum(alpha)} exceeds bound "
+                             f"{out_slot.bound} in slot {out_slot.label!r}")
+        # Term by term; each column takes its entries in stencil order.
+        cols: list[exactlin.Column] = [{} for _ in range(domain.dim)]
+        for col0, row0, shifts, _, factor in terms:
+            for k, where, n in shifts:
+                cols[col0 + k][row0 + where] = factor * n
         return cls(domain, codomain, cols, name=name, den=den)
 
     @property
@@ -223,20 +249,22 @@ class LinOpMatrix:
             return None
         if other.is_zero():
             return Fraction(1) if self.is_zero() else None
-        lam = None
+        # self = lam * other with lam = s0 * other.den / (v0 * self.den) for
+        # the first entry v0 of other; compare numerators by cross-multiplying.
+        s0 = v0 = None
         for col_s, col_o in zip(self.cols, other.cols):
             for i, v in col_o.items():
                 s = col_s.get(i, 0)
-                if lam is None:
+                if v0 is None:
                     if s == 0:
                         return None
-                    lam = Fraction(s, v)
-                elif s != lam * v:
+                    s0, v0 = s, v
+                elif s * v0 != s0 * v:
                     return None
             for i in col_s:
                 if i not in col_o:
                     return None
-        return lam * Fraction(other.den, self.den)
+        return Fraction(s0 * other.den, v0 * self.den)
 
 
 class ChainComplex(_Value):
@@ -369,12 +397,11 @@ def schur_reduce(c: ChainComplex, stage: int,
     c_block, a_block = [split[j][0] for j in u_cols], [split[j][1] for j in u_cols]
 
     try:
-        z_cols = exactlin.solve_square(phi_cols, len(b_cols), c_block)
+        zn_cols, zden = exactlin.solve_square(phi_cols, len(b_cols), c_block)
     except ValueError as exc:
         raise SingularBlockError(
             f"selected block is not invertible (rank {exc.rank} of {len(b_cols)})",
             rank=exc.rank, size=len(b_cols)) from exc
-    zn_cols, zden = exactlin.lowest_terms(z_cols)
 
     dropped_dom, dropped_cod = set(domain_labels), set(codomain_labels)
     new_dom = GradedSpace([s for s in dom.slots if s.label not in dropped_dom])

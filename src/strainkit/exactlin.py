@@ -2,12 +2,13 @@
 
 Matrices live as lists of sparse columns ({row: value}).  Operator matrices
 hold ints (a `LinOpMatrix` keeps one denominator beside them); Fractions
-enter only through `solve_square` output and field coordinates.  One
-fraction-free elimination serves rank and solve: rows are scaled to
-integers, each update ``row = a*row - b*pivot_row`` keeps them integral, and
-a gcd division after every update bounds coefficient growth.  The rank is
-the number of pivots.  `solve_square` eliminates the rows of [phi | rhs],
-then back-substitutes in reverse pivot order, dividing once per pivot.
+enter only through field coordinates.  One fraction-free elimination serves
+rank and solve: rows are scaled to integers, each update
+``row = a*row - b*pivot_row`` keeps them integral, and a gcd division after
+every update bounds coefficient growth.  The rank is the number of pivots.
+`solve_square` eliminates the rows of [phi | rhs], then back-substitutes in
+reverse pivot order on integer numerators, one lcm and one gcd per pivot,
+and returns int columns over one den in lowest terms.
 
 Columns are eliminated in ascending index order, each on the shortest row
 that holds it and has not been a pivot row; there is no pivot search.
@@ -30,13 +31,14 @@ from math import gcd, lcm
 
 from .poly import _canonical
 
-# Ints in operator matrices; Fractions in solutions and field coordinates.
+# Ints in operator matrices and solutions; Fractions in field coordinates.
 Column = dict[int, int | Fraction]
 
 
 def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]], int]:
     """(int columns, den) in lowest terms for the matrix cols / den."""
-    if not all(type(v) is int for col in cols for v in col.values()):
+    values = chain.from_iterable(map(dict.values, cols))
+    if not {int}.issuperset(map(type, values)):  # some entry is not an int
         # _canonical rejects a bool or a float entry with TypeError.
         scale = lcm(*(_canonical(v).denominator for col in cols for v in col.values()))
         cols = [{i: v.numerator * (scale // v.denominator) for i, v in col.items()}
@@ -156,11 +158,12 @@ def sparse_rank(cols: list[Column], nrows: int) -> int:
 
 
 def solve_square(phi_cols: list[Column], size: int,
-                 rhs_cols: list[Column]) -> list[Column]:
+                 rhs_cols: list[Column]) -> tuple[list[dict[int, int]], int]:
     """Solve phi * X = rhs column by column, exactly.
 
-    Returns the solution columns.  Raises ValueError when phi is singular,
-    with the pivot count as its `rank`; callers wrap this into a domain error.
+    Returns (int columns, den) in lowest terms with X = columns / den.
+    Raises ValueError when phi is singular, with the pivot count as its
+    `rank`; callers wrap this into a domain error.
     """
     rows, rhs = {}, {}
     for i, entries in enumerate(columns_to_int_rows(phi_cols + rhs_cols)):
@@ -175,20 +178,34 @@ def solve_square(phi_cols: list[Column], size: int,
         raise exc
 
     # Back-substitute in reverse pivot order: every other column of a pivot
-    # row was pivoted later, so its solution is already known.
-    x: dict[int, Column] = {}
+    # row was pivoted later, so its solution x[j] = num[j] / den[j] is
+    # already known.  Each step brings its terms to the lcm of their dens
+    # and cancels one gcd, so every solution is in lowest terms.
+    num: dict[int, dict[int, int]] = {}
+    den: dict[int, int] = {}
     for pcol, pivot_val, pivot_items, p in reversed(pivots):
-        acc: Column = dict(rhs[p])
+        scale = lcm(*(den[j] for j, _ in pivot_items))
+        acc = rhs[p]
+        if scale != 1:
+            acc = {k: scale * v for k, v in acc.items()}
         for j, a in pivot_items:
-            accumulate(acc, -a, x[j])
-        if pivot_val != 1:
-            acc = {k: Fraction(v, pivot_val) for k, v in acc.items()}
-        x[pcol] = acc
-    solutions: list[Column] = [dict() for _ in rhs_cols]
-    for j in sorted(x):
-        for k, v in x[j].items():
-            solutions[k][j] = v
-    return solutions
+            accumulate(acc, -a * (scale // den[j]), num[j])
+        d = scale * pivot_val
+        g = gcd(d, *acc.values())
+        if d < 0:
+            g = -g
+        if g != 1:
+            acc = {k: v // g for k, v in acc.items()}
+        num[pcol], den[pcol] = acc, d // g
+    # One den for all columns; each num[j] / den[j] is in lowest terms, so
+    # the scaled numerators over their lcm are too.
+    common = lcm(*den.values())
+    solutions: list[dict[int, int]] = [dict() for _ in rhs_cols]
+    for j in sorted(num):
+        f = common // den[j]
+        for k, v in num[j].items():
+            solutions[k][j] = v * f
+    return solutions, common
 
 
 def mul_cols(a_cols: list[Column], b_cols: list[Column]) -> list[Column]:

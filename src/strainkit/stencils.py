@@ -81,7 +81,10 @@ def make_stencil(terms: Iterable[Sequence]) -> Stencil:
     merged: dict[tuple, Scalar] = {}
     for s, c, t, d, alpha, factor in terms:
         key = (s, c, t, d, tuple(alpha))
-        merged[key] = merged.get(key, 0) + _canonical(factor)
+        factor = _canonical(factor)
+        # No arithmetic for a key seen once: a canonical stencil passes
+        # through without building a Fraction.
+        merged[key] = merged[key] + factor if key in merged else factor
     return tuple((*key, f) for key, f in sorted(merged.items()) if f)
 
 

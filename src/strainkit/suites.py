@@ -563,24 +563,30 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
 }
 
 
+def _selected(suite: str) -> tuple[str, ...]:
+    """The suites a suite name selects; an unknown name raises ValueError."""
+    if suite == "all":
+        return SUITE_NAMES
+    if suite not in _CHECKS:
+        raise ValueError(f"unknown suite {suite!r}; expected one of "
+                         f"{SUITE_NAMES + ('all',)}")
+    return (suite,)
+
+
 def check_names(suite: str = "all") -> list[str]:
-    suites = SUITE_NAMES if suite == "all" else (suite,)
     names = []
-    for s in suites:
+    for s in _selected(suite):
         names.extend(name for name, _ in _CHECKS[s])
     return sorted(names)
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run every check of the configured suite and collect exact residuals."""
-    if config.suite != "all" and config.suite not in _CHECKS:
-        raise ValueError(f"unknown suite {config.suite!r}; expected one of "
-                         f"{SUITE_NAMES + ('all',)}")
+    suites = _selected(config.suite)
     if config.degree < MIN_DEGREE:
         raise ValueError(f"degree must be >= {MIN_DEGREE}")
     if config.trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
-    suites = SUITE_NAMES if config.suite == "all" else (config.suite,)
     pairs = []
     for s in suites:
         pairs.extend(_CHECKS[s])

@@ -216,6 +216,38 @@ def test_elimination_row_updates_frozen(monkeypatch):
     assert calls[0] == 1867
 
 
+def test_warm_derivation_builds_three_fractions(monkeypatch):
+    """Cost pin, not a correctness check: once the stencil and monomial
+    caches are warm, derive_elasticity(5) builds exactly its three stage
+    factors as Fractions.  Assembly, elimination, the Schur solves and the
+    proportionality comparisons run on ints; back-substituting in Fraction
+    and dividing per entry built 2070.
+
+    Both constructors are counted: from Python 3.12 on, Fraction arithmetic
+    builds its results through `_from_coprime_ints`, not `__new__`.
+    """
+    derive_elasticity(5)
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            built[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    result = derive_elasticity(5)
+    assert built[0] == 3
+    assert result.stage_factors == [1, 1, 1]
+
+
 def test_matrix_constructor_and_compose_validation():
     gradm = matrix_of("grad", 2)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +97,8 @@ def test_solve_square_round_trip():
         phi = cols_from_dense(rows)
         rhs_dense = random_dense(rng, n, rng.randint(1, 3), density=0.9)
         rhs = cols_from_dense(rhs_dense)
-        sols = exactlin.solve_square(phi, n, rhs)
+        cols, den = exactlin.solve_square(phi, n, rhs)
+        sols = [{j: Fraction(v, den) for j, v in col.items()} for col in cols]
         # verify phi * solution == rhs exactly
         for sol, want in zip(sols, rhs):
             acc = {}
@@ -157,10 +158,10 @@ def test_int_entries_match_fraction_entries():
         if rank < n:
             continue
         rhs = [{rng.randrange(n): rng.randint(1, 5)}]
-        sols = exactlin.solve_square(int_cols, n, rhs)
-        assert sols == exactlin.solve_square(frac_cols, n, rhs)
-        assert all(isinstance(v, (int, Fraction)) for v in sols[0].values())
-        assert apply_cols(int_cols, sols[0]) == rhs[0]
+        sols, den = exactlin.solve_square(int_cols, n, rhs)
+        assert (sols, den) == exactlin.solve_square(frac_cols, n, rhs)
+        assert all(type(v) is int for v in sols[0].values())
+        assert apply_cols(int_cols, sols[0]) == {i: den * v for i, v in rhs[0].items()}
 
 
 # -- properties over sparse matrices up to 40 x 40 -----------------------------
@@ -236,8 +237,27 @@ def test_solve_square_round_trips(data):
     rows = data.draw(invertible_dense())
     rhs = cols_from_dense(data.draw(sparse_dense(nrows=len(rows), max_dim=6)))
     phi = cols_from_dense(rows)
-    sols = exactlin.solve_square(phi, len(rows), rhs)
+    cols, den = exactlin.solve_square(phi, len(rows), rhs)
+    sols = [{j: Fraction(v, den) for j, v in col.items()} for col in cols]
     assert [apply_cols(phi, sol) for sol in sols] == rhs
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_solve_square_returns_int_columns_in_lowest_terms(data):
+    """X = N / den with int numerators and den >= 1 sharing no factor, and
+    phi N == den rhs holds exactly, with no Fraction on the left."""
+    rows = data.draw(invertible_dense())
+    rhs = cols_from_dense(data.draw(sparse_dense(nrows=len(rows), max_dim=6)))
+    phi = cols_from_dense(rows)
+    num, den = exactlin.solve_square(phi, len(rows), rhs)
+    values = [v for col in num for v in col.values()]
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in values)
+    assert gcd(den, *values) == 1
+    assert len(num) == len(rhs)
+    assert [apply_cols(phi, col) for col in num] == \
+        [{i: den * v for i, v in col.items()} for col in rhs]
 
 
 @settings(max_examples=60, deadline=None, database=None)

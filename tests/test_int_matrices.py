@@ -139,6 +139,54 @@ def test_matrix_ops_match_dense_fraction_reference(data):
         assert mat_p.proportionality(mat_a) == dense_proportionality(partner, want_a)
 
 
+def test_proportionality_cases_match_dense_reference():
+    """A negative factor, mixed dens, and self with an entry outside other's
+    support: lambda is read from the values entry / den, not the numerators."""
+    dom, cod = space("m", 2), space("n", 2)
+    other = [[F(2), F(0)], [F(-4), F(6)]]
+    mat_o = matrix(other, dom, cod, den=3)  # values other / 3
+    want_o = [[v / 3 for v in row] for row in other]
+    # -5/4 times mat_o, held as numerators over den 8.
+    scaled = [[F(-5, 4) * v * 8 for v in row] for row in want_o]
+    mat_s = matrix(scaled, dom, cod, den=8)
+    assert mat_s.den != mat_o.den
+    assert mat_s.proportionality(mat_o) == F(-5, 4) == \
+        dense_proportionality(dense_of(mat_s), want_o)
+    assert mat_o.proportionality(mat_s) == F(-4, 5) == \
+        dense_proportionality(want_o, dense_of(mat_s))
+    outside = [list(row) for row in scaled]
+    outside[0][1] = F(7)  # other is zero there
+    mat_x = matrix(outside, dom, cod, den=8)
+    assert mat_x.proportionality(mat_o) is None
+    assert dense_proportionality(dense_of(mat_x), want_o) is None
+    assert mat_o.proportionality(mat_x) is None
+    assert dense_proportionality(want_o, dense_of(mat_x)) is None
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_proportionality_matches_dense_reference(data):
+    other = data.draw(dense_matrices())
+    n, m = len(other), len(other[0])
+    dom, cod = space("m", m), space("n", n)
+    den_o, den_s = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    mat_o = matrix(other, dom, cod, den_o)
+    want_o = dense_of(mat_o)
+    lam = data.draw(nonzero_values)
+    scaled = [[lam * v * den_s for v in row] for row in want_o]
+    mat_s = matrix(scaled, dom, cod, den_s)
+    want = lam if any(v for row in want_o for v in row) else F(1)
+    assert mat_s.proportionality(mat_o) == want == \
+        dense_proportionality(dense_of(mat_s), want_o)
+    # An entry of self where other is zero.
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+    other[i][j] = 0
+    scaled[i][j] = data.draw(nonzero_values)
+    mat_o, mat_s = matrix(other, dom, cod, den_o), matrix(scaled, dom, cod, den_s)
+    assert mat_s.proportionality(mat_o) is None
+    assert dense_proportionality(dense_of(mat_s), dense_of(mat_o)) is None
+
+
 @st.composite
 def non_unimodular_blocks(draw):
     """An invertible int matrix with |det| >= 2: a diagonal of +-2, +-3 under a

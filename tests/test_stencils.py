@@ -2,6 +2,7 @@
 
 import hashlib
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from strainkit.calculus import curl, curl_curl, div, div_sym, grad, sym_grad
 from strainkit.cli import main
 from strainkit.complexes import (GradedSpace, LinOpMatrix, OPERATOR_IDS, Slot,
+                                 build_elasticity_complex, build_grad_curl_div_complex,
                                  build_w_complex, matrix_of)
 from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
 from strainkit.fields import SymField, axial_vector, random_field, skew_from_axial
-from strainkit.stencils import compose, make_stencil, operator_stencil
+from strainkit.stencils import (OPERATORS, compose, coupled_split_stencils, make_stencil,
+                                operator_stencil)
 
 
 def _sym(m):
@@ -96,6 +99,104 @@ def test_stencil_term_outside_the_spaces_raises():
                                   operator_stencil("div"))
     with pytest.raises(ValueError):
         operator_stencil("hessian")
+
+
+def _column_major_assembly(domain, codomain, stencil):
+    """Reference for `from_operator`: its former loop, one column at a time,
+    each term's falling factorials and monomial lookup computed per column."""
+    stencil = make_stencil(stencil)
+    den = lcm(*(term[-1].denominator for term in stencil))
+    by_input = {}
+    for s, c, t, d, alpha, factor in stencil:
+        if not (0 <= s < len(domain.slots) and 0 <= c < domain.slots[s].ncomp
+                and 0 <= t < len(codomain.slots) and 0 <= d < codomain.slots[t].ncomp):
+            raise ValueError(f"stencil term {(s, c, t, d)} does not fit "
+                             f"{domain!r} -> {codomain!r}")
+        base = codomain.offsets[t] + d * len(codomain._monos[t])
+        by_input.setdefault((s, c), []).append(
+            (base, codomain._mono_pos[t], codomain.slots[t], alpha, int(factor * den)))
+    cols = []
+    for k, slot in enumerate(domain.slots):
+        for c in range(slot.ncomp):
+            targets = by_input.get((k, c), ())
+            for e in domain._monos[k]:
+                col = {}
+                for base, pos, out_slot, alpha, factor in targets:
+                    n = 1
+                    for a, m in zip(e, alpha):
+                        for r in range(m):
+                            n *= a - r
+                    if not n:
+                        continue
+                    where = pos.get((e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2]))
+                    if where is None:
+                        raise ValueError(
+                            f"term of degree {sum(e) - sum(alpha)} exceeds bound "
+                            f"{out_slot.bound} in slot {out_slot.label!r}")
+                    col[base + where] = factor * n if n != 1 else factor
+                cols.append(col)
+    return LinOpMatrix(domain, codomain, cols, den=den)
+
+
+def _assert_same_assembly(mat, stencil):
+    """Equal cols, den and entry order in every column: the row order that
+    the elimination sees, and so its pivot order, is unchanged."""
+    want = _column_major_assembly(mat.domain, mat.codomain, stencil)
+    assert mat.den == want.den
+    assert [list(col.items()) for col in mat.cols] == \
+        [list(col.items()) for col in want.cols]
+
+
+@pytest.mark.parametrize("op_id", OPERATOR_IDS)
+def test_operator_matrices_match_column_major_assembly(op_id):
+    op = OPERATORS[op_id]
+    least = -min(shift for _, _, shift in op.domain + op.codomain)
+    for degree in range(least, 7):
+        _assert_same_assembly(matrix_of(op_id, degree), operator_stencil(op_id))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_complex_maps_match_column_major_assembly(degree):
+    for build in (build_grad_curl_div_complex, build_elasticity_complex):
+        for m in build(degree).maps:
+            _assert_same_assembly(m, operator_stencil(m.name))
+    for m, stencil in zip(build_w_complex(degree).maps, coupled_split_stencils()):
+        _assert_same_assembly(m, stencil)
+
+
+_X1, _X3, _D0 = (1, 0, 0), (0, 0, 1), (0, 0, 0)
+
+
+# Messages frozen from the column-major loop.  Each names the first column,
+# in basis order, holding a term that lands above its codomain bound, and in
+# that column the first such term in stencil order.
+@pytest.mark.parametrize("codomain,stencil,message", [
+    # The term into b comes later in stencil order but overflows at an
+    # earlier monomial (d1 annihilates x3^3).
+    ([("a", "scalar", 1), ("b", "vec", 2)],
+     [(0, 0, 0, 0, _X1, 1), (0, 0, 1, 0, _D0, 1)],
+     "term of degree 3 exceeds bound 2 in slot 'b'"),
+    # Both terms first overflow at x3^2: the first in stencil order.
+    ([("a", "scalar", 0), ("b", "vec", 1)],
+     [(0, 0, 0, 0, _X3, 1), (0, 0, 1, 2, _D0, 1)],
+     "term of degree 1 exceeds bound 0 in slot 'a'"),
+    # The term of slot v overflows at its first monomial, after every
+    # column of slot f.
+    ([("a", "scalar", 2), ("b", "vec", -1)],
+     [(1, 1, 1, 0, _D0, 1), (0, 0, 0, 0, _X3, 2), (0, 0, 0, 0, _D0, 3)],
+     "term of degree 3 exceeds bound 2 in slot 'a'"),
+    # Slot f fits; component 2 of slot v does not.
+    ([("a", "scalar", 2), ("b", "vec", 1)],
+     [(0, 0, 0, 0, _X1, 1), (1, 2, 1, 1, _D0, 1)],
+     "term of degree 2 exceeds bound 1 in slot 'b'"),
+])
+def test_overflow_names_the_first_column_and_term(codomain, stencil, message):
+    dom = GradedSpace([Slot("f", "scalar", 3), Slot("v", "vec", 2)])
+    cod = GradedSpace([Slot(*slot) for slot in codomain])
+    for assemble in (LinOpMatrix.from_operator, _column_major_assembly):
+        with pytest.raises(ValueError) as info:
+            assemble(dom, cod, stencil)
+        assert str(info.value) == message
 
 
 def test_make_stencil_merges_and_drops_zeros():

@@ -194,6 +194,16 @@ def test_run_suite_rejects_a_corrupt_name_outside_the_suite():
         run_suite(SuiteConfig(suite="calculus", corrupt="complex.lambda2_split"))
 
 
+@pytest.mark.parametrize("call", [suites.check_names,
+                                  lambda name: run_suite(SuiteConfig(suite=name))],
+                         ids=["check_names", "run_suite"])
+def test_unknown_suite_name_raises_one_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call("bogus")
+    assert str(info.value) == ("unknown suite 'bogus'; expected one of "
+                               "('calculus', 'connection', 'riemannian', 'complex', 'all')")
+
+
 def test_complex_suite_builds_each_complex_once(monkeypatch):
     """Cost pin, not a correctness check: one run at degree 5 derives the
     coupled complex once and verifies the elasticity complex once, so it
