@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from strainkit import complexes, exactlin, fields, stencils, suites
+from strainkit import complexes, exactlin, fieldio, fields, stencils, suites
 from strainkit.calculus import curl
 from strainkit.complexes import ChainComplex, LinOpMatrix, SkewMat4
 from strainkit.connection import WField, WOneForm, w_curl
 from strainkit.errors import CompatibilityError
 from strainkit.fields import Mat3Field, SymField, VecField
 from strainkit.poly import Poly3
+from strainkit.riemannian import CurvatureValues
 from strainkit.suites import SuiteConfig, residual_text, run_suite
 
 # sha256 of the (kind, degree, seed) triples every suite passes to the
@@ -283,3 +284,299 @@ def test_no_derivation_outlives_a_run_that_raised(monkeypatch):
         run_suite(SuiteConfig(suite="complex", trials=1))
     monkeypatch.undo()
     assert run_suite(SuiteConfig(suite="complex", trials=1)).passed
+
+
+# -- failure texts -----------------------------------------------------------
+#
+# Each fault is injected through a name of the suites module, the way a
+# broken callee would reach a check; every text below was frozen from the
+# checks as they first reported it.  A residual that a check computes but
+# never reports would turn its row green and fail here.
+
+def _swallow(real):
+    """An integrator that accepts what it should refuse."""
+    def accepting(value):
+        try:
+            return real(value)
+        except CompatibilityError:
+            return None
+    return accepting
+
+
+def _negated_residual(real):
+    """An integrator that refuses with the wrong residual."""
+    def refusing(value):
+        try:
+            return real(value)
+        except CompatibilityError as exc:
+            raise CompatibilityError(str(exc), residual=-exc.residual) from None
+    return refusing
+
+
+def _alternating_random_field(m):
+    real, calls = suites.random_field, []
+
+    def alternating(kind, degree, seed):
+        calls.append(kind)
+        return real(kind, degree, seed + len(calls) % 2)
+    m.setattr(suites, "random_field", alternating)
+
+
+def _fieldio_fault(loads=None, dumps=None):
+    def patch(m):
+        real = suites.fieldio
+        m.setattr(suites, "fieldio", type("FieldIO", (), {
+            "dumps": staticmethod(dumps or real.dumps),
+            "loads": staticmethod(lambda text, expect_kind: (loads or real.loads)(
+                text, expect_kind=expect_kind))}))
+    return patch
+
+
+def _loads_shifting(shifted_kind):
+    def loads(text, expect_kind):
+        f = fieldio.loads(text, expect_kind=expect_kind)
+        return f + f if expect_kind == shifted_kind else f
+    return loads
+
+
+def _dumps_with_growing_tail():
+    calls = []
+
+    def dumps(field):
+        calls.append(field)
+        return fieldio.dumps(field) + " " * len(calls)
+    return dumps
+
+
+def _flat_sections(edit):
+    def patch(m):
+        real = suites.flat_sections_basis
+        m.setattr(suites, "flat_sections_basis", lambda: edit(real()))
+    return patch
+
+
+def _with_curvature(edit):
+    def patch(m):
+        real = suites.pointwise_curvature
+
+        def pointwise(metric, point):
+            v = real(metric, point)
+            return CurvatureValues(*edit(v.ricci, v.scalar, v.einstein))
+        m.setattr(suites, "pointwise_curvature", pointwise)
+    return patch
+
+
+def _bump_first_row(rows):
+    return ((rows[0][0] + 1,) + tuple(rows[0][1:]),) + tuple(rows[1:])
+
+
+_E = SkewMat4.from_wedge((1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def _lambda2_fault(call, d_alpha, d_beta):
+    """lambda2_split with alpha and beta shifted on one call of a run."""
+    def patch(m):
+        real, calls = suites.lambda2_split, []
+
+        def split(v, omega):
+            alpha, beta = real(v, omega)
+            calls.append(v)
+            if len(calls) - 1 == call:
+                return alpha + d_alpha, beta + d_beta
+            return alpha, beta
+        m.setattr(suites, "lambda2_split", split)
+    return patch
+
+
+def _report_fault(edit):
+    def patch(m):
+        real = suites.verify_complex
+
+        def verify(c):
+            report = real(c)
+            edit(report)
+            return report
+        m.setattr(suites, "verify_complex", verify)
+    return patch
+
+
+def _derivation_fault(edit):
+    def patch(m):
+        real = suites.derive_elasticity
+
+        def derive(degree):
+            result = real(degree)
+            edit(result)
+            return result
+        m.setattr(suites, "derive_elasticity", derive)
+    return patch
+
+
+def _set(obj, **fields):
+    for name, value in fields.items():
+        setattr(obj, name, value)
+
+
+_FAULTS = {
+    "random_field alternates": ("calculus", _alternating_random_field),
+    "loads doubles scalars": ("calculus", _fieldio_fault(loads=_loads_shifting("scalar"))),
+    "dumps is not canonical": ("calculus", _fieldio_fault(dumps=_dumps_with_growing_tail())),
+    "loads doubles w": ("calculus", _fieldio_fault(loads=_loads_shifting("w"))),
+    "loads doubles wform": ("calculus", _fieldio_fault(loads=_loads_shifting("wform"))),
+    "homotopy accepts": ("calculus", lambda m: m.setattr(
+        suites, "homotopy_antiderivative", _swallow(suites.homotopy_antiderivative))),
+    "homotopy negates": ("calculus", lambda m: m.setattr(
+        suites, "homotopy_antiderivative", _negated_residual(suites.homotopy_antiderivative))),
+    "w_grad drops Y": ("connection", lambda m: m.setattr(
+        suites, "w_grad", lambda f, real=suites.w_grad: real(WField(f.x, VecField.zero())))),
+    "w_poincare perturbs Y": ("connection", lambda m: m.setattr(
+        suites, "w_poincare", lambda psi, real=suites.w_poincare:
+        real(psi) + WField(VecField.zero(), VecField.of(_x1, 0, 0)))),
+    "w_poincare accepts": ("connection", lambda m: m.setattr(
+        suites, "w_poincare", _swallow(suites.w_poincare))),
+    "saint_venant accepts": ("connection", lambda m: m.setattr(
+        suites, "saint_venant_reconstruct", _swallow(suites.saint_venant_reconstruct))),
+    "saint_venant negates": ("connection", lambda m: m.setattr(
+        suites, "saint_venant_reconstruct",
+        _negated_residual(suites.saint_venant_reconstruct))),
+    "a section moves": ("connection", _flat_sections(
+        lambda basis: basis[:3] + [basis[3] + WField(VecField.zero(), VecField.of(0, 1, 0))]
+        + basis[4:])),
+    "a section repeats": ("connection", _flat_sections(lambda basis: basis[:5] + basis[:1])),
+    "normalize_rigid is the identity": ("connection", lambda m: m.setattr(
+        suites, "normalize_rigid", lambda u: u)),
+    "normalize_rigid keeps the rotation": ("connection", lambda m: m.setattr(
+        suites, "normalize_rigid",
+        lambda u: u - VecField.of(*(c.coefficient((0, 0, 0)) for c in u.components)))),
+    "normalize_rigid adds x1^2": ("connection", lambda m: m.setattr(
+        suites, "normalize_rigid", lambda u, real=suites.normalize_rigid:
+        real(u) + VecField.of(_x1 * _x1, 0, 0))),
+    "jet_inverse returns g": ("riemannian", lambda m: m.setattr(
+        suites, "jet_inverse", lambda g: g)),
+    "pointwise ricci": ("riemannian", _with_curvature(
+        lambda ricci, scalar, einstein: (_bump_first_row(ricci), scalar, einstein))),
+    "pointwise scalar": ("riemannian", _with_curvature(
+        lambda ricci, scalar, einstein: (ricci, scalar + 1, einstein))),
+    "pointwise einstein": ("riemannian", _with_curvature(
+        lambda ricci, scalar, einstein: (ricci, scalar, _bump_first_row(einstein)))),
+    "lambda2_split perturbs beta": ("complex", _lambda2_fault(0, SkewMat4.zero(), _E)),
+    "lambda2_split sees the sign": ("complex", _lambda2_fault(1, _E, SkewMat4.zero() - _E)),
+    "lambda2_split splits a wedge": ("complex", _lambda2_fault(2, SkewMat4.zero(), _E)),
+    "interior_product is nonzero": ("complex", lambda m: m.setattr(
+        suites, "interior_product", lambda v, omega: (0, Fraction(1, 2), 0, 0))),
+    "wedge_with_vector is nonzero": ("complex", lambda m: m.setattr(
+        suites, "wedge_with_vector", lambda v, omega: {(1, 2, 3): 0, (1, 2, 4): 1})),
+    "verify_complex reports a defect": ("complex", _report_fault(
+        lambda r: _set(r, defects=[0, 1]))),
+    "verify_complex loses a rigid motion": ("complex", _report_fault(
+        lambda r: _set(r, kernel_dims=[5] + r.kernel_dims[1:]))),
+    "derive_elasticity gives a wrong factor": ("complex", _derivation_fault(
+        lambda r: _set(r, stage_factors=[Fraction(1), Fraction(0), Fraction(1)]))),
+    "the reduced complex composes badly": ("complex", _derivation_fault(
+        lambda r: _set(r.reduced_report, composition_residuals=[
+            "0", "nonzero composition at stage 1 (max |entry| 7)"]))),
+    "the reduction changes a defect": ("complex", _derivation_fault(
+        lambda r: _set(r.reduced_report, defects=[1, 0]))),
+}
+
+_FAULT_TEXTS = {
+    "a section moves": {
+        "connection.flat_sections_in_kernel": "section 3: sigma: [13] 1; [31] -1; xi: 0"},
+    "a section repeats": {
+        "connection.flat_sections_independent": "rank 5 of 6"},
+    "derive_elasticity gives a wrong factor": {
+        "complex.derivation_matches_hand_coded":
+            "stage factors [Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)]"},
+    "dumps is not canonical": {
+        "calculus.serialization_round_trip": "kind 'scalar' serialization not canonical"},
+    "homotopy accepts": {
+        "calculus.homotopy_rejects_incompatible":
+            "no compatibility error for a field with nonzero curl"},
+    "homotopy negates": {
+        "calculus.homotopy_rejects_incompatible":
+            "reported residual differs from curl: (0; 1; -3)"},
+    "interior_product is nonzero": {
+        "complex.lambda2_split": "contraction of beta: (0, Fraction(1, 2), 0, 0)"},
+    "jet_inverse returns g": {
+        "riemannian.metric_jet_inverse": "entry (1,1): (1) + eps*(4*x1 + 4*x2 + 6*x3 + 6)"},
+    "lambda2_split perturbs beta": {
+        "complex.lambda2_split": "[12] 1"},
+    "lambda2_split sees the sign": {
+        "complex.lambda2_split": "split depends on the sign of the direction"},
+    "lambda2_split splits a wedge": {
+        "complex.lambda2_split": "decomposable form has a nonzero residual part: [12] 1"},
+    "loads doubles scalars": {
+        "calculus.serialization_round_trip": "kind 'scalar' did not round-trip"},
+    "loads doubles w": {
+        "calculus.serialization_round_trip": "kind 'w' did not round-trip"},
+    "loads doubles wform": {
+        "calculus.serialization_round_trip": "kind 'wform' did not round-trip"},
+    "normalize_rigid adds x1^2": {
+        "connection.normalize_rigid_gauge": "[11] 2*x1"},
+    "normalize_rigid is the identity": {
+        "connection.normalize_rigid_gauge":
+            "value at the origin: (Fraction(1, 2), Fraction(-6, 1), Fraction(2, 1))"},
+    "normalize_rigid keeps the rotation": {
+        "connection.normalize_rigid_gauge":
+            "skew Jacobian at the origin: [Fraction(0, 1), Fraction(-3, 2), "
+            "Fraction(-5, 6), Fraction(3, 2), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(5, 6), Fraction(0, 1), Fraction(0, 1)]"},
+    "pointwise einstein": {
+        "riemannian.curvature_example":
+            "einstein [['1', '0', '0'], ['0', '2', '0'], ['0', '0', '0']]"},
+    "pointwise ricci": {
+        "riemannian.curvature_example":
+            "ricci [['2', '0', '0'], ['0', '0', '0'], ['0', '0', '1']]",
+        "riemannian.flat_pullback_pointwise":
+            "map 0 at ('3/4', '-2/3', '-2'): ricci [['1', '0', '0'], ['0', '0', "
+            "'0'], ['0', '0', '0']]"},
+    "pointwise scalar": {
+        "riemannian.curvature_example": "scalar 3"},
+    "random_field alternates": {
+        "calculus.random_field_deterministic": "kind 'scalar' not reproducible at seed 0"},
+    "saint_venant accepts": {
+        "connection.saint_venant_rejects_incompatible":
+            "no compatibility error for an incompatible strain"},
+    "saint_venant negates": {
+        "connection.saint_venant_rejects_incompatible":
+            "reported residual differs from the compatibility tensor"},
+    "the reduced complex composes badly": {
+        "complex.derivation_matches_hand_coded":
+            "nonzero composition at stage 1 (max |entry| 7)"},
+    "the reduction changes a defect": {
+        "complex.derivation_matches_hand_coded": "defects changed: [0, 0] -> [1, 0]"},
+    "verify_complex loses a rigid motion": {
+        "complex.elasticity_kernel_rigid": "kernel dimension 5 of 6"},
+    "verify_complex reports a defect": {
+        "complex.elasticity_exact": "exactness defects [0, 1]",
+        "complex.grad_curl_div_exact": "exactness defects [0, 1]"},
+    "w_grad drops Y": {
+        "connection.flat_sections_in_kernel": "section 3: sigma: [23] 1; [32] -1; xi: 0",
+        "connection.poincare_inverts_grad":
+            "potential differs by a non-flat section: X: (-1; 0; -1); Y: (-2*x1 - "
+            "x2 + 2; -3*x1 + 2*x3; 2*x1 - 3*x3 - 2)"},
+    "w_poincare accepts": {
+        "connection.poincare_rejects_incompatible":
+            "no compatibility error for a non-closed form"},
+    "w_poincare perturbs Y": {
+        "connection.poincare_inverts_grad": "sigma: [23] -x1; [32] x1; xi: [11] 1"},
+    "wedge_with_vector is nonzero": {
+        "complex.lambda2_split": "wedge of alpha nonzero"},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_failure_texts_are_frozen(monkeypatch, fault):
+    suite, patch = _FAULTS[fault]
+    patch(monkeypatch)
+    assert _failures(SuiteConfig(suite=suite, degree=1, trials=1)) == _FAULT_TEXTS[fault]
+
+
+@pytest.mark.parametrize("corrupt,text", [
+    ("connection.normalize_rigid_gauge", "[11] 2*x1"),
+    ("connection.rigid_motions_are_flat", "1 (forced by the corruption hook)"),
+])
+def test_corruption_hook_forces_only_a_passing_check(monkeypatch, corrupt, text):
+    _FAULTS["normalize_rigid adds x1^2"][1](monkeypatch)
+    failures = _failures(SuiteConfig(suite="connection", degree=1, trials=1, corrupt=corrupt))
+    assert failures == {"connection.normalize_rigid_gauge": "[11] 2*x1", corrupt: text}
