@@ -224,6 +224,9 @@ class LinOpMatrix:
         return Fraction(self.cols[j].get(i, 0), self.den)
 
     def apply_coords(self, coords: exactlin.Column) -> exactlin.Column:
+        """Image of a coordinate column; its values must be exact rationals."""
+        if not {int}.issuperset(map(type, coords.values())):  # some value is not an int
+            coords = {i: _canonical(v) for i, v in coords.items()}
         out = exactlin.mul_cols(self.cols, [coords])[0]
         return out if self.den == 1 else {i: Fraction(v, self.den) for i, v in out.items()}
 

@@ -76,11 +76,27 @@ OPERATORS = {
 OPERATOR_IDS = tuple(OPERATORS)
 
 
+def _derivative_index(alpha: Sequence[int]) -> Exponent:
+    """alpha as a triple, checked like the exponent of a Poly3 term."""
+    alpha = tuple(alpha)
+    if len(alpha) != 3:
+        raise ValueError(f"derivative index needs 3 entries, got {alpha!r}")
+    if not {int}.issuperset(map(type, alpha)):
+        raise TypeError(f"derivative index entries must be ints, got {alpha!r}")
+    if min(alpha) < 0:
+        raise ValueError(f"negative derivative index in {alpha}")
+    return alpha
+
+
 def make_stencil(terms: Iterable[Sequence]) -> Stencil:
-    """Canonical stencil: equal terms merged, zero factors dropped, sorted."""
+    """Canonical stencil: equal terms merged, zero factors dropped, sorted.
+
+    Raises ValueError for a derivative index alpha that is not three entries
+    or has a negative entry, and TypeError for a non-int entry of alpha.
+    """
     merged: dict[tuple, Scalar] = {}
     for s, c, t, d, alpha, factor in terms:
-        key = (s, c, t, d, tuple(alpha))
+        key = (s, c, t, d, _derivative_index(alpha))
         factor = _canonical(factor)
         # No arithmetic for a key seen once: a canonical stencil passes
         # through without building a Fraction.

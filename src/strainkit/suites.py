@@ -1,15 +1,17 @@
 """Named identity-check suites with exact residual reporting.
 
-Every check computes an exact residual: the string "0" means the identity
-held on every trial, anything else is an exact description of the first
-failure.  No tolerances anywhere.  Check names are stable identifiers used
-by the command-line runner and by reports.
+Every check yields residuals: a string is a failure text, and any other value
+(a Poly3, a field, a Fraction or a SkewMat4) fails unless it is zero.  Only
+`_first_failure` decides: it renders the first failing residual exactly, or
+returns "0" if the identity held on every trial.  No tolerances anywhere.
+Check names are stable identifiers used by the command-line runner and reports.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from itertools import chain
 from fractions import Fraction
 from functools import cache
 
@@ -146,26 +148,26 @@ def _random(kind: str, degree: int, seed: int):
     return sampler(degree, seed) if sampler else random_field(kind, degree, seed)
 
 
-def _is_zero(value) -> bool:
-    return value == 0 if isinstance(value, Fraction) else value.is_zero()
+def _first_failure(residuals) -> str:
+    """The text of the first failing residual, or "0" if none fails."""
+    for r in residuals:
+        if isinstance(r, str):
+            return r
+        if (r != 0) if isinstance(r, Fraction) else not r.is_zero():
+            return residual_text(r)
+    return "0"
 
 
 def _trials(draws, residuals):
     """Check that every residual vanishes on seeded random draws per trial.
 
     Each trial draws one value per (kind, degree_shift, salt) of draws, in
-    order, at degree d + degree_shift; residuals(*values) yields Poly3,
-    field or Fraction values.  The check reports the exact text of the first
-    nonzero one.
+    order, at degree d + degree_shift, and yields residuals(*values).
     """
-    def check(cfg: SuiteConfig) -> str:
+    def check(cfg: SuiteConfig):
         for t in range(cfg.trials):
-            values = [_random(kind, cfg.degree + shift, _trial_seed(cfg, salt, t))
-                      for kind, shift, salt in draws]
-            for r in residuals(*values):
-                if not _is_zero(r):
-                    return residual_text(r)
-        return "0"
+            yield from residuals(*[_random(kind, cfg.degree + shift, _trial_seed(cfg, salt, t))
+                                   for kind, shift, salt in draws])
     return check
 
 
@@ -184,7 +186,7 @@ def _rejects(kind: str, least_degree: int, salt: int, obstruction, integrate,
     it carries one, is that obstruction; otherwise the check reports
     missing_text, or mismatch_text formatted with the reported residual.
     """
-    def check(cfg: SuiteConfig) -> str:
+    def check(cfg: SuiteConfig):
         degree = max(cfg.degree, least_degree)
         for t in range(cfg.trials):
             seed = _trial_seed(cfg, salt, t)
@@ -195,11 +197,10 @@ def _rejects(kind: str, least_degree: int, salt: int, obstruction, integrate,
             try:
                 integrate(x)
             except CompatibilityError as exc:
-                if exc.residual is None or (exc.residual - residual).is_zero():
-                    continue
-                return mismatch_text.format(residual_text(exc.residual))
-            return missing_text
-        return "0"
+                if exc.residual is not None and not (exc.residual - residual).is_zero():
+                    yield mismatch_text.format(residual_text(exc.residual))
+            else:
+                yield missing_text
     return check
 
 
@@ -220,31 +221,29 @@ def _evaluation_residuals(f: Poly3, g: Poly3, p):
     yield (f + g).evaluate(p) - f.evaluate(p) - g.evaluate(p)
 
 
-def _check_random_field_deterministic(cfg: SuiteConfig) -> str:
+def _check_random_field_deterministic(cfg: SuiteConfig):
     for kind in ("scalar", "vec", "sym", "mat"):
         a = random_field(kind, cfg.degree, cfg.seed)
         b = random_field(kind, cfg.degree, cfg.seed)
         if not (a - b).is_zero():
-            return f"kind {kind!r} not reproducible at seed {cfg.seed}"
-    return "0"
+            yield f"kind {kind!r} not reproducible at seed {cfg.seed}"
 
 
-def _check_serialization_round_trip(cfg: SuiteConfig) -> str:
+def _check_serialization_round_trip(cfg: SuiteConfig):
     for kind in ("scalar", "vec", "sym", "mat"):
         f = random_field(kind, cfg.degree, _trial_seed(cfg, 15, 0))
         text = fieldio.dumps(f)
         back = fieldio.loads(text, expect_kind=kind)
         if back != f:
-            return f"kind {kind!r} did not round-trip"
+            yield f"kind {kind!r} did not round-trip"
         if fieldio.dumps(back) != text:
-            return f"kind {kind!r} serialization not canonical"
+            yield f"kind {kind!r} serialization not canonical"
     w = random_w_field(cfg.degree, _trial_seed(cfg, 15, 1))
     if fieldio.loads(fieldio.dumps(w), expect_kind="w") != w:
-        return "kind 'w' did not round-trip"
+        yield "kind 'w' did not round-trip"
     psi = random_w_one_form(cfg.degree, _trial_seed(cfg, 15, 2))
     if fieldio.loads(fieldio.dumps(psi), expect_kind="wform") != psi:
-        return "kind 'wform' did not round-trip"
-    return "0"
+        yield "kind 'wform' did not round-trip"
 
 
 # -- connection suite --------------------------------------------------------
@@ -254,56 +253,45 @@ def _saint_venant_round_trip(u: VecField) -> SymField:
     return sym_grad(saint_venant_reconstruct(strain)) - strain
 
 
-def _check_flat_sections_in_kernel(cfg: SuiteConfig) -> str:
+def _check_flat_sections_in_kernel(cfg: SuiteConfig):
     for k, section in enumerate(flat_sections_basis()):
         r = w_grad(section)
         if not r.is_zero():
-            return f"section {k}: " + residual_text(r)
-    return "0"
+            yield f"section {k}: " + residual_text(r)
 
 
-def _check_flat_sections_independent(cfg: SuiteConfig) -> str:
+def _check_flat_sections_independent(cfg: SuiteConfig):
     space = GradedSpace([Slot("x", "vec", 1), Slot("y", "vec", 0)])
     cols = [space.to_coords((s.x, s.y)) for s in flat_sections_basis()]
     rank = exactlin.sparse_rank(cols, space.dim)
     if rank != 6:
-        return f"rank {rank} of 6"
-    return "0"
+        yield f"rank {rank} of 6"
 
 
-def _check_poincare_inverts(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        f = random_w_field(cfg.degree, _trial_seed(cfg, 23, t))
-        form = w_grad(f)
-        g = w_poincare(form)
-        back = w_grad(g)
-        r_sigma = back.sigma - form.sigma
-        r_xi = back.xi - form.xi
-        if not (r_sigma.is_zero() and r_xi.is_zero()):
-            return residual_text(WOneForm(r_sigma, r_xi))
-        residual = f - g
-        if residual.y.degree > 0 or not sym_grad(residual.x).is_zero():
-            return "potential differs by a non-flat section: " + residual_text(residual)
-    return "0"
+def _poincare_residuals(f: WField):
+    form = w_grad(f)
+    g = w_poincare(form)
+    back = w_grad(g)
+    yield WOneForm(back.sigma - form.sigma, back.xi - form.xi)
+    residual = f - g
+    if residual.y.degree > 0 or not sym_grad(residual.x).is_zero():
+        yield "potential differs by a non-flat section: " + residual_text(residual)
 
 
-def _check_normalize_rigid_gauge(cfg: SuiteConfig) -> str:
+def _check_normalize_rigid_gauge(cfg: SuiteConfig):
     for t in range(cfg.trials):
         u = random_field("vec", cfg.degree + 1, _trial_seed(cfg, 27, t))
         shift = rigid_motion((Fraction(1, 2), Fraction(-3), Fraction(t + 1)),
                              (Fraction(2), Fraction(1, 3), Fraction(-t - 1)))
         v = normalize_rigid(u + shift)
         if any(c != 0 for c in v.evaluate(_ORIGIN)):
-            return "value at the origin: " + str(v.evaluate(_ORIGIN))
+            yield "value at the origin: " + str(v.evaluate(_ORIGIN))
         jac = Mat3Field.from_entries(lambda i, j: v.comp(j).partial(i))
         skew0 = jac.skew_part()
         vals = [skew0.entry(i, j).evaluate(_ORIGIN) for i in AXES for j in AXES]
         if any(vals):
-            return "skew Jacobian at the origin: " + str(vals)
-        r = sym_grad(v) - sym_grad(u)
-        if not r.is_zero():
-            return residual_text(r)
-    return "0"
+            yield "skew Jacobian at the origin: " + str(vals)
+        yield sym_grad(v) - sym_grad(u)
 
 
 # -- riemannian suite --------------------------------------------------------
@@ -316,19 +304,16 @@ def _einstein_trace_residual(sigma: SymField):
     return trace - curvature.scalar
 
 
-def _check_metric_jet_inverse(cfg: SuiteConfig) -> str:
-    for t in range(cfg.trials):
-        sigma = random_field("sym", cfg.degree, _trial_seed(cfg, 31, t))
-        g = MetricJet.from_strain(sigma)
-        ginv = jet_inverse(g)
-        for i in AXES:
-            for j in AXES:
-                prod = sum((g.entry(i, k) * ginv.entry(k, j) for k in AXES),
-                           g.entry(1, 1) - g.entry(1, 1))
-                want_p0 = Poly3.constant(1) if i == j else Poly3()
-                if prod.p0 != want_p0 or not prod.p1.is_zero():
-                    return f"entry ({i},{j}): {prod}"
-    return "0"
+def _metric_jet_inverse_residuals(sigma: SymField):
+    g = MetricJet.from_strain(sigma)
+    ginv = jet_inverse(g)
+    for i in AXES:
+        for j in AXES:
+            prod = sum((g.entry(i, k) * ginv.entry(k, j) for k in AXES),
+                       g.entry(1, 1) - g.entry(1, 1))
+            want_p0 = Poly3.constant(1) if i == j else Poly3()
+            if prod.p0 != want_p0 or not prod.p1.is_zero():
+                yield f"entry ({i},{j}): {prod}"
 
 
 @cache
@@ -343,25 +328,23 @@ def _flat_test_maps() -> tuple[list[Poly3], ...]:
     )
 
 
-def _check_flat_pullback_pointwise(cfg: SuiteConfig) -> str:
+def _check_flat_pullback_pointwise(cfg: SuiteConfig):
     for k, phi in enumerate(_flat_test_maps()):
         metric = PolyMetric.from_map_jacobian(phi)
         for t in range(max(cfg.trials, 2)):
             point = random_point(_trial_seed(cfg, 36 + k, t))
             values = pointwise_curvature(metric, point)
             if not values.ricci_is_zero():
-                return (f"map {k} at {tuple(str(c) for c in point)}: ricci "
-                        + str([[str(v) for v in row] for row in values.ricci]))
-    return "0"
+                yield (f"map {k} at {tuple(str(c) for c in point)}: ricci "
+                       + str([[str(v) for v in row] for row in values.ricci]))
 
 
-def _check_curvature_example(cfg: SuiteConfig) -> str:
+def _check_curvature_example(cfg: SuiteConfig):
     one = Poly3.constant(1)
     x1 = Poly3.variable(1)
     metric = PolyMetric.from_matrix(Mat3Field.from_entries(
         lambda i, j: one + x1 * x1 if i == j == 3 else (one if i == j else Poly3())))
-    values = pointwise_curvature(
-        metric, (Fraction(0), Fraction(0), Fraction(0)))
+    values = pointwise_curvature(metric, _ORIGIN)
     want_ricci = ((Fraction(1), Fraction(0), Fraction(0)),
                   (Fraction(0), Fraction(0), Fraction(0)),
                   (Fraction(0), Fraction(0), Fraction(1)))
@@ -369,12 +352,11 @@ def _check_curvature_example(cfg: SuiteConfig) -> str:
                      (Fraction(0), Fraction(2), Fraction(0)),
                      (Fraction(0), Fraction(0), Fraction(0)))
     if values.ricci != want_ricci:
-        return "ricci " + str([[str(v) for v in row] for row in values.ricci])
+        yield "ricci " + str([[str(v) for v in row] for row in values.ricci])
     if values.scalar != 2:
-        return "scalar " + str(values.scalar)
+        yield "scalar " + str(values.scalar)
     if values.einstein != want_einstein:
-        return "einstein " + str([[str(v) for v in row] for row in values.einstein])
-    return "0"
+        yield "einstein " + str([[str(v) for v in row] for row in values.einstein])
 
 
 # -- complex suite -----------------------------------------------------------
@@ -383,13 +365,10 @@ def _complex_degree(cfg: SuiteConfig) -> int:
     return max(cfg.degree, MIN_COMPLEX_DEGREE)
 
 
-def _report_residual(report) -> str:
-    bad = [r for r in report.composition_residuals if r != "0"]
-    if bad:
-        return bad[0]
+def _report_residuals(report):
+    yield from (r for r in report.composition_residuals if r != "0")
     if not report.is_exact_interior:
-        return f"exactness defects {report.defects}"
-    return "0"
+        yield f"exactness defects {report.defects}"
 
 
 # The derivation and the elasticity report of a degree are shared by the
@@ -405,29 +384,28 @@ def _elasticity_report(degree: int) -> ComplexReport:
     return verify_complex(_derivation(degree).hand_coded)
 
 
-def _check_derivation(cfg: SuiteConfig) -> str:
+def _check_derivation(cfg: SuiteConfig):
     result = _derivation(_complex_degree(cfg))
     if not result.factors_ok:
-        return f"stage factors {result.stage_factors}"
-    if not result.reduced_report.compositions_zero:
-        return _report_residual(result.reduced_report)
+        yield f"stage factors {result.stage_factors}"
+    yield from (r for r in result.reduced_report.composition_residuals if r != "0")
     if not result.defects_preserved:
-        return (f"defects changed: {result.full_report.defects} -> "
-                f"{result.reduced_report.defects}")
-    return "0"
+        yield (f"defects changed: {result.full_report.defects} -> "
+               f"{result.reduced_report.defects}")
 
 
 def _exact(report):
     """Check that the complex of report(d) composes to zero and is exact."""
-    return lambda cfg: _report_residual(report(_complex_degree(cfg)))
+    return lambda cfg: _report_residuals(report(_complex_degree(cfg)))
 
 
 def _rigid_kernel(report):
     """Check that the first map of the complex of report(d) has the
     six-dimensional kernel."""
-    def check(cfg: SuiteConfig) -> str:
+    def check(cfg: SuiteConfig):
         k = report(_complex_degree(cfg)).kernel_dims[0]
-        return "0" if k == 6 else f"kernel dimension {k} of 6"
+        if k != 6:
+            yield f"kernel dimension {k} of 6"
     return check
 
 
@@ -438,7 +416,7 @@ def _coords(space: GradedSpace, value) -> exactlin.Column:
     return space.to_coords([getattr(value, slot.label) for slot in space.slots])
 
 
-def _check_matrix_operator_agreement(cfg: SuiteConfig) -> str:
+def _check_matrix_operator_agreement(cfg: SuiteConfig):
     d = _complex_degree(cfg)
     matrices = {op_id: matrix_of(op_id, d) for op_id in OPERATORS}
     for t in range(cfg.trials):
@@ -447,32 +425,28 @@ def _check_matrix_operator_agreement(cfg: SuiteConfig) -> str:
             op = OPERATORS[op_id]
             f = _random(op.acts_on, d, seed)
             if m.apply_coords(_coords(m.domain, f)) != _coords(m.codomain, op.reference(f)):
-                return f"operator {op_id!r} disagrees with its matrix"
-    return "0"
+                yield f"operator {op_id!r} disagrees with its matrix"
 
 
-def _check_lambda2_split(cfg: SuiteConfig) -> str:
+def _check_lambda2_split(cfg: SuiteConfig):
     for t in range(max(cfg.trials, 3)):
         v = random_vec4(_trial_seed(cfg, 42, t))
         omega = random_skew4(_trial_seed(cfg, 43, t))
         alpha, beta = lambda2_split(v, omega)
-        r = alpha + beta - omega
-        if not r.is_zero():
-            return residual_text(r)
+        yield alpha + beta - omega
         if any(c != 0 for c in interior_product(v, beta)):
-            return "contraction of beta: " + str(interior_product(v, beta))
+            yield "contraction of beta: " + str(interior_product(v, beta))
         if any(c != 0 for c in wedge_with_vector(v, alpha).values()):
-            return "wedge of alpha nonzero"
+            yield "wedge of alpha nonzero"
         neg = tuple(-c for c in v)
         alpha2, beta2 = lambda2_split(neg, omega)
         if not ((alpha - alpha2).is_zero() and (beta - beta2).is_zero()):
-            return "split depends on the sign of the direction"
+            yield "split depends on the sign of the direction"
         u = random_vec4(_trial_seed(cfg, 44, t))
         wedge = SkewMat4.from_wedge(v, u)
         _, beta3 = lambda2_split(v, wedge)
         if not beta3.is_zero():
-            return "decomposable form has a nonzero residual part: " + residual_text(beta3)
-    return "0"
+            yield "decomposable form has a nonzero residual part: " + residual_text(beta3)
 
 
 # Rows look their callees up when they run, inside a lambda or a function of
@@ -517,7 +491,8 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
          _identity("wform", 0, 22, lambda psi: w_div(w_curl(psi)))),
         ("connection.flat_sections_in_kernel", _check_flat_sections_in_kernel),
         ("connection.flat_sections_independent", _check_flat_sections_independent),
-        ("connection.poincare_inverts_grad", _check_poincare_inverts),
+        ("connection.poincare_inverts_grad",
+         _trials((("w", 0, 23),), _poincare_residuals)),
         ("connection.poincare_rejects_incompatible",
          _rejects("wform", 1, 24, lambda psi: w_curl(psi), lambda psi: w_poincare(psi),
                   "reported residual differs from w_curl: {}",
@@ -534,7 +509,8 @@ _CHECKS: dict[str, list[tuple[str, callable]]] = {
                  lambda a, b: (sym_grad(rigid_motion(a, b)),))),
     ],
     "riemannian": [
-        ("riemannian.metric_jet_inverse", _check_metric_jet_inverse),
+        ("riemannian.metric_jet_inverse",
+         _trials((("sym", 0, 31),), _metric_jet_inverse_residuals)),
         ("riemannian.einstein_matches_compat",
          _identity("sym", 0, 32, lambda s: linearized_einstein(s) - curl_curl(s))),
         ("riemannian.einstein_kills_strains",
@@ -600,9 +576,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     try:
         for name, fn in pairs:
             start = time.perf_counter()
-            residual = fn(config)
-            if config.corrupt == name and residual == "0":
-                residual = "1 (forced by the corruption hook)"
+            residuals = fn(config)
+            if config.corrupt == name:
+                residuals = chain(residuals, ("1 (forced by the corruption hook)",))
+            residual = _first_failure(residuals)
             elapsed = time.perf_counter() - start
             status = "pass" if residual == "0" else "fail"
             records.append(CheckRecord(name=name, status=status,

@@ -305,6 +305,24 @@ def test_matrix_entries_take_exact_rationals_only(entry):
     assert LinOpMatrix(one, one, [{0: F(1, 10)}]).den == 10
 
 
+@pytest.mark.parametrize("value", [True, 0.5], ids=["bool", "float"])
+def test_apply_coords_takes_exact_rationals_only(value):
+    m = matrix_of("grad", 3)
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        m.apply_coords({1: value})
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        m.apply_coords({5: 3, 1: value})
+
+
+def test_apply_coords_reads_ints_and_fractions_as_before():
+    m = matrix_of("grad", 3)
+    assert m.apply_coords({1: 2}) == {20: 2}
+    assert m.apply_coords({1: F(1, 2), 5: 3}) == {20: F(1, 2), 11: 3, 22: 3}
+    assert m.apply_coords({5: F(4, 2)}) == {11: 2, 22: 2}
+    one = GradedSpace([Slot("a", "scalar", 0)])
+    assert LinOpMatrix(one, one, [{0: F(1, 2)}]).apply_coords({0: F(2, 3)}) == {0: F(1, 3)}
+
+
 # -- standard complexes -------------------------------------------------------
 
 

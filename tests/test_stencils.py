@@ -1,6 +1,7 @@
 """Stencil assembly against the hand-written field operators, and its outputs."""
 
 import hashlib
+from fractions import Fraction
 from functools import cache
 from math import lcm
 
@@ -203,6 +204,30 @@ def test_make_stencil_merges_and_drops_zeros():
     terms = [(0, 0, 0, 0, (1, 0, 0), 1), (0, 0, 0, 0, (1, 0, 0), -1),
              (0, 0, 0, 1, (0, 1, 0), 1), (0, 0, 0, 1, (0, 1, 0), 2)]
     assert make_stencil(terms) == ((0, 0, 0, 1, (0, 1, 0), 3),)
+
+
+@pytest.mark.parametrize("alpha,error,message", [
+    ((-1, 0, 0), ValueError, r"negative derivative index in \(-1, 0, 0\)"),
+    ((0, 2, -1), ValueError, "negative derivative index"),
+    ((1, 0), ValueError, r"derivative index needs 3 entries, got \(1, 0\)"),
+    ((0, 0, 0, 0), ValueError, "derivative index needs 3 entries"),
+    ((0.0, 1, 0), TypeError, "derivative index entries must be ints"),
+    ((True, 0, 0), TypeError, r"must be ints, got \(True, 0, 0\)"),
+    ((0, 0, Fraction(1)), TypeError, "derivative index entries must be ints"),
+])
+def test_make_stencil_rejects_a_derivative_index_that_is_no_exponent(alpha, error, message):
+    # Read unchecked, alpha = (-1, 0, 0) assembles x1*f from a bound-1 to a bound-2 slot.
+    term = (0, 0, 0, 0, alpha, 1)
+    with pytest.raises(error, match=message):
+        make_stencil([term])
+    with pytest.raises(error, match=message):
+        LinOpMatrix.from_operator(GradedSpace([Slot("f", "scalar", 1)]),
+                                  GradedSpace([Slot("g", "scalar", 2)]), [term])
+
+
+def test_make_stencil_takes_a_derivative_index_of_any_sequence():
+    assert make_stencil([(0, 0, 0, 0, [0, 1, 0], Fraction(2, 4))]) == \
+        ((0, 0, 0, 0, (0, 1, 0), Fraction(1, 2)),)
 
 
 def test_composed_stencils_give_composed_matrices():

@@ -99,6 +99,19 @@ def test_residual_text_is_frozen(value, text):
     assert residual_text(value) == text
 
 
+def test_first_failure_renders_the_first_nonzero_residual():
+    zeros = [Poly3(), Fraction(0), SymField.zero(), WOneForm.zero(), SkewMat4.zero()]
+    assert suites._first_failure(iter(zeros)) == "0"
+    assert suites._first_failure(iter(zeros + [Fraction(-7, 3), "later"])) == "-7/3"
+    assert suites._first_failure(iter(zeros + ["a failure text", _x1])) == "a failure text"
+    assert suites._first_failure(iter([Poly3(), _x1 - 1, Fraction(1)])) == "x1 - 1"
+
+    def residuals():
+        yield SkewMat4.from_wedge((1, 0, 0, 0), (0, 1, 0, 0))
+        raise AssertionError("resumed after the first failure")
+    assert suites._first_failure(residuals()) == "[12] 1"
+
+
 def _failures(config: SuiteConfig) -> dict[str, str]:
     return {r.name: r.residual for r in run_suite(config).failures}
 
@@ -185,7 +198,7 @@ def test_rejects_row_computes_the_obstruction_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(fields, "_seeded_rng", recording)
     check = suites._rejects("vec", 1, 14, obstruction, integrate, "differs: {}", "accepted")
-    assert check(SuiteConfig(degree=1, seed=124, trials=2)) == "0"
+    assert suites._first_failure(check(SuiteConfig(degree=1, seed=124, trials=2))) == "0"
     assert len(draws) == len(calls) == 3
 
 
