@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -335,14 +336,8 @@ def _alternating_random_field(m):
     m.setattr(suites, "random_field", alternating)
 
 
-def _fieldio_fault(loads=None, dumps=None):
-    def patch(m):
-        real = suites.fieldio
-        m.setattr(suites, "fieldio", type("FieldIO", (), {
-            "dumps": staticmethod(dumps or real.dumps),
-            "loads": staticmethod(lambda text, expect_kind: (loads or real.loads)(
-                text, expect_kind=expect_kind))}))
-    return patch
+def _fieldio_fault(loads=fieldio.loads, dumps=fieldio.dumps):
+    return lambda m: m.setattr(suites, "fieldio", SimpleNamespace(loads=loads, dumps=dumps))
 
 
 def _loads_shifting(shifted_kind):
