@@ -202,7 +202,7 @@ class Mat3Field(_Field):
         return VecField(self.rows[_check_axis(i) - 1])
 
     def column(self, j: int) -> VecField:
-        _check_axis(j)
+        j = _check_axis(j)
         return VecField(tuple(self.rows[i - 1][j - 1] for i in AXES))
 
     def transpose(self) -> "Mat3Field":
@@ -273,7 +273,7 @@ class SymField(_Field):
         return cls.from_entries(lambda a, b: coef if (min(i, j), max(i, j)) == (a, b) else 0)
 
     def entry(self, i: int, j: int) -> Poly3:
-        _check_axis(i), _check_axis(j)
+        i, j = _check_axis(i), _check_axis(j)
         return self.upper[_SYM_POS[(min(i, j), max(i, j))]]
 
     def as_matrix(self) -> Mat3Field:
@@ -311,6 +311,13 @@ def skew_from_axial(vec: VecField) -> Mat3Field:
 _RANDOM_TYPES = {t.KIND: t for t in (VecField, SymField, Mat3Field)}
 RANDOM_KINDS = ("scalar", *_RANDOM_TYPES)
 _COEF_RANGE = (-3, 3)
+# randint(lo, hi) keeps the top k bits of one 32-bit generator word, k the
+# bit length of the width w = hi - lo + 1, and draws a new word while they
+# read w or more.  For w < 256 that is, on the top byte b of a word,
+# lo + (b >> (8 - k)), rejected when b >= w << (8 - k): here lo + (b >> 5),
+# rejected for b >= 224.
+_COEF_SHIFT = 8 - (_COEF_RANGE[1] - _COEF_RANGE[0] + 1).bit_length()
+_COEF_REJECT = (_COEF_RANGE[1] - _COEF_RANGE[0] + 1) << _COEF_SHIFT
 # Numerators of random_point coordinates lie in [-_POINT_SPAN, _POINT_SPAN];
 # the span is also part of the point seed material.
 _POINT_SPAN = 6
@@ -327,20 +334,37 @@ def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
 
 
 def _random_poly(rng: random.Random, degree: int) -> Poly3:
-    terms = {}
-    for exp in _monomial_table(degree):
-        c = rng.randint(*_COEF_RANGE)
-        if c:
-            terms[exp] = c
-    return Poly3(terms)
+    """One coefficient per monomial of `_monomial_table(degree)`, each the
+    value rng.randint(*_COEF_RANGE) would return, leaving rng in the same state.
+
+    The words come in batches: getrandbits(32 * n) is the next n generator
+    words, word i in bytes 4i..4i+3 of its little-endian bytes, so byte 4i + 3
+    is the top byte of word i.  Each rejected word costs randint one more
+    word, so the next batch draws exactly as many words as were rejected.
+    """
+    exps = _monomial_table(degree)
+    lo, shift, reject = _COEF_RANGE[0], _COEF_SHIFT, _COEF_REJECT
+    coefs: list[int] = []
+    need = len(exps)
+    while need:
+        top = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        coefs += [lo + (b >> shift) for b in top if b < reject]
+        need = len(exps) - len(coefs)
+    # The exponents are a monomial table's and the coefficients nonzero
+    # ints, so the terms are canonical as they stand.
+    poly = Poly3.__new__(Poly3)
+    poly.terms = {exp: c for exp, c in zip(exps, coefs) if c}
+    return poly
 
 
 def random_field(kind: str, degree: int, seed: int):
     """Deterministic pseudo-random field of the requested kind and degree.
 
     Every monomial of total degree <= degree receives a small integer
-    coefficient; the same (kind, degree, seed) triple reproduces the exact
-    same field in any process.
+    coefficient, in ascending graded lex order and component by component:
+    each equals what random.Random.randint(-3, 3) returns from the same
+    generator state, on every supported Python.  So the same (kind, degree,
+    seed) triple reproduces the exact same field in any process.
     """
     if kind not in RANDOM_KINDS:
         raise ValueError(f"kind must be one of {RANDOM_KINDS}, got {kind!r}")

@@ -5,7 +5,10 @@ rational coefficients.  A coefficient is stored as an int when it is
 integral and as a Fraction with denominator > 1 otherwise; `_canonical`
 enforces this form on every path that stores a coefficient, so integer
 polynomials are added, multiplied and differentiated without building any
-Fraction.  It also checks the exact scalars a caller passes to the point,
+Fraction.  Scaling by a rational p/q (a division by an int, a factor 1/2 or
+1/4) takes an integer path for each int coefficient: n = coef * p is stored
+as n // q when q divides it, and as Fraction(n, q) only when it does not.
+`_canonical` also checks the exact scalars a caller passes to the point,
 vector, two-form and stencil entries of the package: an int or a Fraction,
 never a float or a bool.  An int compares and hashes like the equal Fraction, and
 `coefficient`/`evaluate` return Fractions; `second_jets` returns the
@@ -26,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import index
 from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, int, int]
@@ -80,9 +84,8 @@ class Poly3:
     @classmethod
     def variable(cls, axis: int) -> "Poly3":
         """The coordinate polynomial x_axis, axis in 1..3."""
-        _check_axis(axis)
         exp = [0, 0, 0]
-        exp[axis - 1] = 1
+        exp[_check_axis(axis) - 1] = 1
         return cls({tuple(exp): 1})
 
     @classmethod
@@ -152,15 +155,30 @@ class Poly3:
     __rmul__ = __mul__
 
     def _scaled(self, c: Scalar) -> "Poly3":
-        """self * c for a canonical scalar c; self itself when c is 1."""
+        """self * c for a canonical scalar c; self itself when c is 1.
+
+        An int coefficient times a Fraction c = p/q is n = coef * p over q,
+        stored as n // q when q divides n: no Fraction is built for it unless
+        the product is not integral.
+        """
         if c == 1:
             return self
         if not c:
             return ZERO
         out = {}
-        for exp, coef in self.terms.items():
-            v = coef * c
-            out[exp] = v if type(v) is int else _canonical(v)
+        if type(c) is int:
+            for exp, coef in self.terms.items():
+                v = coef * c
+                out[exp] = v if type(v) is int else _canonical(v)
+        else:
+            p, q = c.numerator, c.denominator
+            for exp, coef in self.terms.items():
+                if type(coef) is int:
+                    n = coef * p
+                    out[exp] = Fraction(n, q) if n % q else n // q
+                else:
+                    v = coef * c
+                    out[exp] = v if type(v) is int else _canonical(v)
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res
@@ -201,17 +219,20 @@ class Poly3:
 
     def partial(self, axis: int) -> "Poly3":
         """Exact partial derivative with respect to x_axis (axis in 1..3)."""
-        _check_axis(axis)
-        i = axis - 1
-        out: dict[Exponent, Scalar] = {}
-        for exp, coef in self.terms.items():
-            a = exp[i]
-            if a == 0:
-                continue
-            new = list(exp)
-            new[i] = a - 1
-            v = coef * a
-            out[tuple(new)] = v if type(v) is int else _canonical(v)
+        axis = _check_axis(axis)
+        t = self.terms
+        if axis == 1:
+            out = {(a - 1, b, c): v * a for (a, b, c), v in t.items() if a}
+        elif axis == 2:
+            out = {(a, b - 1, c): v * b for (a, b, c), v in t.items() if b}
+        else:
+            out = {(a, b, c - 1): v * c for (a, b, c), v in t.items() if c}
+        # Only a Fraction coefficient can turn integral; an int times an
+        # exponent stays an int.
+        if not {int}.issuperset(map(type, out.values())):
+            for exp, v in out.items():
+                if type(v) is not int:
+                    out[exp] = _canonical(v)
         res = Poly3.__new__(Poly3)
         res.terms = out
         return res
@@ -266,8 +287,19 @@ def _coerce(value: "Poly3 | Scalar") -> Poly3:
 
 
 def _check_axis(axis: int) -> int:
-    """Return axis if it is 1, 2 or 3; raise ValueError otherwise."""
-    if axis not in (1, 2, 3):
+    """axis as an int, if it is 1, 2 or 3.
+
+    An axis is an int or another integer type (one with __index__, such as a
+    SymPy Integer), never a bool or a float: True is not axis 1, nor is 1.0.
+    Raises TypeError for those and ValueError for an integer outside 1..3.
+    """
+    if isinstance(axis, bool):
+        raise TypeError("axis must be an int, got bool")
+    try:
+        axis = index(axis)
+    except TypeError:
+        raise TypeError(f"axis must be an int, got {type(axis).__name__}") from None
+    if not 1 <= axis <= 3:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis
 

@@ -105,10 +105,16 @@ def make_stencil(terms: Iterable[Sequence]) -> Stencil:
 
 
 def compose(outer: Iterable[Sequence], inner: Iterable[Sequence]) -> Stencil:
-    """Stencil of outer o inner; with constant coefficients derivatives add."""
+    """Stencil of outer o inner; with constant coefficients derivatives add.
+
+    Each derivative index of either input is checked like `make_stencil`
+    checks one before it is added, so a negative or bool entry cannot hide
+    in a sum.
+    """
     after: dict[tuple[int, int], list] = {}
     for t, d, u, e, beta, g in outer:
-        after.setdefault((t, d), []).append((u, e, beta, g))
+        after.setdefault((t, d), []).append((u, e, _derivative_index(beta), g))
+    inner = [(s, c, t, d, _derivative_index(alpha), f) for s, c, t, d, alpha, f in inner]
     return make_stencil((s, c, u, e, tuple(a + b for a, b in zip(alpha, beta)), f * g)
                         for s, c, t, d, alpha, f in inner
                         for u, e, beta, g in after.get((t, d), ()))

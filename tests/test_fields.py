@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from strainkit import fieldio
 from strainkit.connection import WField, WOneForm
-from strainkit.fields import (AXES, Mat3Field, SYM_INDEX_PAIRS, SymField,
-                              VecField, axial_vector, delta, eps,
+from strainkit.connection import random_w_field, random_w_one_form
+from strainkit.fields import (AXES, Mat3Field, RANDOM_KINDS, SYM_INDEX_PAIRS, SymField,
+                              VecField, _COEF_RANGE, _POINT_SPAN, _RANDOM_TYPES,
+                              _random_poly, _seeded_rng, axial_vector, delta, eps,
                               random_field, random_point, skew_from_axial)
-from strainkit.poly import ONE, X1, X2, X3, Poly3
+from strainkit.poly import ONE, X1, X2, X3, Poly3, monomials_up_to
 
 FIELD_TYPES = (VecField, SymField, Mat3Field, WField, WOneForm)
 
@@ -201,3 +204,79 @@ def test_mixed_kinds_do_not_add():
         VecField.zero() + SymField.zero()
     with pytest.raises(TypeError):
         Mat3Field.zero() - WOneForm.zero()
+
+
+# -- seeded draws against the former per-coefficient loop ----------------------
+
+def _former_random_poly(rng, degree):
+    """The former draw: one rng.randint(*_COEF_RANGE) per monomial."""
+    terms = {}
+    for exp in monomials_up_to(degree):
+        c = rng.randint(*_COEF_RANGE)
+        if c:
+            terms[exp] = c
+    return Poly3(terms)
+
+
+def _former_random_field(kind, degree, seed):
+    rng = _seeded_rng(kind, degree, seed)
+    if kind == "scalar":
+        return _former_random_poly(rng, degree)
+    T = _RANDOM_TYPES[kind]
+    return T.from_parts(tuple(_former_random_poly(rng, degree) for _ in T.KEYS))
+
+
+def _parts(field):
+    return (field,) if isinstance(field, Poly3) else field.parts
+
+
+def _terms_text(field):
+    """Every term of every component, in insertion order; an int coefficient
+    reads differently from the equal Fraction."""
+    return repr([list(p.terms.items()) for p in _parts(field)])
+
+
+@pytest.mark.parametrize("kind", RANDOM_KINDS)
+def test_batched_draws_match_the_randint_loop(kind):
+    for degree in range(9):
+        for seed in range(40):
+            new, old = _seeded_rng(kind, degree, seed), _seeded_rng(kind, degree, seed)
+            for _ in range(1 if kind == "scalar" else len(_RANDOM_TYPES[kind].KEYS)):
+                got, want = _random_poly(new, degree), _former_random_poly(old, degree)
+                assert _terms_text(got) == _terms_text(want)
+                assert new.getstate() == old.getstate()
+            assert _terms_text(random_field(kind, degree, seed)) == \
+                _terms_text(_former_random_field(kind, degree, seed))
+
+
+def test_seeded_samplers_match_the_randint_loop():
+    for degree in range(5):
+        for seed in range(10):
+            want = WField(_former_random_field("vec", degree, 2 * seed + 1),
+                          _former_random_field("vec", degree, 2 * seed + 2))
+            assert _terms_text(random_w_field(degree, seed)) == _terms_text(want)
+            want = WOneForm(_former_random_field("mat", degree, 2 * seed + 1),
+                            _former_random_field("mat", degree, 2 * seed + 2))
+            assert _terms_text(random_w_one_form(degree, seed)) == _terms_text(want)
+    for seed in range(40):
+        rng = _seeded_rng("point", _POINT_SPAN, seed)
+        want = tuple(Fraction(rng.randint(-_POINT_SPAN, _POINT_SPAN), rng.randint(1, 4))
+                     for _ in AXES)
+        assert random_point(seed) == want
+
+
+# sha256 of the terms of random_field over a fixed grid and of random_point,
+# frozen from the per-coefficient randint loop: every supported Python must
+# draw these same fields and points.
+_DRAWS_SHA256 = "8413ccfe9101c2e500cb2e4b67b73bc7110b1b9559a789df12d64c8d0ba609a8"
+
+
+def test_draws_are_frozen():
+    h = hashlib.sha256()
+    for kind in RANDOM_KINDS:
+        for degree in range(7):
+            for seed in (0, 1, 2, 3, 10 ** 12):
+                h.update(_terms_text(random_field(kind, degree, seed)).encode())
+    for seed in range(20):
+        h.update(repr(random_point(seed)).encode())
+    assert h.hexdigest() == _DRAWS_SHA256

@@ -8,7 +8,7 @@ from strainkit import fieldio
 from strainkit.complexes import (GradedSpace, SkewMat4, Slot, interior_product,
                                  lambda2_split, wedge_with_vector)
 from strainkit.connection import rigid_motion
-from strainkit.fields import random_field
+from strainkit.fields import Mat3Field, VecField, random_field
 from strainkit.poly import (ONE, X1, X2, X3, ZERO, Poly3, grlex_key,
                             monomials_up_to, second_jets)
 from strainkit.riemannian import JetPoly, PolyMetric, pointwise_curvature
@@ -116,6 +116,30 @@ def test_public_entries_take_exact_rationals_only(entry, value):
         _EXACT_ENTRIES[entry](value)
     _EXACT_ENTRIES[entry](Fraction(1, 10))
     _EXACT_ENTRIES[entry](1)
+
+
+_AXIS_ENTRIES = {
+    "Poly3.partial": lambda axis: Poly3({(2, 1, 0): 3}).partial(axis),
+    "Poly3.variable": Poly3.variable,
+    "VecField.comp": lambda axis: VecField.of(X1, X2, X3).comp(axis),
+    "Mat3Field.entry(i, 1)": lambda axis: Mat3Field.identity().entry(axis, 1),
+    "Mat3Field.entry(1, j)": lambda axis: Mat3Field.identity().entry(1, axis),
+}
+
+
+@pytest.mark.parametrize("axis,error", [
+    (True, TypeError), (False, TypeError), (1.0, TypeError), ("1", TypeError),
+    (Fraction(1), TypeError), (None, TypeError), (0, ValueError), (4, ValueError),
+    (-1, ValueError),
+])
+@pytest.mark.parametrize("entry", sorted(_AXIS_ENTRIES))
+def test_axis_is_an_int_from_1_to_3(entry, axis, error):
+    """True is not axis 1 (Poly3({(2, 1, 0): 3}).partial(True) once gave
+    6*x1*x2), and a float fails as an axis, not later as a tuple index."""
+    with pytest.raises(error, match="axis must be"):
+        _AXIS_ENTRIES[entry](axis)
+    for axis in (1, 2, 3):
+        _AXIS_ENTRIES[entry](axis)
 
 
 def test_malformed_exponents_rejected():
@@ -407,6 +431,48 @@ def test_fieldio_round_trip_is_byte_stable(ta):
     assert back == p
     assert_canonical(back)
     assert fieldio.dumps(back) == text
+
+
+# The integer kernels of partial and _scaled branch on the coefficient type:
+# ints, Fractions and both in one polynomial, negative numerators included.
+kernel_coefs = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-20, max_value=20, max_denominator=14),
+)
+kernel_maps = st.dictionaries(exponents, kernel_coefs, max_size=10)
+# Scalars over denominators 1, 2, 3 and 7, of either sign.
+kernel_scalars = st.builds(Fraction, st.integers(-21, 21), st.sampled_from([1, 2, 3, 7]))
+
+
+def _fraction_items(p):
+    """p.terms in insertion order, each coefficient read as a Fraction."""
+    assert_canonical(p)
+    return [(e, Fraction(c)) for e, c in p.terms.items()]
+
+
+@PROPS
+@given(ta=kernel_maps, s=kernel_scalars)
+@example(ta={(1, 0, 0): 3, (2, 1, 0): Fraction(-5, 2), (0, 0, 3): Fraction(7, 3),
+             (0, 2, 1): -14}, s=Fraction(-2, 7))
+@example(ta={(0, 3, 0): Fraction(1, 3), (3, 0, 0): 6, (0, 0, 2): -9}, s=Fraction(1, 3))
+@example(ta={(2, 0, 0): Fraction(-1, 2), (0, 0, 0): -4}, s=Fraction(-3, 2))
+def test_partial_and_scaling_match_fraction_arithmetic(ta, s):
+    """partial, scaling and division against plain Fraction arithmetic over
+    the source's terms: equal values, canonical form (an int exactly when
+    integral) and the insertion order of the source."""
+    p = Poly3(ta)
+    src = _fraction_items(p)
+    for axis in (1, 2, 3):
+        i = axis - 1
+        want = [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in src if e[i]]
+        assert _fraction_items(p.partial(axis)) == want
+    want = [(e, c * s) for e, c in src if c * s]
+    for got in (p * s, s * p, p * Poly3.constant(s), Poly3.constant(s) * p):
+        assert _fraction_items(got) == want
+    for q in (s, 2, 3, 7, -3):
+        if q:
+            want = [(e, c / q) for e, c in src]
+            assert _fraction_items(p / q) == want
 
 
 def _results(x, y, s):

@@ -230,6 +230,18 @@ def test_make_stencil_takes_a_derivative_index_of_any_sequence():
         ((0, 0, 0, 0, (0, 1, 0), Fraction(1, 2)),)
 
 
+@pytest.mark.parametrize("alpha,error", [((-1, 0, 0), ValueError), ((True, 0, 0), TypeError)])
+def test_compose_checks_each_derivative_index_before_adding(alpha, error):
+    # Added unchecked, (-1, 0, 0) before d1 composed to the identity
+    # ((0, 0, 0, 0, (0, 0, 0), 1),) and (True, 0, 0) to (2, 0, 0).
+    bad = [(0, 0, 0, 0, alpha, 1)]
+    d1 = operator_stencil("grad")[:1]
+    with pytest.raises(error, match="derivative index"):
+        compose(bad, d1)
+    with pytest.raises(error, match="derivative index"):
+        compose(d1, bad)
+
+
 def test_composed_stencils_give_composed_matrices():
     # div o grad is the Laplacian: three second derivatives
     laplace = compose(operator_stencil("div"), operator_stencil("grad"))
