@@ -155,9 +155,9 @@ def cmd_linearize(args) -> int:
     _save_field(einstein, args.output)
     print(f"wrote first-order Einstein field to {args.output}")
     if args.check:
-        residual = einstein - curl_curl(sigma)
-        if not residual.is_zero():
-            print("check failed; residual: " + residual_text(residual),
+        expected = curl_curl(sigma)
+        if einstein != expected:
+            print("check failed; residual: " + residual_text(einstein - expected),
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
         print("check passed: linearization equals the compatibility tensor")
@@ -294,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FieldFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (FieldFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CompatibilityError, SingularMetricError, SingularBlockError) as exc:

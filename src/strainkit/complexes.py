@@ -28,7 +28,7 @@ from . import exactlin
 from .errors import SingularBlockError
 from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
                      _Value)
-from .poly import Exponent, Poly3, Scalar, _canonical, _monomial_table
+from .poly import Exponent, Poly3, Scalar, _as_int, _canonical, _monomial_table
 from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
                        make_stencil, operator_stencil)
 
@@ -673,7 +673,7 @@ def lambda2_split(v: Sequence, omega: SkewMat4) -> tuple[SkewMat4, SkewMat4]:
 
 def random_vec4(seed: int) -> tuple[Fraction, ...]:
     """Deterministic nonzero rational 4-vector."""
-    rng = _seeded_rng("vec4", 0, seed)
+    rng = _seeded_rng("vec4", 0, _as_int(seed, "seed"))
     while True:
         v = tuple(_random_rationals(rng, 4, 4, 3))
         if any(v):
@@ -682,7 +682,7 @@ def random_vec4(seed: int) -> tuple[Fraction, ...]:
 
 def random_skew4(seed: int) -> SkewMat4:
     """Deterministic rational two-form on R^4."""
-    draws = iter(_random_rationals(_seeded_rng("skew4", 0, seed), 6, 4, 3))
+    draws = iter(_random_rationals(_seeded_rng("skew4", 0, _as_int(seed, "seed")), 6, 4, 3))
     rows = [[0] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):

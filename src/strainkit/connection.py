@@ -205,7 +205,7 @@ def saint_venant_reconstruct(sigma: SymField) -> VecField:
     check = w_curl(psi)
     if not check.sigma.is_zero():
         raise AssertionError("first curl slot must vanish for symmetric input")
-    if not (check.xi - residual.as_matrix()).is_zero():
+    if check.xi != residual.as_matrix():
         raise AssertionError("second curl slot must equal the compatibility residual")
     return _integrate_closed(psi, den)[0]
 

@@ -52,19 +52,14 @@ def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]]
 
 
 def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
-    """Transpose sparse columns into integer rows, each divided by its gcd."""
+    """Transpose sparse columns, cleared of denominators by `lowest_terms`,
+    into integer rows; `_eliminate` divides each row it updates by its gcd."""
     rows: dict[int, dict[int, int]] = {}
     for j, col in enumerate(lowest_terms(cols)[0]):
         for i, value in col.items():
             if value:
                 rows.setdefault(i, {})[j] = value
-    out = []
-    for ints in rows.values():
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
+    return list(rows.values())
 
 
 def accumulate(acc: Column, factor, col: Column) -> None:

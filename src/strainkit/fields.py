@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .poly import Poly3, Scalar, _check_axis, _coerce, _monomial_table
+from .poly import Poly3, Scalar, _as_int, _check_axis, _coerce, _monomial_table
 
 AXES = (1, 2, 3)
 
@@ -220,8 +220,8 @@ class Mat3Field(_Field):
             lambda i, j: (self.entry(i, j) - self.entry(j, i)) / 2)
 
     def is_symmetric(self) -> bool:
-        return all((self.entry(i, j) - self.entry(j, i)).is_zero()
-                   for i in AXES for j in AXES if i < j)
+        (_, m12, m13), (m21, _, m23), (m31, m32, _) = self.rows
+        return m12 == m21 and m13 == m31 and m23 == m32
 
     def __str__(self) -> str:
         return "[" + "; ".join(str(self.row(i)) for i in AXES) + "]"
@@ -364,8 +364,10 @@ def random_field(kind: str, degree: int, seed: int):
     coefficient, in ascending graded lex order and component by component:
     each equals what random.Random.randint(-3, 3) returns from the same
     generator state, on every supported Python.  So the same (kind, degree,
-    seed) triple reproduces the exact same field in any process.
+    seed) triple reproduces the exact same field in any process.  degree and
+    seed are integers, never bools or floats (TypeError).
     """
+    degree, seed = _as_int(degree, "degree"), _as_int(seed, "seed")
     if kind not in RANDOM_KINDS:
         raise ValueError(f"kind must be one of {RANDOM_KINDS}, got {kind!r}")
     if degree < 0:
@@ -387,5 +389,5 @@ def _random_rationals(rng: random.Random, count: int, span: int,
 
 def random_point(seed: int) -> tuple[Fraction, Fraction, Fraction]:
     """Deterministic rational point with small numerators and denominators."""
-    return tuple(_random_rationals(_seeded_rng("point", _POINT_SPAN, seed), 3,
-                                   _POINT_SPAN, 4))
+    rng = _seeded_rng("point", _POINT_SPAN, _as_int(seed, "seed"))
+    return tuple(_random_rationals(rng, 3, _POINT_SPAN, 4))

@@ -286,19 +286,22 @@ def _coerce(value: "Poly3 | Scalar") -> Poly3:
     return Poly3.constant(value)
 
 
-def _check_axis(axis: int) -> int:
-    """axis as an int, if it is 1, 2 or 3.
-
-    An axis is an int or another integer type (one with __index__, such as a
-    SymPy Integer), never a bool or a float: True is not axis 1, nor is 1.0.
-    Raises TypeError for those and ValueError for an integer outside 1..3.
-    """
-    if isinstance(axis, bool):
-        raise TypeError("axis must be an int, got bool")
+def _as_int(value: int, name: str) -> int:
+    """value as an int: an int or another integer type (one with __index__,
+    such as a SymPy Integer), never a bool or a float, so True is not 1 and
+    neither is 1.0.  Raises TypeError naming `name` for anything else."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got bool")
     try:
-        axis = index(axis)
+        return index(value)
     except TypeError:
-        raise TypeError(f"axis must be an int, got {type(axis).__name__}") from None
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}") from None
+
+
+def _check_axis(axis: int) -> int:
+    """axis as an int (read by `_as_int`), if it is 1, 2 or 3; ValueError
+    for an integer outside 1..3."""
+    axis = _as_int(axis, "axis")
     if not 1 <= axis <= 3:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis

@@ -2,9 +2,10 @@
 
 Two regimes are covered.  First-order jets handle metrics delta + eps*Sigma
 with eps^2 = 0: every curvature quantity is computed in truncated jet
-arithmetic and the quadratic Christoffel terms are asserted (not assumed) to
-vanish.  Pointwise evaluation handles honest polynomial metrics at a rational
-point, with the full nonlinear curvature formula.
+arithmetic, and the two quadratic Christoffel sums are asserted (not
+assumed) to be equal, so they cancel and are never added into Ricci.
+Pointwise evaluation handles honest polynomial metrics at a rational point,
+with the full nonlinear curvature formula.
 
 Sign convention: the Ricci tensor is
 
@@ -19,7 +20,8 @@ Each intermediate is formed once per call.  A jet curvature call builds one
 inverse, the 27 derivative jets d_m g_ij, the 27 brackets
 d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
 every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
-are computed), vanishing quadratic terms and einstein = scalar * g - 2 * ricci.
+are computed), cancelling quadratic terms and einstein = scalar * g - 2 * ricci.
+Each check compares canonical values with ==, which builds no difference.
 The jet route carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and
 runs the Gamma and quadratic-term checks on these numerators, which scaling
 by a nonzero constant leaves equivalent; Ricci, scalar and Einstein are
@@ -46,7 +48,7 @@ from typing import Sequence
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
 from .fields import AXES, Mat3Field, SymField, _Value, delta
-from .poly import ZERO, Poly3, Scalar, _coerce, second_jets
+from .poly import ONE, ZERO, Poly3, Scalar, _coerce, second_jets
 
 
 class JetPoly(_Value):
@@ -130,9 +132,9 @@ class MetricJet(_Value):
         for i in AXES:
             for j in AXES:
                 e = rows[i - 1][j - 1]
-                if e.p0 != Poly3.constant(delta(i, j)):
+                if e.p0 != (ONE if i == j else ZERO):
                     raise ValueError("background part of a metric jet must be the identity")
-                if not (e.p1 - rows[j - 1][i - 1].p1).is_zero():
+                if e.p1 != rows[j - 1][i - 1].p1:
                     raise ValueError("metric jet must be symmetric")
 
     @classmethod
@@ -153,10 +155,8 @@ def jet_inverse(g: MetricJet) -> MetricJet:
         lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entry(i, j).p1)))
     ident = _mat3(lambda i, j: JetPoly.constant(delta(i, j)))
     for prod in (_mat3_mul(inv.entries, g.entries), _mat3_mul(g.entries, inv.entries)):
-        for i in AXES:
-            for j in AXES:
-                if not (prod[i - 1][j - 1] - ident[i - 1][j - 1]).is_zero():
-                    raise AssertionError("jet inverse failed its product check")
+        if prod != ident:
+            raise AssertionError("jet inverse failed its product check")
     return inv
 
 
@@ -174,7 +174,7 @@ class ChristoffelJet(_Value):
                     if not g.p0.is_zero():
                         raise ValueError("Christoffel jets of delta + eps*Sigma have no "
                                          "background part")
-                    if not (g.p1 - self.entry(j, i, k).p1).is_zero():
+                    if g.p1 != self.entry(j, i, k).p1:
                         raise ValueError("Christoffel symbols must be symmetric in the "
                                          "lower indices")
 
@@ -232,7 +232,7 @@ class CurvatureJet(_Value):
         for i in AXES:
             for j in AXES:
                 expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
-                if not (einstein[i - 1][j - 1] - expect).is_zero():
+                if einstein[i - 1][j - 1] != expect:
                     raise ValueError("einstein jet must equal scalar*g - 2*ricci")
 
 
@@ -242,9 +242,9 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     One inverse (with its two-sided product check) serves the Christoffel
     jets and the scalar, and the three traces Gamma_jk^k are formed once.
     The route carries 2 Gamma and 4 Ricci, integer jets when Sigma is
-    integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k) plus the
-    quadratic sums of 2 Gamma, which are computed in jet arithmetic and
-    asserted to vanish; at first order only the derivative terms survive.
+    integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k).  The two
+    quadratic sums of 2 Gamma are computed in jet arithmetic and asserted
+    equal, so they cancel at first order and are not added.
     The scalar and Einstein jets follow as 4 S and 4 G, and Ricci, scalar and
     Einstein are each scaled by 1/4 once at the end; CurvatureJet then checks
     the defining relation on them.
@@ -254,19 +254,15 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     # 2 Gamma_jk^k summed over k.
     trace = {j: sum((gamma.entry(j, k, k) for k in AXES), _jet_zero()) for j in AXES}
 
-    def quad_terms(i: int, j: int) -> JetPoly:
+    def ricci_entry(i: int, j: int) -> JetPoly:
         plus = sum((gamma.entry(i, k, m) * gamma.entry(j, m, k)
                     for k in AXES for m in AXES), _jet_zero())
         minus = sum((gamma.entry(i, j, m) * trace[m] for m in AXES), _jet_zero())
-        q = plus - minus
-        if not q.is_zero():
+        if plus != minus:
             raise AssertionError("quadratic Christoffel terms must vanish at first order")
-        return q
-
-    def ricci_entry(i: int, j: int) -> JetPoly:
         lead = trace[j].partial(i) - sum(
             (gamma.entry(i, j, k).partial(k) for k in AXES), _jet_zero())
-        return lead * 2 + quad_terms(i, j)
+        return lead * 2
 
     ricci = _mat3(ricci_entry)
     scalar = sum((ginv.entry(k, l) * ricci[k - 1][l - 1]

@@ -308,6 +308,20 @@ def test_linearize_writes_compatibility_tensor(tmp_path, capsys):
     assert written.entry(3, 3) == Poly3.constant(2)
 
 
+def test_linearize_check_reports_the_residual(tmp_path, capsys, monkeypatch):
+    sigma = _incompatible_strain()
+    einstein = curl_curl(sigma) + SymField.unit(1, 2, Fraction(1, 3) * X1 * X3)
+    monkeypatch.setattr(cli, "linearized_einstein", lambda s: einstein)
+    rc = main(["linearize", "--input", _write(sigma, tmp_path / "strain.json"),
+               "--output", str(tmp_path / "einstein.json"), "--check"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "check passed" not in captured.out
+    assert captured.err == ("check failed; residual: "
+                            + residual_text(einstein - curl_curl(sigma)) + "\n")
+    assert captured.err == "check failed; residual: [12] 1/3*x1*x3\n"
+
+
 # -- complex ------------------------------------------------------------------
 
 

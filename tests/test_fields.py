@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strainkit import fieldio
+from strainkit.complexes import random_skew4, random_vec4
 from strainkit.connection import WField, WOneForm
 from strainkit.connection import random_w_field, random_w_one_form
 from strainkit.fields import (AXES, Mat3Field, RANDOM_KINDS, SYM_INDEX_PAIRS, SymField,
@@ -101,6 +102,15 @@ def test_sym_field_upper_triangle():
     assert back == s
 
 
+def test_is_symmetric_compares_every_off_diagonal_pair():
+    for i in AXES:
+        for j in AXES:
+            if i != j:
+                one_sided = Mat3Field.identity() + Mat3Field.unit(i, j, X1)
+                assert not one_sided.is_symmetric()
+                assert (one_sided + Mat3Field.unit(j, i, X1)).is_symmetric()
+
+
 def test_sym_from_matrix_rejects_asymmetric():
     m = Mat3Field.unit(1, 2, X1)
     with pytest.raises(ValueError):
@@ -148,6 +158,40 @@ def test_random_field_determinism_and_degree():
 def test_random_field_rejects_unknown_kind():
     with pytest.raises(ValueError):
         random_field("spinor", 2, 0)
+
+
+_SEEDED_SAMPLERS = {
+    "random_field degree": lambda v: random_field("scalar", v, 0),
+    "random_field seed": lambda v: random_field("vec", 1, v),
+    "random_point seed": random_point,
+    "random_vec4 seed": random_vec4,
+    "random_skew4 seed": random_skew4,
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+@pytest.mark.parametrize("sampler", sorted(_SEEDED_SAMPLERS))
+def test_degree_and_seed_are_ints(sampler, value):
+    """random_field("scalar", True, 0) once drew a degree-1 field under the
+    seed material scalar:True:0; a float degree failed inside the monomial
+    table with an unrelated message."""
+    name = sampler.split()[-1]
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+        _SEEDED_SAMPLERS[sampler](value)
+
+
+def test_integer_types_draw_like_ints():
+    class Index:
+        def __init__(self, n):
+            self.n = n
+
+        def __index__(self):
+            return self.n
+
+    assert random_field("sym", Index(2), Index(5)) == random_field("sym", 2, 5)
+    assert random_point(Index(3)) == random_point(3)
+    assert random_vec4(Index(3)) == random_vec4(3)
+    assert random_skew4(Index(3)) == random_skew4(3)
 
 
 def test_random_point_deterministic():

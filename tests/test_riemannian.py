@@ -434,6 +434,19 @@ def test_metric_jet_rejects_asymmetric_strain():
         MetricJet(tuple(tuple(row) for row in entries))
 
 
+def test_metric_jet_rejects_a_background_other_than_delta():
+    for i in AXES:
+        for j in AXES:
+            for p0 in (Poly3(), ONE, X1, Poly3.constant(2)):
+                if p0 == (ONE if i == j else Poly3()):
+                    continue
+                entries = [[JetPoly(ONE if a == b else Poly3(), Poly3()) for b in AXES]
+                           for a in AXES]
+                entries[i - 1][j - 1] = JetPoly(p0, Poly3())
+                with pytest.raises(ValueError, match="background"):
+                    MetricJet(tuple(tuple(row) for row in entries))
+
+
 def test_ricci_jet_checks_quadratic_terms(monkeypatch):
     class Background:
         """Christoffel stand-in with a background part, which ChristoffelJet
