@@ -15,13 +15,19 @@ terms (see `stencils`).  A derivative sends a monomial to a single monomial,
 so `LinOpMatrix.from_operator` fills the columns by index arithmetic on the
 monomial positions, read from a shift table cached per (input bound, output
 bound, derivative); no field operator is applied.
+
+The public `LinOpMatrix` constructor checks every entry it is handed.  The
+builders of this module emit nonzero int columns themselves, so
+`from_operator`, `compose` and the three maps of `schur_reduce` go through
+the trusted door `LinOpMatrix._of`, which only cancels a factor common to
+den and the entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, perm
 from typing import Iterable, Sequence
 
 from . import exactlin
@@ -73,7 +79,7 @@ class GradedSpace:
         if len(set(labels)) != len(labels):
             raise ValueError("slot labels must be unique")
         self._monos = [_monomial_table(s.bound) for s in self.slots]
-        self._mono_pos = [{e: k for k, e in enumerate(ms)} for ms in self._monos]
+        self._mono_pos = [_monomial_index(s.bound) for s in self.slots]
         self.offsets = []
         total = 0
         for slot, monos in zip(self.slots, self._monos):
@@ -127,29 +133,35 @@ class GradedSpace:
                 for s in self.slots]
 
 
-# typed, like poly._monomial_table: a float or bool bound is not read as
-# the equal int.
+# Both caches are typed, like poly._monomial_table: a float or bool bound
+# is not read as the equal int.
+@lru_cache(maxsize=None, typed=True)
+def _monomial_index(bound: int) -> dict[Exponent, int]:
+    """Position of each exponent in `_monomial_table(bound)`, built once per
+    bound and shared by every caller, which must not change it."""
+    return {e: k for k, e in enumerate(_monomial_table(bound))}
+
+
 @lru_cache(maxsize=None, typed=True)
 def _shift_table(in_bound: int, out_bound: int,
                  alpha: Exponent) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """Where d^alpha sends the monomials of degree <= in_bound.
 
-    d^alpha x^e = n x^(e - alpha), n the falling factorials of e.  Returns
-    (shifts, over): shifts lists (input monomial index, output monomial
-    index, n) for each monomial with n != 0, in input order, and over is -1.
-    When some image has degree above out_bound, shifts is empty and over is
-    the index of the first such monomial.  Ints only, built once per key.
+    d^alpha x^e = n x^(e - alpha), n the product over the axes of the
+    falling factorials perm(e_i, alpha_i).  Returns (shifts, over): shifts
+    lists (input monomial index, output monomial index, n) for each monomial
+    with n != 0, in input order, and over is -1.  When some image has degree
+    above out_bound, shifts is empty and over is the index of the first such
+    monomial.  Ints only, built once per key.
     """
-    out_pos = {e: k for k, e in enumerate(_monomial_table(out_bound))}
+    out_pos = _monomial_index(out_bound)
+    a1, a2, a3 = alpha
     shifts = []
-    for k, e in enumerate(_monomial_table(in_bound)):
-        n = 1
-        for a, m in zip(e, alpha):
-            for r in range(m):
-                n *= a - r
+    for k, (e1, e2, e3) in enumerate(_monomial_table(in_bound)):
+        n = perm(e1, a1) * perm(e2, a2) * perm(e3, a3)
         if not n:
             continue
-        where = out_pos.get((e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2]))
+        where = out_pos.get((e1 - a1, e2 - a2, e3 - a3))
         if where is None:
             return (), k
         shifts.append((k, where, n))
@@ -160,8 +172,12 @@ class LinOpMatrix:
     """Exact matrix of a linear operator between graded spaces.
 
     Entry (i, j) is cols[j][i] / den, held as int columns without zero
-    entries and one positive int den in lowest terms; the constructor takes
-    int or Fraction columns over den and drops explicit zeros.
+    entries and one positive int den in lowest terms.  The constructor is
+    the door for columns from outside the package, so it checks all of
+    them: the column count, den, and every entry, which may be an int or a
+    Fraction; it drops explicit zeros.  The package's own builders
+    (`from_operator`, `compose`, `schur_reduce`) know their columns are
+    nonzero ints and use `_of`, which does not rescan them.
     """
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
@@ -176,6 +192,21 @@ class LinOpMatrix:
         self.codomain = codomain
         self.cols, self.den = exactlin.lowest_terms(cols, den)
         self.name = name
+
+    @classmethod
+    def _of(cls, domain: GradedSpace, codomain: GradedSpace,
+            cols: list[dict[int, int]], name: str, den: int) -> "LinOpMatrix":
+        """Trusted door for the package's own builders.
+
+        cols must be int columns with no zero entries, one per domain
+        basis vector, and den a positive int; nothing of that is checked.
+        Only a common factor of den and the entries is cancelled: a subset
+        or a product of lowest-terms columns can share one with den.
+        """
+        m = cls.__new__(cls)
+        m.domain, m.codomain, m.name = domain, codomain, name
+        m.cols, m.den = exactlin.cancel_den(cols, den)
+        return m
 
     @classmethod
     def from_operator(cls, domain: GradedSpace, codomain: GradedSpace,
@@ -214,7 +245,7 @@ class LinOpMatrix:
         for col0, row0, shifts, _, factor in terms:
             for k, where, n in shifts:
                 cols[col0 + k][row0 + where] = factor * n
-        return cls(domain, codomain, cols, name=name, den=den)
+        return cls._of(domain, codomain, cols, name, den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -235,7 +266,8 @@ class LinOpMatrix:
         if inner.codomain.dim != self.domain.dim:
             raise ValueError("composition shape mismatch")
         cols = exactlin.mul_cols(self.cols, inner.cols)
-        return LinOpMatrix(inner.domain, self.codomain, cols, name, self.den * inner.den)
+        return LinOpMatrix._of(inner.domain, self.codomain, cols, name,
+                               self.den * inner.den)
 
     def rank(self) -> int:
         return exactlin.sparse_rank(self.cols, self.codomain.dim)
@@ -421,21 +453,21 @@ def schur_reduce(c: ChainComplex, stage: int,
     new_spaces[stage] = new_dom
     new_spaces[stage + 1] = new_cod
     new_maps = list(c.maps)
-    new_maps[stage] = LinOpMatrix(new_dom, new_cod, reduced_cols,
-                                  name=stage_map.name + "~", den=stage_map.den * zden)
+    new_maps[stage] = LinOpMatrix._of(new_dom, new_cod, reduced_cols,
+                                      stage_map.name + "~", stage_map.den * zden)
 
     if stage > 0:
         prev = c.maps[stage - 1]
         u_pos = {j: p for p, j in enumerate(u_cols)}
         projected = [{u_pos[i]: v for i, v in col.items() if i in u_pos}
                      for col in prev.cols]
-        new_maps[stage - 1] = LinOpMatrix(c.spaces[stage - 1], new_dom, projected,
-                                          name=prev.name + "~", den=prev.den)
+        new_maps[stage - 1] = LinOpMatrix._of(c.spaces[stage - 1], new_dom, projected,
+                                              prev.name + "~", prev.den)
     if stage + 1 < len(c.maps):
         nxt = c.maps[stage + 1]
-        new_maps[stage + 1] = LinOpMatrix(new_cod, c.spaces[stage + 2],
-                                          [dict(nxt.cols[i]) for i in v_rows],
-                                          name=nxt.name + "~", den=nxt.den)
+        new_maps[stage + 1] = LinOpMatrix._of(new_cod, c.spaces[stage + 2],
+                                              [dict(nxt.cols[i]) for i in v_rows],
+                                              nxt.name + "~", nxt.den)
     base = c.name if c.name.endswith(" (reduced)") else c.name + " (reduced)"
     return ChainComplex(name=base, spaces=new_spaces, maps=new_maps)
 

@@ -30,7 +30,7 @@ from .calculus import _potential_numerator, curl_curl, curl_row
 from .errors import CompatibilityError
 from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
                      random_field)
-from .poly import Poly3, _canonical
+from .poly import Poly3, _as_int, _canonical
 
 
 class WField(_Field):
@@ -228,12 +228,19 @@ def normalize_rigid(x: VecField) -> VecField:
 
 
 def random_w_field(degree: int, seed: int) -> WField:
-    """Deterministic random section, built from two seeded vector fields."""
+    """Deterministic random section, built from two seeded vector fields.
+
+    degree and seed are integers, never bools or floats (TypeError), read
+    before the two field seeds 2 seed + 1 and 2 seed + 2 are derived.
+    """
+    degree, seed = _as_int(degree, "degree"), _as_int(seed, "seed")
     return WField(random_field("vec", degree, seed * 2 + 1),
                   random_field("vec", degree, seed * 2 + 2))
 
 
 def random_w_one_form(degree: int, seed: int) -> WOneForm:
-    """Deterministic random one-form, built from two seeded matrix fields."""
+    """Deterministic random one-form, built from two seeded matrix fields;
+    degree and seed are read like those of `random_w_field`."""
+    degree, seed = _as_int(degree, "degree"), _as_int(seed, "seed")
     return WOneForm(random_field("mat", degree, seed * 2 + 1),
                     random_field("mat", degree, seed * 2 + 2))

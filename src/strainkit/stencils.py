@@ -9,9 +9,10 @@ each saying that the output component receives factor * d^alpha of the
 input component.  Components follow the `KEYS` order of their slot kind:
 one for a scalar, axes 1..3 for a vector or axial (skew) slot, the upper
 triangle for a symmetric slot and row-major entries for a matrix slot.  The
-tables below are written from the index formulas with eps and delta; the
-hand-written field operators of `calculus` and `connection` are kept as an
-independent reference for them.
+tables below are written from the index formulas with eps and delta, summed
+over their nonzero factors only, and built on first use; the hand-written
+field operators of `calculus` and `connection` are kept as an independent
+reference for them.
 
 `OPERATORS` is the one place an operator is declared: its slots, the kind
 of field it acts on and its reference.  Its stencil sits under the same id.
@@ -25,13 +26,18 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import calculus, connection
-from .fields import AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, _Value, delta, eps
+from .fields import _EPS_NONZERO, AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, _Value, delta
 from .poly import Exponent, Scalar, _canonical
 
 Term = tuple[int, int, int, int, Exponent, Scalar]
 Stencil = tuple[Term, ...]
 
 _MAT_PAIRS = tuple(product(AXES, repeat=2))
+# Component of entry (i, j) in a matrix slot and in a symmetric slot.
+_MAT_COMP = {(i, j): Mat3Field.KEYS.index(f"{i}{j}") for i, j in _MAT_PAIRS}
+_SYM_COMP = {(i, j): SymField.KEYS.index(f"{min(i, j)}{max(i, j)}") for i, j in _MAT_PAIRS}
+# The six (i, j, k) with eps_ijk != 0, and that value.
+_EPS = tuple(_EPS_NONZERO.items())
 
 SlotSpec = tuple[str, str, int]
 
@@ -126,48 +132,49 @@ def _d(*axes: int) -> Exponent:
 
 
 def _m(i: int, j: int) -> int:  # component of entry (i, j) of a matrix slot
-    return Mat3Field.KEYS.index(f"{i}{j}")
+    return _MAT_COMP[i, j]
 
 
 def _s(i: int, j: int) -> int:  # component of entry (i, j) of a symmetric slot
-    return SymField.KEYS.index(f"{min(i, j)}{max(i, j)}")
+    return _SYM_COMP[i, j]
 
 
+# A zero eps or delta term would only be dropped again by `make_stencil`.
 @cache
 def _operator_stencils() -> dict[str, Stencil]:
-    pairs = list(product(AXES, repeat=2))
-    triples = list(product(AXES, repeat=3))
+    pairs = _MAT_PAIRS
     d0 = _d()
     raw = {
         # v_i = d_i f
         "grad": [(0, 0, 0, i - 1, _d(i), 1) for i in AXES],
         # w_i = eps_ijk d_j v_k
-        "curl": [(0, k - 1, 0, i - 1, _d(j), eps(i, j, k)) for i, j, k in triples],
+        "curl": [(0, k - 1, 0, i - 1, _d(j), e) for (i, j, k), e in _EPS],
         # f = d_i v_i
         "div": [(0, i - 1, 0, 0, _d(i), 1) for i in AXES],
-        # s_ij = (delta_ki delta_lj + delta_kj delta_li) d_k v_l / 2
-        "sym_grad": [(0, l - 1, 0, _s(i, j), _d(k),
-                      Fraction(delta(k, i) * delta(l, j) + delta(k, j) * delta(l, i), 2))
-                     for i, j in SYM_INDEX_PAIRS for k, l in pairs],
+        # s_ij = (delta_ki delta_lj + delta_kj delta_li) d_k v_l / 2: the
+        # terms (k, l) = (i, j) and (j, i), one term 1 when i = j
+        "sym_grad": [(0, l - 1, 0, _s(i, j), _d(k), Fraction(1 + delta(i, j), 2))
+                     for i, j in SYM_INDEX_PAIRS for k, l in {(i, j), (j, i)}],
         # t_ij = eps_ikm eps_jln d_k d_l s_mn, the direct double contraction
-        "curl_curl": [(0, _s(m, n), 0, _s(i, j), _d(k, l), eps(i, k, m) * eps(j, l, n))
+        "curl_curl": [(0, _s(m, n), 0, _s(i, j), _d(k, l), e * f)
                       for i, j in SYM_INDEX_PAIRS
-                      for k, l, m, n in product(AXES, repeat=4)],
+                      for (i2, k, m), e in _EPS if i2 == i
+                      for (j2, l, n), f in _EPS if j2 == j],
         # v_j = d_i s_ij
         "div_sym": [(0, _s(i, j), 0, j - 1, _d(i), 1) for i, j in pairs],
         # sigma_jl = d_j x_l - eps_jlm y_m;  xi_jl = d_j y_l
         "w_grad": [(0, l - 1, 0, _m(j, l), _d(j), 1) for j, l in pairs]
-        + [(1, m - 1, 0, _m(j, l), d0, -eps(j, l, m)) for j, l, m in triples]
+        + [(1, m - 1, 0, _m(j, l), d0, -e) for (j, l, m), e in _EPS]
         + [(1, l - 1, 1, _m(j, l), _d(j), 1) for j, l in pairs],
         # sigma'_il = eps_ijk d_j sigma_kl - xi_li + delta_il xi_mm;
         # xi'_il = eps_ijk d_j xi_kl
-        "w_curl": [(q, _m(k, l), q, _m(i, l), _d(j), eps(i, j, k))
-                   for q in (0, 1) for (i, j, k), l in product(triples, AXES)]
+        "w_curl": [(q, _m(k, l), q, _m(i, l), _d(j), e)
+                   for q in (0, 1) for (i, j, k), e in _EPS for l in AXES]
         + [(1, _m(l, i), 0, _m(i, l), d0, -1) for i, l in pairs]
-        + [(1, _m(m, m), 0, _m(i, l), d0, delta(i, l)) for i, l, m in triples],
+        + [(1, _m(m, m), 0, _m(i, i), d0, 1) for i, m in pairs],
         # x_l = d_j sigma_jl - eps_jlm xi_jm;  y_l = d_j xi_jl
         "w_div": [(q, _m(j, l), q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
-        + [(1, _m(j, m), 0, l - 1, d0, -eps(j, l, m)) for j, l, m in triples],
+        + [(1, _m(j, m), 0, l - 1, d0, -e) for (j, l, m), e in _EPS],
     }
     return {op_id: make_stencil(terms) for op_id, terms in raw.items()}
 
@@ -189,16 +196,14 @@ def _keep(src: int, dst: int, ncomp: int) -> list[Term]:
 
 def _split(mat: int, skew: int, sym: int) -> list[Term]:
     """Axial s_a = eps_aij M_ij / 2 and symmetric S_ij = (M_ij + M_ji) / 2 of M."""
-    return ([(mat, _m(i, j), skew, a - 1, _d(), Fraction(eps(a, i, j), 2))
-             for (i, j), a in product(_MAT_PAIRS, AXES)]
+    return ([(mat, _m(i, j), skew, a - 1, _d(), Fraction(e, 2)) for (a, i, j), e in _EPS]
             + [(mat, _m(i, j), sym, _s(i, j), _d(), Fraction(1 + delta(i, j), 2))
                for i, j in _MAT_PAIRS])
 
 
 def _unsplit(skew: int, sym: int, mat: int) -> list[Term]:
     """M_jk = eps_jka s_a + S_jk from its axial and symmetric parts."""
-    return ([(skew, a - 1, mat, _m(j, k), _d(), Fraction(eps(j, k, a)))
-             for (j, k), a in product(_MAT_PAIRS, AXES)]
+    return ([(skew, a - 1, mat, _m(j, k), _d(), Fraction(e)) for (j, k, a), e in _EPS]
             + [(sym, _s(j, k), mat, _m(j, k), _d(), Fraction(1)) for j, k in _MAT_PAIRS])
 
 

@@ -256,6 +256,30 @@ def test_matrix_constructor_and_compose_validation():
         gradm.compose(gradm)
 
 
+def _trusted_maps(degree):
+    """Every matrix built through `LinOpMatrix._of` at a degree: the maps of
+    the three standard complexes and of the halfway and reduced complexes of
+    the derivation, and the two compositions `verify_complex` forms of each."""
+    derived = derive_elasticity(degree)
+    for c in (build_grad_curl_div_complex(degree), build_elasticity_complex(degree),
+              derived.full, derived.halfway, derived.reduced):
+        yield from c.maps
+        yield from (c.maps[k + 1].compose(c.maps[k]) for k in range(len(c.maps) - 1))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_trusted_door_matches_public_constructor(degree):
+    """The trusted door keeps what the checked one would make of the same
+    columns: nonzero int entries over den in lowest terms."""
+    maps = list(_trusted_maps(degree))
+    assert len(maps) == 5 * (3 + 2)
+    for m in maps:
+        assert all(type(v) is int and v for col in m.cols for v in col.values()), m.name
+        public = LinOpMatrix(m.domain, m.codomain, m.cols, m.name, m.den)
+        assert public.den == m.den, m.name
+        assert public.cols == m.cols, m.name
+
+
 def test_curl_of_grad_matrix_is_zero():
     gradm = matrix_of("grad", 3)
     curlm = matrix_of("curl", 2)

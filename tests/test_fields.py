@@ -166,6 +166,10 @@ _SEEDED_SAMPLERS = {
     "random_point seed": random_point,
     "random_vec4 seed": random_vec4,
     "random_skew4 seed": random_skew4,
+    "random_w_field degree": lambda v: random_w_field(v, 0),
+    "random_w_field seed": lambda v: random_w_field(1, v),
+    "random_w_one_form degree": lambda v: random_w_one_form(v, 0),
+    "random_w_one_form seed": lambda v: random_w_one_form(1, v),
 }
 
 
@@ -174,7 +178,8 @@ _SEEDED_SAMPLERS = {
 def test_degree_and_seed_are_ints(sampler, value):
     """random_field("scalar", True, 0) once drew a degree-1 field under the
     seed material scalar:True:0; a float degree failed inside the monomial
-    table with an unrelated message."""
+    table with an unrelated message.  The W samplers once passed a bool seed
+    on as seed * 2 + 1, so random_w_field(1, True) drew random_w_field(1, 1)."""
     name = sampler.split()[-1]
     with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
         _SEEDED_SAMPLERS[sampler](value)
@@ -192,6 +197,8 @@ def test_integer_types_draw_like_ints():
     assert random_point(Index(3)) == random_point(3)
     assert random_vec4(Index(3)) == random_vec4(3)
     assert random_skew4(Index(3)) == random_skew4(3)
+    assert random_w_field(Index(2), Index(4)) == random_w_field(2, 4)
+    assert random_w_one_form(Index(2), Index(4)) == random_w_one_form(2, 4)
 
 
 def test_random_point_deterministic():

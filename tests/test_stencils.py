@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 from strainkit.calculus import curl, curl_curl, div, div_sym, grad, sym_grad
 from strainkit.cli import main
 from strainkit.complexes import (GradedSpace, LinOpMatrix, OPERATOR_IDS, Slot,
-                                 build_elasticity_complex, build_grad_curl_div_complex,
-                                 build_w_complex, matrix_of)
+                                 _shift_table, build_elasticity_complex,
+                                 build_grad_curl_div_complex, build_w_complex, matrix_of)
 from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
-from strainkit.fields import SymField, axial_vector, random_field, skew_from_axial
-from strainkit.stencils import (OPERATORS, compose, coupled_split_stencils, make_stencil,
+from strainkit.fields import (AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, axial_vector,
+                              delta, eps, random_field, skew_from_axial)
+from strainkit.poly import monomials_up_to
+from strainkit.stencils import (OPERATORS, _d, _m, _s, _split,
+                                _unsplit, compose, coupled_split_stencils, make_stencil,
                                 operator_stencil)
 
 
@@ -198,6 +202,96 @@ def test_overflow_names_the_first_column_and_term(codomain, stencil, message):
         with pytest.raises(ValueError) as info:
             assemble(dom, cod, stencil)
         assert str(info.value) == message
+
+
+def _full_enumeration():
+    """The operator tables summed over every index tuple, zero eps and
+    delta products included: the loops the nonzero-only tables replaced."""
+    pairs = list(product(AXES, repeat=2))
+    triples = list(product(AXES, repeat=3))
+    d0 = _d()
+    return {
+        "grad": [(0, 0, 0, i - 1, _d(i), 1) for i in AXES],
+        "curl": [(0, k - 1, 0, i - 1, _d(j), eps(i, j, k)) for i, j, k in triples],
+        "div": [(0, i - 1, 0, 0, _d(i), 1) for i in AXES],
+        "sym_grad": [(0, l - 1, 0, _s(i, j), _d(k),
+                      Fraction(delta(k, i) * delta(l, j) + delta(k, j) * delta(l, i), 2))
+                     for i, j in SYM_INDEX_PAIRS for k, l in pairs],
+        "curl_curl": [(0, _s(m, n), 0, _s(i, j), _d(k, l), eps(i, k, m) * eps(j, l, n))
+                      for i, j in SYM_INDEX_PAIRS
+                      for k, l, m, n in product(AXES, repeat=4)],
+        "div_sym": [(0, _s(i, j), 0, j - 1, _d(i), 1) for i, j in pairs],
+        "w_grad": [(0, l - 1, 0, _m(j, l), _d(j), 1) for j, l in pairs]
+        + [(1, m - 1, 0, _m(j, l), d0, -eps(j, l, m)) for j, l, m in triples]
+        + [(1, l - 1, 1, _m(j, l), _d(j), 1) for j, l in pairs],
+        "w_curl": [(q, _m(k, l), q, _m(i, l), _d(j), eps(i, j, k))
+                   for q in (0, 1) for (i, j, k), l in product(triples, AXES)]
+        + [(1, _m(l, i), 0, _m(i, l), d0, -1) for i, l in pairs]
+        + [(1, _m(m, m), 0, _m(i, l), d0, delta(i, l)) for i, l, m in triples],
+        "w_div": [(q, _m(j, l), q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
+        + [(1, _m(j, m), 0, l - 1, d0, -eps(j, l, m)) for j, l, m in triples],
+    }
+
+
+def _typed(stencil):
+    """A stencil with the type of each factor: an int 1 and Fraction(1) are ==."""
+    return [(term, type(term[-1])) for term in stencil]
+
+
+def test_component_positions_follow_the_keys():
+    for i, j in product(AXES, repeat=2):
+        assert _m(i, j) == Mat3Field.KEYS.index(f"{i}{j}")
+        assert _s(i, j) == SymField.KEYS.index(f"{min(i, j)}{max(i, j)}")
+
+
+@pytest.mark.parametrize("op_id", OPERATOR_IDS)
+def test_operator_tables_equal_the_full_enumeration(op_id):
+    want = make_stencil(_full_enumeration()[op_id])
+    assert _typed(operator_stencil(op_id)) == _typed(want)
+
+
+def test_split_tables_equal_the_full_enumeration():
+    full_split = ([(0, _m(i, j), 0, a - 1, _d(), Fraction(eps(a, i, j), 2))
+                   for (i, j), a in product(product(AXES, repeat=2), AXES)]
+                  + [(0, _m(i, j), 1, _s(i, j), _d(), Fraction(1 + delta(i, j), 2))
+                     for i, j in product(AXES, repeat=2)])
+    full_unsplit = ([(0, a - 1, 0, _m(j, k), _d(), Fraction(eps(j, k, a)))
+                     for (j, k), a in product(product(AXES, repeat=2), AXES)]
+                    + [(1, _s(j, k), 0, _m(j, k), _d(), Fraction(1))
+                       for j, k in product(AXES, repeat=2)])
+    assert _typed(make_stencil(_split(0, 0, 1))) == _typed(make_stencil(full_split))
+    assert _typed(make_stencil(_unsplit(0, 1, 0))) == _typed(make_stencil(full_unsplit))
+    # The split tables list no zero term.
+    assert all(term[-1] for term in _split(0, 0, 1) + _unsplit(0, 1, 0))
+
+
+def _reference_shift_table(in_bound, out_bound, alpha):
+    """`_shift_table` from its definition: the falling factorials of each
+    exponent one factor at a time, and a fresh position dict."""
+    out_pos = {e: k for k, e in enumerate(monomials_up_to(out_bound))}
+    shifts = []
+    for k, e in enumerate(monomials_up_to(in_bound)):
+        n = 1
+        for a, m in zip(e, alpha):
+            for r in range(m):
+                n *= a - r
+        if not n:
+            continue
+        where = out_pos.get(tuple(a - m for a, m in zip(e, alpha)))
+        if where is None:
+            return (), k
+        shifts.append((k, where, n))
+    return tuple(shifts), -1
+
+
+def test_shift_tables_match_the_falling_factorial_loop():
+    alphas = [a for a in product(range(3), repeat=3) if sum(a) <= 2]
+    assert len(alphas) == 10
+    for in_bound in range(9):
+        for out_bound in range(-1, 9):
+            for alpha in alphas:
+                assert _shift_table(in_bound, out_bound, alpha) == \
+                    _reference_shift_table(in_bound, out_bound, alpha)
 
 
 def test_make_stencil_merges_and_drops_zeros():
