@@ -26,7 +26,7 @@ the rank whatever their order, and an invertible block has one solution.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, lcm
 
 from .poly import _canonical
@@ -48,16 +48,8 @@ def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]]
 
 
 def cancel_den(cols: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]], int]:
-    """Int columns over den with the gcd of den and every entry divided out.
-
-    The first entries alone mostly bring the gcd to 1, so they are read first.
-    """
-    if den == 1:
-        return cols, den
-    values = chain.from_iterable(map(dict.values, cols))
-    g = gcd(den, *islice(values, 32))
-    if g > 1:
-        g = gcd(g, *values)
+    """Int columns over den with the gcd of den and every entry divided out."""
+    g = gcd(den, *chain.from_iterable(map(dict.values, cols))) if den > 1 else 1
     if g > 1:
         cols = [{i: v // g for i, v in col.items()} for col in cols]
         den //= g

@@ -34,8 +34,8 @@ Stencil = tuple[Term, ...]
 
 _MAT_PAIRS = tuple(product(AXES, repeat=2))
 # Component of entry (i, j) in a matrix slot and in a symmetric slot.
-_MAT_COMP = {(i, j): Mat3Field.KEYS.index(f"{i}{j}") for i, j in _MAT_PAIRS}
-_SYM_COMP = {(i, j): SymField.KEYS.index(f"{min(i, j)}{max(i, j)}") for i, j in _MAT_PAIRS}
+_MAT = {(i, j): Mat3Field.KEYS.index(f"{i}{j}") for i, j in _MAT_PAIRS}
+_SYM = {(i, j): SymField.KEYS.index(f"{min(i, j)}{max(i, j)}") for i, j in _MAT_PAIRS}
 # The six (i, j, k) with eps_ijk != 0, and that value.
 _EPS = tuple(_EPS_NONZERO.items())
 
@@ -131,14 +131,6 @@ def _d(*axes: int) -> Exponent:
     return tuple(axes.count(i) for i in AXES)
 
 
-def _m(i: int, j: int) -> int:  # component of entry (i, j) of a matrix slot
-    return _MAT_COMP[i, j]
-
-
-def _s(i: int, j: int) -> int:  # component of entry (i, j) of a symmetric slot
-    return _SYM_COMP[i, j]
-
-
 # A zero eps or delta term would only be dropped again by `make_stencil`.
 @cache
 def _operator_stencils() -> dict[str, Stencil]:
@@ -153,28 +145,28 @@ def _operator_stencils() -> dict[str, Stencil]:
         "div": [(0, i - 1, 0, 0, _d(i), 1) for i in AXES],
         # s_ij = (delta_ki delta_lj + delta_kj delta_li) d_k v_l / 2: the
         # terms (k, l) = (i, j) and (j, i), one term 1 when i = j
-        "sym_grad": [(0, l - 1, 0, _s(i, j), _d(k), Fraction(1 + delta(i, j), 2))
+        "sym_grad": [(0, l - 1, 0, _SYM[i, j], _d(k), Fraction(1 + delta(i, j), 2))
                      for i, j in SYM_INDEX_PAIRS for k, l in {(i, j), (j, i)}],
         # t_ij = eps_ikm eps_jln d_k d_l s_mn, the direct double contraction
-        "curl_curl": [(0, _s(m, n), 0, _s(i, j), _d(k, l), e * f)
+        "curl_curl": [(0, _SYM[m, n], 0, _SYM[i, j], _d(k, l), e * f)
                       for i, j in SYM_INDEX_PAIRS
                       for (i2, k, m), e in _EPS if i2 == i
                       for (j2, l, n), f in _EPS if j2 == j],
         # v_j = d_i s_ij
-        "div_sym": [(0, _s(i, j), 0, j - 1, _d(i), 1) for i, j in pairs],
+        "div_sym": [(0, _SYM[i, j], 0, j - 1, _d(i), 1) for i, j in pairs],
         # sigma_jl = d_j x_l - eps_jlm y_m;  xi_jl = d_j y_l
-        "w_grad": [(0, l - 1, 0, _m(j, l), _d(j), 1) for j, l in pairs]
-        + [(1, m - 1, 0, _m(j, l), d0, -e) for (j, l, m), e in _EPS]
-        + [(1, l - 1, 1, _m(j, l), _d(j), 1) for j, l in pairs],
+        "w_grad": [(0, l - 1, 0, _MAT[j, l], _d(j), 1) for j, l in pairs]
+        + [(1, m - 1, 0, _MAT[j, l], d0, -e) for (j, l, m), e in _EPS]
+        + [(1, l - 1, 1, _MAT[j, l], _d(j), 1) for j, l in pairs],
         # sigma'_il = eps_ijk d_j sigma_kl - xi_li + delta_il xi_mm;
         # xi'_il = eps_ijk d_j xi_kl
-        "w_curl": [(q, _m(k, l), q, _m(i, l), _d(j), e)
+        "w_curl": [(q, _MAT[k, l], q, _MAT[i, l], _d(j), e)
                    for q in (0, 1) for (i, j, k), e in _EPS for l in AXES]
-        + [(1, _m(l, i), 0, _m(i, l), d0, -1) for i, l in pairs]
-        + [(1, _m(m, m), 0, _m(i, i), d0, 1) for i, m in pairs],
+        + [(1, _MAT[l, i], 0, _MAT[i, l], d0, -1) for i, l in pairs]
+        + [(1, _MAT[m, m], 0, _MAT[i, i], d0, 1) for i, m in pairs],
         # x_l = d_j sigma_jl - eps_jlm xi_jm;  y_l = d_j xi_jl
-        "w_div": [(q, _m(j, l), q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
-        + [(1, _m(j, m), 0, l - 1, d0, -e) for (j, l, m), e in _EPS],
+        "w_div": [(q, _MAT[j, l], q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
+        + [(1, _MAT[j, m], 0, l - 1, d0, -e) for (j, l, m), e in _EPS],
     }
     return {op_id: make_stencil(terms) for op_id, terms in raw.items()}
 
@@ -196,15 +188,15 @@ def _keep(src: int, dst: int, ncomp: int) -> list[Term]:
 
 def _split(mat: int, skew: int, sym: int) -> list[Term]:
     """Axial s_a = eps_aij M_ij / 2 and symmetric S_ij = (M_ij + M_ji) / 2 of M."""
-    return ([(mat, _m(i, j), skew, a - 1, _d(), Fraction(e, 2)) for (a, i, j), e in _EPS]
-            + [(mat, _m(i, j), sym, _s(i, j), _d(), Fraction(1 + delta(i, j), 2))
+    return ([(mat, _MAT[i, j], skew, a - 1, _d(), Fraction(e, 2)) for (a, i, j), e in _EPS]
+            + [(mat, _MAT[i, j], sym, _SYM[i, j], _d(), Fraction(1 + delta(i, j), 2))
                for i, j in _MAT_PAIRS])
 
 
 def _unsplit(skew: int, sym: int, mat: int) -> list[Term]:
     """M_jk = eps_jka s_a + S_jk from its axial and symmetric parts."""
-    return ([(skew, a - 1, mat, _m(j, k), _d(), Fraction(e)) for (j, k, a), e in _EPS]
-            + [(sym, _s(j, k), mat, _m(j, k), _d(), Fraction(1)) for j, k in _MAT_PAIRS])
+    return ([(skew, a - 1, mat, _MAT[j, k], _d(), Fraction(e)) for (j, k, a), e in _EPS]
+            + [(sym, _SYM[j, k], mat, _MAT[j, k], _d(), Fraction(1)) for j, k in _MAT_PAIRS])
 
 
 @cache

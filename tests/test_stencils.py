@@ -18,7 +18,7 @@ from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
 from strainkit.fields import (AXES, SYM_INDEX_PAIRS, Mat3Field, SymField, axial_vector,
                               delta, eps, random_field, skew_from_axial)
 from strainkit.poly import monomials_up_to
-from strainkit.stencils import (OPERATORS, _d, _m, _s, _split,
+from strainkit.stencils import (OPERATORS, _MAT, _SYM, _d, _split,
                                 _unsplit, compose, coupled_split_stencils, make_stencil,
                                 operator_stencil)
 
@@ -214,22 +214,22 @@ def _full_enumeration():
         "grad": [(0, 0, 0, i - 1, _d(i), 1) for i in AXES],
         "curl": [(0, k - 1, 0, i - 1, _d(j), eps(i, j, k)) for i, j, k in triples],
         "div": [(0, i - 1, 0, 0, _d(i), 1) for i in AXES],
-        "sym_grad": [(0, l - 1, 0, _s(i, j), _d(k),
+        "sym_grad": [(0, l - 1, 0, _SYM[i, j], _d(k),
                       Fraction(delta(k, i) * delta(l, j) + delta(k, j) * delta(l, i), 2))
                      for i, j in SYM_INDEX_PAIRS for k, l in pairs],
-        "curl_curl": [(0, _s(m, n), 0, _s(i, j), _d(k, l), eps(i, k, m) * eps(j, l, n))
+        "curl_curl": [(0, _SYM[m, n], 0, _SYM[i, j], _d(k, l), eps(i, k, m) * eps(j, l, n))
                       for i, j in SYM_INDEX_PAIRS
                       for k, l, m, n in product(AXES, repeat=4)],
-        "div_sym": [(0, _s(i, j), 0, j - 1, _d(i), 1) for i, j in pairs],
-        "w_grad": [(0, l - 1, 0, _m(j, l), _d(j), 1) for j, l in pairs]
-        + [(1, m - 1, 0, _m(j, l), d0, -eps(j, l, m)) for j, l, m in triples]
-        + [(1, l - 1, 1, _m(j, l), _d(j), 1) for j, l in pairs],
-        "w_curl": [(q, _m(k, l), q, _m(i, l), _d(j), eps(i, j, k))
+        "div_sym": [(0, _SYM[i, j], 0, j - 1, _d(i), 1) for i, j in pairs],
+        "w_grad": [(0, l - 1, 0, _MAT[j, l], _d(j), 1) for j, l in pairs]
+        + [(1, m - 1, 0, _MAT[j, l], d0, -eps(j, l, m)) for j, l, m in triples]
+        + [(1, l - 1, 1, _MAT[j, l], _d(j), 1) for j, l in pairs],
+        "w_curl": [(q, _MAT[k, l], q, _MAT[i, l], _d(j), eps(i, j, k))
                    for q in (0, 1) for (i, j, k), l in product(triples, AXES)]
-        + [(1, _m(l, i), 0, _m(i, l), d0, -1) for i, l in pairs]
-        + [(1, _m(m, m), 0, _m(i, l), d0, delta(i, l)) for i, l, m in triples],
-        "w_div": [(q, _m(j, l), q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
-        + [(1, _m(j, m), 0, l - 1, d0, -eps(j, l, m)) for j, l, m in triples],
+        + [(1, _MAT[l, i], 0, _MAT[i, l], d0, -1) for i, l in pairs]
+        + [(1, _MAT[m, m], 0, _MAT[i, l], d0, delta(i, l)) for i, l, m in triples],
+        "w_div": [(q, _MAT[j, l], q, l - 1, _d(j), 1) for q in (0, 1) for j, l in pairs]
+        + [(1, _MAT[j, m], 0, l - 1, d0, -eps(j, l, m)) for j, l, m in triples],
     }
 
 
@@ -240,8 +240,8 @@ def _typed(stencil):
 
 def test_component_positions_follow_the_keys():
     for i, j in product(AXES, repeat=2):
-        assert _m(i, j) == Mat3Field.KEYS.index(f"{i}{j}")
-        assert _s(i, j) == SymField.KEYS.index(f"{min(i, j)}{max(i, j)}")
+        assert _MAT[i, j] == Mat3Field.KEYS.index(f"{i}{j}")
+        assert _SYM[i, j] == SymField.KEYS.index(f"{min(i, j)}{max(i, j)}")
 
 
 @pytest.mark.parametrize("op_id", OPERATOR_IDS)
@@ -251,13 +251,13 @@ def test_operator_tables_equal_the_full_enumeration(op_id):
 
 
 def test_split_tables_equal_the_full_enumeration():
-    full_split = ([(0, _m(i, j), 0, a - 1, _d(), Fraction(eps(a, i, j), 2))
+    full_split = ([(0, _MAT[i, j], 0, a - 1, _d(), Fraction(eps(a, i, j), 2))
                    for (i, j), a in product(product(AXES, repeat=2), AXES)]
-                  + [(0, _m(i, j), 1, _s(i, j), _d(), Fraction(1 + delta(i, j), 2))
+                  + [(0, _MAT[i, j], 1, _SYM[i, j], _d(), Fraction(1 + delta(i, j), 2))
                      for i, j in product(AXES, repeat=2)])
-    full_unsplit = ([(0, a - 1, 0, _m(j, k), _d(), Fraction(eps(j, k, a)))
+    full_unsplit = ([(0, a - 1, 0, _MAT[j, k], _d(), Fraction(eps(j, k, a)))
                      for (j, k), a in product(product(AXES, repeat=2), AXES)]
-                    + [(1, _s(j, k), 0, _m(j, k), _d(), Fraction(1))
+                    + [(1, _SYM[j, k], 0, _MAT[j, k], _d(), Fraction(1))
                        for j, k in product(AXES, repeat=2)])
     assert _typed(make_stencil(_split(0, 0, 1))) == _typed(make_stencil(full_split))
     assert _typed(make_stencil(_unsplit(0, 1, 0))) == _typed(make_stencil(full_unsplit))
