@@ -21,13 +21,61 @@ def grad(f: Poly3) -> VecField:
     return VecField(tuple(f.partial(i) for i in AXES))
 
 
+# The six nonzero terms eps_i^{jk} d_j X_k of curl X, as (k, j, i, eps_i^{jk})
+# with 0-based indices: component X_k, its axis of differentiation j, the
+# target component i and the sign.
+_CURL_TERMS = ((2, 1, 0, 1), (1, 2, 0, -1), (0, 2, 1, 1), (2, 0, 1, -1),
+               (1, 0, 2, 1), (0, 1, 2, -1))
+
+
 def curl(x: VecField) -> VecField:
-    """(curl X)_i = eps_i^{jk} d_j X_k."""
-    return VecField.of(
-        x.comp(3).partial(2) - x.comp(2).partial(3),
-        x.comp(1).partial(3) - x.comp(3).partial(1),
-        x.comp(2).partial(1) - x.comp(1).partial(2),
-    )
+    """(curl X)_i = eps_i^{jk} d_j X_k.
+
+    One pass over the terms of the three components: each term c x^e of X_k
+    adds eps_i^{jk} e_j c x^(e - 1_j) to component i for the two (j, i) of
+    `_CURL_TERMS`, so no partial or difference polynomial is formed.  The
+    result is canonical as `Poly3` arithmetic leaves it: int coefficients
+    stay ints and a term that cancels is removed.  The loop body is spelled
+    once per axis, so the lowered exponent is built from unpacked entries.
+    """
+    comps = [p.terms for p in x.components]
+    outs: tuple[dict[Exponent, Scalar], ...] = ({}, {}, {})
+    for k, j, i, sign in _CURL_TERMS:
+        out = outs[i]
+        get = out.get
+        if j == 0:
+            for (a, b, c), coef in comps[k].items():
+                if a:
+                    exp = (a - 1, b, c)
+                    s = get(exp, 0) + coef * (sign * a)
+                    if s:
+                        out[exp] = s if type(s) is int else _canonical(s)
+                    else:
+                        del out[exp]
+        elif j == 1:
+            for (a, b, c), coef in comps[k].items():
+                if b:
+                    exp = (a, b - 1, c)
+                    s = get(exp, 0) + coef * (sign * b)
+                    if s:
+                        out[exp] = s if type(s) is int else _canonical(s)
+                    else:
+                        del out[exp]
+        else:
+            for (a, b, c), coef in comps[k].items():
+                if c:
+                    exp = (a, b, c - 1)
+                    s = get(exp, 0) + coef * (sign * c)
+                    if s:
+                        out[exp] = s if type(s) is int else _canonical(s)
+                    else:
+                        del out[exp]
+    parts = []
+    for out in outs:
+        p = Poly3.__new__(Poly3)
+        p.terms = out
+        parts.append(p)
+    return VecField(parts)
 
 
 def div(x: VecField) -> Poly3:

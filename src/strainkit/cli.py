@@ -7,13 +7,17 @@ Exit codes distinguish failure classes so scripts can react:
     2   mathematical precondition failure (incompatible strain, singular
         metric, non-invertible block)
     64  usage error (bad flags)
-    65  input parse error (unreadable or malformed field file)
+    65  input parse error (unreadable or malformed field file), or a result
+        with a number of more digits than Python writes as decimal text
+        (sys.get_int_max_str_digits(), 4300 by default); nothing of that
+        result is written
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -83,9 +87,26 @@ def _load_field(path: str, kind: str):
         return fieldio.load(fp, expect_kind=kind)
 
 
+class _DigitLimitError(Exception):
+    """A result holds a number past Python's limit on decimal digits."""
+
+
+def _text(render, *args) -> str:
+    """render(*args), the text of a result.  Rendering a number converts an
+    int to decimal text, which raises ValueError past the digit limit; that
+    is the only ValueError it can raise, and it becomes _DigitLimitError."""
+    try:
+        return render(*args)
+    except ValueError as exc:
+        raise _DigitLimitError from exc
+
+
 def _save_field(field, path: str) -> None:
+    """Write a field file; its text is rendered before the file is opened."""
+    buffer = io.StringIO()
+    _text(fieldio.save, field, buffer)
     with open(path, "w", encoding="utf-8") as fp:
-        fieldio.save(field, fp)
+        fp.write(buffer.getvalue())
 
 
 def _sym_grad_is(x, sigma) -> bool:
@@ -133,8 +154,9 @@ def cmd_reconstruct(args) -> int:
     try:
         x = saint_venant_reconstruct(sigma)
     except CompatibilityError as exc:
+        residual = _text(residual_text, exc.residual)
         print("strain is not compatible; curl curl residual:", file=sys.stderr)
-        print(residual_text(exc.residual), file=sys.stderr)
+        print(residual, file=sys.stderr)
         return EXIT_PRECONDITION
     if args.normalize:
         x = normalize_rigid(x)
@@ -143,7 +165,7 @@ def cmd_reconstruct(args) -> int:
     if args.verify_output:
         if not _sym_grad_is(x, sigma):
             print("round trip failed; residual: "
-                  + residual_text(sym_grad(x) - sigma), file=sys.stderr)
+                  + _text(residual_text, sym_grad(x) - sigma), file=sys.stderr)
             return EXIT_CHECK_FAILED
         print("round trip verified: sym_grad(output) equals the input strain")
     return EXIT_OK
@@ -157,8 +179,8 @@ def cmd_linearize(args) -> int:
     if args.check:
         expected = curl_curl(sigma)
         if einstein != expected:
-            print("check failed; residual: " + residual_text(einstein - expected),
-                  file=sys.stderr)
+            print("check failed; residual: "
+                  + _text(residual_text, einstein - expected), file=sys.stderr)
             return EXIT_CHECK_FAILED
         print("check passed: linearization equals the compatibility tensor")
     return EXIT_OK
@@ -225,10 +247,12 @@ def cmd_ricci(args) -> int:
     entries = _load_field(args.metric, "sym")
     metric = PolyMetric(entries)
     values = pointwise_curvature(metric, args.point)
-    print("point: (" + ", ".join(str(c) for c in args.point) + ")")
-    print("ricci: " + _rows(values.ricci))
-    print("scalar: " + str(values.scalar))
-    print("einstein: " + _rows(values.einstein))
+    # All four lines are rendered before the first is printed.
+    print(_text(lambda: "\n".join((
+        "point: (" + ", ".join(str(c) for c in args.point) + ")",
+        "ricci: " + _rows(values.ricci),
+        "scalar: " + str(values.scalar),
+        "einstein: " + _rows(values.einstein)))))
     return EXIT_OK
 
 
@@ -300,6 +324,11 @@ def main(argv=None) -> int:
     except (CompatibilityError, SingularMetricError, SingularBlockError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except _DigitLimitError:
+        print(f"output error: a result has a number of more than "
+              f"{sys.get_int_max_str_digits()} digits, the most Python writes "
+              f"as decimal text", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

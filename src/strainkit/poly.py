@@ -42,7 +42,8 @@ def _canonical(value: Scalar) -> Scalar:
     """A rational as an int when integral, else as a Fraction with denominator > 1."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
+    # type() first: isinstance against Fraction goes through ABCMeta.__instancecheck__.
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
@@ -95,7 +96,8 @@ class Poly3:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly3 | Scalar") -> "Poly3":
-        other = _coerce(other)
+        if type(other) is not Poly3:
+            other = _coerce(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -128,7 +130,7 @@ class Poly3:
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly3 | Scalar") -> "Poly3":
-        if not isinstance(other, Poly3):
+        if type(other) is not Poly3 and not isinstance(other, Poly3):
             return self._scaled(_canonical(other))
         a, b = self.terms, other.terms
         if not a or not b:
@@ -190,6 +192,8 @@ class Poly3:
         return self * (Fraction(1) / c)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Poly3:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = _coerce(other)
         if not isinstance(other, Poly3):
@@ -300,7 +304,9 @@ def _as_int(value: int, name: str) -> int:
 
 def _check_axis(axis: int) -> int:
     """axis as an int (read by `_as_int`), if it is 1, 2 or 3; ValueError
-    for an integer outside 1..3."""
+    for an integer outside 1..3.  An exact int 1..3 returns at once."""
+    if type(axis) is int and 0 < axis < 4:
+        return axis
     axis = _as_int(axis, "axis")
     if not 1 <= axis <= 3:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")

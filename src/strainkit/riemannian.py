@@ -24,9 +24,12 @@ are computed), cancelling quadratic terms and einstein = scalar * g - 2 * ricci.
 Each check compares canonical values with ==, which builds no difference.
 The jet route carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and
 runs the Gamma and quadratic-term checks on these numerators, which scaling
-by a nonzero constant leaves equivalent; Ricci, scalar and Einstein are
-scaled by 1/4 once at the end, before their relation is checked, and
-`christoffel_jet` halves 2 Gamma.
+by a nonzero constant leaves equivalent.  The relation einstein =
+scalar * g - 2 * ricci is checked on the numerators 4 R, 4 S and 4 G too,
+before Ricci, scalar and Einstein are each scaled by 1/4 once at the end;
+`christoffel_jet` halves 2 Gamma.  The derivative, Christoffel and
+curvature jets all have an empty background (delta is constant), and a jet
+product with an empty background on either side is one Poly3 product.
 
 Pointwise evaluation builds no Fraction between reading the point and
 returning its 19 results (9 Ricci, 1 scalar, 9 Einstein values).  One
@@ -43,6 +46,8 @@ Gamma, d_m Gamma, Ricci, scalar and Einstein are integers over 2 Delta,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .calculus import curl_curl, div_sym
@@ -77,19 +82,32 @@ class JetPoly(_Value):
         return cls(Poly3.constant(c), Poly3())
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
+        if type(other) is not JetPoly:
+            return NotImplemented
         return JetPoly._of(self.p0 + other.p0, self.p1 + other.p1)
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
+        if type(other) is not JetPoly:
+            return NotImplemented
         return JetPoly._of(self.p0 - other.p0, self.p1 - other.p1)
 
     def __neg__(self) -> "JetPoly":
         return JetPoly._of(-self.p0, -self.p1)
 
     def __mul__(self, other: "JetPoly | Scalar") -> "JetPoly":
+        if type(other) is JetPoly:
+            # eps^2 truncates: only the mixed terms survive at first order.  With
+            # either background empty, (a0 + eps a1)(b0 + eps b1) is a single
+            # product: eps a1 b0 or eps a0 b1.
+            a0, b0 = self.p0, other.p0
+            if not a0.terms:
+                return JetPoly._of(ZERO, self.p1 * b0)
+            if not b0.terms:
+                return JetPoly._of(ZERO, a0 * other.p1)
+            return JetPoly._of(a0 * b0, a0 * other.p1 + self.p1 * b0)
         if isinstance(other, (int, Fraction)):
             return JetPoly._of(self.p0 * other, self.p1 * other)
-        # eps^2 truncates: only the mixed terms survive at first order.
-        return JetPoly._of(self.p0 * other.p0, self.p0 * other.p1 + self.p1 * other.p0)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -104,10 +122,6 @@ class JetPoly(_Value):
 
 
 JetMatrix = tuple[tuple[JetPoly, ...], ...]
-
-
-def _jet_zero() -> JetPoly:
-    return JetPoly._of(ZERO, ZERO)
 
 
 def _mat3(entry):
@@ -205,10 +219,9 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
     bracket = {(i, j, l): dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for i, j, l in triples}
 
     def gamma(i: int, j: int, k: int) -> JetPoly:
-        total = _jet_zero()
-        for l in AXES:
-            total = total + ginv.entry(k, l) * bracket[i, j, l]
-        return total
+        row = ginv.entries[k - 1]
+        return (row[0] * bracket[i, j, 1] + row[1] * bracket[i, j, 2]
+                + row[2] * bracket[i, j, 3])
 
     return ChristoffelJet(tuple(
         tuple(tuple(gamma(i, j, k) for k in AXES) for j in AXES) for i in AXES))
@@ -217,23 +230,41 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
 class CurvatureJet(_Value):
     """Ricci, scalar and Einstein jets of a metric jet.
 
-    The defining relation einstein = scalar * g - 2 * ricci is re-checked on
-    construction.
+    The public constructor re-checks the defining relation
+    einstein = scalar * g - 2 * ricci (`_check_einstein`); `ricci_jet`,
+    which checks it on its numerators, builds through `_of`.
     """
 
     __slots__ = ("metric", "ricci", "scalar", "einstein")
 
     def __init__(self, metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
                  einstein: JetMatrix) -> None:
+        _check_einstein(metric, ricci, scalar, einstein)
+        self._set(metric, ricci, scalar, einstein)
+
+    @classmethod
+    def _of(cls, metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
+            einstein: JetMatrix) -> "CurvatureJet":
+        """The curvature jets as given, whose relation the caller has checked."""
+        curvature = object.__new__(cls)
+        curvature._set(metric, ricci, scalar, einstein)
+        return curvature
+
+    def _set(self, metric, ricci, scalar, einstein) -> None:
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "ricci", ricci)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "einstein", einstein)
-        for i in AXES:
-            for j in AXES:
-                expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
-                if einstein[i - 1][j - 1] != expect:
-                    raise ValueError("einstein jet must equal scalar*g - 2*ricci")
+
+
+def _check_einstein(metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
+                    einstein: JetMatrix) -> None:
+    """Raise ValueError unless einstein = scalar * g - 2 * ricci entry by entry."""
+    for i in AXES:
+        for j in AXES:
+            expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
+            if einstein[i - 1][j - 1] != expect:
+                raise ValueError("einstein jet must equal scalar*g - 2*ricci")
 
 
 def ricci_jet(g: MetricJet) -> CurvatureJet:
@@ -245,35 +276,37 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k).  The two
     quadratic sums of 2 Gamma are computed in jet arithmetic and asserted
     equal, so they cancel at first order and are not added.
-    The scalar and Einstein jets follow as 4 S and 4 G, and Ricci, scalar and
-    Einstein are each scaled by 1/4 once at the end; CurvatureJet then checks
-    the defining relation on them.
+    The scalar and Einstein jets follow as 4 S and 4 G, and the defining
+    relation 4 G = 4 S g - 2 (4 R) is checked on these integer numerators,
+    which scaling by 1/4 leaves equivalent.  Ricci, scalar and Einstein are
+    then each scaled by 1/4 once, and the result is built through the
+    trusted `CurvatureJet._of`.
     """
     ginv = jet_inverse(g)
     gamma = _christoffel(g, ginv)
     # 2 Gamma_jk^k summed over k.
-    trace = {j: sum((gamma.entry(j, k, k) for k in AXES), _jet_zero()) for j in AXES}
+    trace = {j: reduce(add, [gamma.entry(j, k, k) for k in AXES]) for j in AXES}
 
     def ricci_entry(i: int, j: int) -> JetPoly:
-        plus = sum((gamma.entry(i, k, m) * gamma.entry(j, m, k)
-                    for k in AXES for m in AXES), _jet_zero())
-        minus = sum((gamma.entry(i, j, m) * trace[m] for m in AXES), _jet_zero())
+        plus = reduce(add, [gamma.entry(i, k, m) * gamma.entry(j, m, k)
+                            for k in AXES for m in AXES])
+        minus = reduce(add, [gamma.entry(i, j, m) * trace[m] for m in AXES])
         if plus != minus:
             raise AssertionError("quadratic Christoffel terms must vanish at first order")
-        lead = trace[j].partial(i) - sum(
-            (gamma.entry(i, j, k).partial(k) for k in AXES), _jet_zero())
+        lead = trace[j].partial(i) - reduce(
+            add, [gamma.entry(i, j, k).partial(k) for k in AXES])
         return lead * 2
 
     ricci = _mat3(ricci_entry)
-    scalar = sum((ginv.entry(k, l) * ricci[k - 1][l - 1]
-                  for k in AXES for l in AXES), _jet_zero())
+    scalar = reduce(add, [ginv.entry(k, l) * ricci[k - 1][l - 1]
+                          for k in AXES for l in AXES])
     einstein = _mat3(
         lambda i, j: scalar * g.entry(i, j) - ricci[i - 1][j - 1] * 2)
+    _check_einstein(g, ricci, scalar, einstein)
     quarter = Fraction(1, 4)
-    return CurvatureJet(
-        metric=g, ricci=_mat3(lambda i, j: ricci[i - 1][j - 1] * quarter),
-        scalar=scalar * quarter,
-        einstein=_mat3(lambda i, j: einstein[i - 1][j - 1] * quarter))
+    return CurvatureJet._of(
+        g, _mat3(lambda i, j: ricci[i - 1][j - 1] * quarter), scalar * quarter,
+        _mat3(lambda i, j: einstein[i - 1][j - 1] * quarter))
 
 
 def linearized_einstein(sigma: SymField) -> SymField:

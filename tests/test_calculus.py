@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from strainkit.calculus import (curl, curl_col, curl_curl, curl_curl_direct,
                                 curl_row, div, div_sym, grad,
@@ -138,3 +139,79 @@ def test_grad_returns_fresh_objects():
     g1 = grad(f)
     g2 = grad(f)
     assert g1 == g2
+
+
+# -- the one-pass curl against the former six-partial body ---------------------
+
+def _former_curl(x):
+    """The former curl: six partial polynomials, subtracted three times."""
+    return VecField.of(
+        x.comp(3).partial(2) - x.comp(2).partial(3),
+        x.comp(1).partial(3) - x.comp(3).partial(1),
+        x.comp(2).partial(1) - x.comp(1).partial(2),
+    )
+
+
+def _coefficient_types(field):
+    """Each term's coefficient type, per component: an int coefficient reads
+    differently from the equal Fraction."""
+    return [{exp: type(c) for exp, c in p.terms.items()} for p in field.components]
+
+
+def _assert_canonical(field):
+    for p in field.components:
+        for coef in p.terms.values():
+            assert coef != 0
+            assert type(coef) is int or (type(coef) is Fraction and coef.denominator > 1)
+
+
+coefs = st.one_of(st.integers(-6, 6),
+                  st.fractions(min_value=-6, max_value=6, max_denominator=4))
+exponents = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+def _flat_along(axis):
+    """Exponent triples with a zero entry at `axis`: a derivative along it drops the term."""
+    return exponents.map(lambda e: e[:axis] + (0,) + e[axis + 1:])
+
+
+components = st.one_of(
+    st.dictionaries(exponents, coefs, max_size=8),
+    st.integers(0, 2).flatmap(
+        lambda axis: st.dictionaries(_flat_along(axis), coefs, max_size=6)))
+vec_fields = st.lists(components, min_size=3, max_size=3).map(
+    lambda terms: VecField(tuple(Poly3(t) for t in terms)))
+int_vec_fields = st.lists(st.dictionaries(exponents, st.integers(-6, 6), max_size=8),
+                          min_size=3, max_size=3).map(
+    lambda terms: VecField(tuple(Poly3(t) for t in terms)))
+PROPS = settings(max_examples=200, deadline=None, database=None)
+
+
+@PROPS
+@given(x=vec_fields)
+# d_2 (x2^2 / 2) = x2 turns integral; the two terms of component 3 cancel.
+@example(x=VecField.of(Poly3(), Poly3(), Fraction(1, 2) * X2 * X2))
+@example(x=VecField.of(X2 * X3, X1 * X3, Poly3()))
+def test_curl_matches_the_six_partial_body(x):
+    got = curl(x)
+    want = _former_curl(x)
+    assert got == want
+    _assert_canonical(got)
+    assert _coefficient_types(got) == _coefficient_types(want)
+
+
+@PROPS
+@given(x=int_vec_fields)
+def test_curl_keeps_int_coefficients_ints(x):
+    got = curl(x)
+    assert all(type(c) is int for p in got.components for c in p.terms.values())
+    _assert_canonical(got)
+    assert got == _former_curl(x)
+
+
+@PROPS
+@given(f=st.dictionaries(exponents, coefs, max_size=10))
+def test_curl_of_grad_is_zero_with_fractions(f):
+    result = curl(grad(Poly3(f)))
+    assert result.is_zero()
+    assert all(not p.terms for p in result.components)

@@ -13,7 +13,7 @@ from strainkit import cli, fieldio
 from strainkit.calculus import curl_curl, sym_grad
 from strainkit.cli import main
 from strainkit.fields import SymField, VecField, random_field
-from strainkit.poly import X1, X3, Poly3
+from strainkit.poly import X1, X2, X3, Poly3
 from strainkit.suites import residual_text
 
 
@@ -416,6 +416,43 @@ def test_ricci_rejects_malformed_point(tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["ricci", "--metric", metric, "--point", bad])
         assert info.value.code == 64
+
+
+# -- results past the decimal digit limit --------------------------------------
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# The largest coefficient a file can hold: it has exactly _LIMIT digits.
+_BIG = int("9" * _LIMIT) if _LIMIT else 0
+
+
+def _digit_limit_argv(case, tmp_path):
+    """A CLI call whose input loads but whose result has a number of more
+    than _LIMIT digits, and the output file it names (or None)."""
+    if case == "ricci":
+        metric = (SymField.identity() + SymField.unit(1, 1, _BIG * X2 * X2)
+                  + SymField.unit(2, 2, _BIG * X1 * X1))
+        return ["ricci", "--metric", _write(metric, tmp_path / "metric.json"),
+                "--point=1,1,1"], None
+    strain = _write(SymField.unit(1, 1, Poly3.monomial((0, 5, 0), _BIG)),
+                    tmp_path / "strain.json")
+    out = tmp_path / "out.json"
+    if case == "linearize":
+        return ["linearize", "--input", strain, "--output", str(out), "--check"], out
+    return ["reconstruct", "--input", strain, "--output", str(out)], out
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this Python writes ints of any length")
+@pytest.mark.parametrize("case", ["linearize", "reconstruct", "ricci"])
+def test_result_past_the_digit_limit_exits_65(tmp_path, capsys, case):
+    argv, out = _digit_limit_argv(case, tmp_path)
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"output error: a result has a number of more than "
+                            f"{_LIMIT} digits, the most Python writes as decimal "
+                            f"text\n")
+    if out is not None:
+        assert not out.exists()
 
 
 # -- parser -------------------------------------------------------------------

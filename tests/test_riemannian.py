@@ -473,3 +473,90 @@ def test_linearized_einstein_checks_background(monkeypatch):
 def test_from_map_jacobian_needs_three_components():
     with pytest.raises(ValueError, match="three components"):
         PolyMetric.from_map_jacobian([X1, X2])
+
+
+# -- jet short paths and operand types -----------------------------------------
+
+def _three_products(a, b):
+    """The jet product by its defining formula: p0 = a0 b0, p1 = a0 b1 + a1 b0."""
+    return JetPoly(a.p0 * b.p0, a.p0 * b.p1 + a.p1 * b.p0)
+
+
+jet_parts = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                            st.one_of(st.integers(-4, 4),
+                                      st.fractions(min_value=-3, max_value=3,
+                                                   max_denominator=3)),
+                            max_size=5).map(Poly3)
+# A background that is empty, or one drawn like any other part (often nonzero).
+jets = st.builds(JetPoly, st.one_of(st.just(Poly3()), jet_parts), jet_parts)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(a=jets, b=jets)
+@example(a=JetPoly(Poly3(), X1), b=JetPoly(X2, X3))    # left background empty
+@example(a=JetPoly(X1, X2), b=JetPoly(Poly3(), X3))    # right background empty
+@example(a=JetPoly(Poly3(), X1), b=JetPoly(Poly3(), X2))  # both empty
+@example(a=JetPoly(X1, X2), b=JetPoly(ONE, X3))       # neither empty
+def test_jet_product_matches_the_three_product_formula(a, b):
+    want = _three_products(a, b)
+    for got in (a * b, b * a):
+        assert got == want
+        assert got.p0 == want.p0 and got.p1 == want.p1
+        assert type(got.p0) is Poly3 and type(got.p1) is Poly3
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), X1, None, "a", 1.5])
+def test_jet_sum_and_difference_take_only_jets(other):
+    jet = JetPoly(1, X1)
+    for op in (lambda: jet + other, lambda: other + jet,
+               lambda: jet - other, lambda: other - jet):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("other", [X1, None, "a", 1.5])
+def test_jet_product_takes_only_jets_and_exact_scalars(other):
+    jet = JetPoly(1, X1)
+    with pytest.raises(TypeError):
+        jet * other
+    with pytest.raises(TypeError):
+        other * jet
+
+
+def test_jet_product_with_exact_scalars():
+    jet = JetPoly(1, X1)
+    assert jet * 2 == 2 * jet == JetPoly(2, 2 * X1)
+    assert jet * Fraction(1, 2) == JetPoly(Fraction(1, 2), X1 / 2)
+
+
+def test_ricci_jet_checks_the_einstein_relation_on_numerators(monkeypatch):
+    g = MetricJet.from_strain(random_field("sym", 3, 17))
+    want = ricci_jet(g)
+    seen = []
+    real = riemannian._check_einstein
+
+    def recording(metric, ricci, scalar, einstein):
+        seen.append((ricci, scalar, einstein))
+        real(metric, ricci, scalar, einstein)
+
+    monkeypatch.setattr(riemannian, "_check_einstein", recording)
+    assert ricci_jet(g) == want
+    # One check, on 4 R, 4 S and 4 G before the 1/4 scaling.
+    [(ricci, scalar, einstein)] = seen
+    assert scalar == want.scalar * 4
+    for i in range(3):
+        for j in range(3):
+            assert ricci[i][j] == want.ricci[i][j] * 4
+            assert einstein[i][j] == want.einstein[i][j] * 4
+
+
+def test_ricci_jet_einstein_check_fires_on_a_perturbed_numerator(monkeypatch):
+    real = riemannian._check_einstein
+
+    def perturbed(metric, ricci, scalar, einstein):
+        bad = ((einstein[0][0] + JetPoly(Poly3(), X1),) + einstein[0][1:],) + einstein[1:]
+        real(metric, ricci, scalar, bad)
+
+    monkeypatch.setattr(riemannian, "_check_einstein", perturbed)
+    with pytest.raises(ValueError, match=r"einstein jet must equal scalar\*g - 2\*ricci"):
+        ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
