@@ -112,10 +112,18 @@ def curl_curl(sigma: SymField) -> SymField:
     The intermediate matrix is generally not symmetric, but the final result
     must be; that is asserted rather than assumed.
     """
-    out = curl_col(curl_row(sigma.as_matrix()))
+    return curl_curl_with_row(sigma)[0]
+
+
+def curl_curl_with_row(sigma: SymField) -> tuple[SymField, Mat3Field]:
+    """(curl_curl(sigma), curl_row(sigma)): the compatibility tensor and the
+    row curl it is taken through, for a caller that needs both.  The
+    symmetry of the result is asserted as in `curl_curl`."""
+    row = curl_row(sigma.as_matrix())
+    out = curl_col(row)
     if not out.is_symmetric():
         raise AssertionError("curl_col(curl_row(.)) of a symmetric field must be symmetric")
-    return SymField.from_entries(out.entry)
+    return SymField.from_entries(out.entry), row
 
 
 def curl_curl_direct(sigma: SymField) -> SymField:

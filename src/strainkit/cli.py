@@ -7,8 +7,9 @@ Exit codes distinguish failure classes so scripts can react:
     2   mathematical precondition failure (incompatible strain, singular
         metric, non-invertible block)
     64  usage error (bad flags)
-    65  input parse error (unreadable or malformed field file), or a result
-        with a number of more digits than Python writes as decimal text
+    65  input parse error (unreadable or malformed field file), an output
+        file that cannot be written, or a result with a number of more
+        digits than Python writes as decimal text
         (sys.get_int_max_str_digits(), 4300 by default); nothing of that
         result is written
 """
@@ -31,7 +32,7 @@ from .complexes import (MIN_COMPLEX_DEGREE, SCHUR_CANCELLATIONS,
 from .connection import normalize_rigid, saint_venant_reconstruct
 from .errors import (CompatibilityError, FieldFormatError, SingularBlockError,
                      SingularMetricError)
-from .fields import SYM_INDEX_PAIRS
+from .fields import AXES, SYM_INDEX_PAIRS
 from .riemannian import PolyMetric, linearized_einstein, pointwise_curvature
 from .suites import (MIN_DEGREE, MIN_TRIALS, SUITE_NAMES, SuiteConfig,
                      check_names, residual_text, run_suite)
@@ -101,21 +102,35 @@ def _text(render, *args) -> str:
         raise _DigitLimitError from exc
 
 
+class _OutputError(Exception):
+    """An output file could not be written; the one argument is the OSError."""
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; an OSError becomes _OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def _save_field(field, path: str) -> None:
     """Write a field file; its text is rendered before the file is opened."""
     buffer = io.StringIO()
     _text(fieldio.save, field, buffer)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(buffer.getvalue())
+    _write(path, buffer.getvalue())
 
 
 def _sym_grad_is(x, sigma) -> bool:
     """Whether sym_grad(x) == sigma, decided on integer numerators: with
-    x = X/M and sigma = S/L, L (d_i X_j + d_j X_i) == 2 M S_ij."""
+    x = X/M and sigma = S/L, L (d_i X_j + d_j X_i) == 2 M S_ij.  Each of the
+    9 partials d_i X_j is formed once."""
     xn, m = x.numerators()
     sn, den = sigma.numerators()
-    return all((xn.comp(j).partial(i) + xn.comp(i).partial(j)) * den
-               == sn.entry(i, j) * (2 * m) for i, j in SYM_INDEX_PAIRS)
+    d = {(i, j): xn.comp(j).partial(i) for i in AXES for j in AXES}
+    return all((d[i, j] + d[j, i]) * den == sn.entry(i, j) * (2 * m)
+               for i, j in SYM_INDEX_PAIRS)
 
 
 def _rows(mat) -> str:
@@ -143,9 +158,7 @@ def cmd_verify(args) -> int:
           f"(suite={config.suite}, degree={config.degree}, "
           f"trials={config.trials}, seed={config.seed})")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(report.to_json())
-            fp.write("\n")
+        _write(args.json, report.to_json() + "\n")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -237,9 +250,7 @@ def cmd_complex(args) -> int:
             ok = False
         payload = result.to_dict()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -320,6 +331,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FieldFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CompatibilityError, SingularMetricError, SingularBlockError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

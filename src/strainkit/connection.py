@@ -10,12 +10,14 @@ displacement field from a compatible strain.
 the input is read as N / L with L the lcm of its coefficient denominators,
 and curl_curl, the connection curl and both integrations run on N.
 `saint_venant_reconstruct` takes curl_curl and the connection curl once
-each: the curl of its one-form, checked slot by slot against the
-compatibility residual, is the closedness proof.  It then integrates through
-the same private helper as `w_poincare`, which still checks that each of the
-6 columns it integrates is curl-free (6 vector `curl`s per reconstruction,
-on numerators; a nonzero scale leaves each check equivalent).  Each column
-potential comes as m times the potential (see
+each, and the row curl of the strain once: `calculus.curl_curl_with_row`
+returns it with the compatibility residual, and it gives the one-form's
+rotation part.  The curl of the one-form, checked slot by slot against the
+residual, is the closedness proof.  It then integrates through the same
+private helper as `w_poincare`, which still checks that each of the 6
+columns it integrates is curl-free (6 vector `curl`s, 18 in all per
+reconstruction, on numerators; a nonzero scale leaves each check
+equivalent).  Each column potential comes as m times the potential (see
 `calculus._potential_numerator`), so each output coefficient is divided
 once.  A CompatibilityError carries the residual of the caller's own input,
 divided back by L.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .calculus import _potential_numerator, curl_curl, curl_row
+from .calculus import _potential_numerator, curl_curl_with_row, curl_row
 from .errors import CompatibilityError
 from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
                      random_field)
@@ -173,10 +175,13 @@ def _integrate_closed(psi: WOneForm, den: int) -> tuple[VecField, VecField, int]
     returned undivided, for a caller that needs y to divide.
     """
     y, m1 = _column_potentials(psi.xi)
-    corrected = Mat3Field.from_entries(
-        lambda j, l: psi.sigma.entry(j, l) * m1
-        + sum((y.comp(m) * eps(j, l, m) for m in AXES), Poly3()))
-    x, m2 = _column_potentials(corrected)
+
+    def corrected(j: int, l: int) -> Poly3:
+        # eps_{jlm} Y_m has one term, m = 6 - j - l, when j != l and none when j == l.
+        entry = psi.sigma.entry(j, l) * m1
+        return entry if j == l else entry + y.comp(6 - j - l) * eps(j, l, 6 - j - l)
+
+    x, m2 = _column_potentials(Mat3Field.from_entries(corrected))
     return x.scaled(Fraction(1, den * m1 * m2)), y, den * m1
 
 
@@ -186,22 +191,23 @@ def saint_venant_reconstruct(sigma: SymField) -> VecField:
     Requires the compatibility condition curl_curl(sigma) = 0; on failure a
     CompatibilityError carrying that exact residual is raised.  The work runs
     on the integer numerators S = L sigma, L the lcm of sigma's coefficient
-    denominators: S is paired with the derived rotation-gradient matrix to
-    form a one-form whose connection curl is taken once: its first slot must
-    vanish and its second must equal the (zero) residual, which proves the
-    one-form closed.  Integrating it still curls each of the 6 columns it
-    integrates (see `calculus._potential_numerator`), and each output
-    coefficient is divided once.  The result vanishes at the origin and has symmetric
-    Jacobian there.
+    denominators.  One call, `curl_curl_with_row`, gives the residual
+    curl_curl(S) (asserted symmetric) and the row curl of S it passes
+    through; S is paired with that row curl, transposed, to form a one-form
+    whose connection curl is taken once: its first slot must vanish and its
+    second must equal the (zero) residual, which proves the one-form closed.
+    Integrating it still curls each of the 6 columns it integrates (see
+    `calculus._potential_numerator`), and each output coefficient is divided
+    once.  The result vanishes at the origin and has symmetric Jacobian
+    there.
     """
     numerators, den = sigma.numerators()
-    residual = curl_curl(numerators)
+    residual, row = curl_curl_with_row(numerators)
     if not residual.is_zero():
         raise CompatibilityError("strain violates the compatibility equations",
                                  residual=residual.scaled(Fraction(1, den)))
-    strain = numerators.as_matrix()
     # xi_{jl} = eps_l^{im} d_i Sigma_{mj}, the transposed row-curl.
-    psi = WOneForm(strain, curl_row(strain).transpose())
+    psi = WOneForm(numerators.as_matrix(), row.transpose())
     check = w_curl(psi)
     if not check.sigma.is_zero():
         raise AssertionError("first curl slot must vanish for symmetric input")

@@ -121,10 +121,20 @@ class Poly3:
         return res
 
     def __sub__(self, other: "Poly3 | Scalar") -> "Poly3":
-        other = _coerce(other)
+        if type(other) is not Poly3:
+            other = _coerce(other)
         if not other.terms:
             return self
-        return self + (-other)
+        out = dict(self.terms)
+        for exp, coef in other.terms.items():
+            s = out.get(exp, 0) - coef
+            if s:
+                out[exp] = s if type(s) is int else _canonical(s)
+            else:
+                del out[exp]
+        res = Poly3.__new__(Poly3)
+        res.terms = out
+        return res
 
     def __rsub__(self, other: Scalar) -> "Poly3":
         return _coerce(other) - self
@@ -160,8 +170,10 @@ class Poly3:
         """self * c for a canonical scalar c; self itself when c is 1.
 
         An int coefficient times a Fraction c = p/q is n = coef * p over q,
-        stored as n // q when q divides n: no Fraction is built for it unless
-        the product is not integral.
+        stored as n // q when q divides n; a Fraction coefficient n/d times
+        an int c is n (c // d) when d divides c, as when a field is scaled to
+        its numerators.  No Fraction is built unless the product is not
+        integral.
         """
         if c == 1:
             return self
@@ -170,8 +182,12 @@ class Poly3:
         out = {}
         if type(c) is int:
             for exp, coef in self.terms.items():
-                v = coef * c
-                out[exp] = v if type(v) is int else _canonical(v)
+                if type(coef) is int:
+                    out[exp] = coef * c
+                else:
+                    # coef is in lowest terms: coef * c is integral iff d | c.
+                    d = coef.denominator
+                    out[exp] = coef * c if c % d else coef.numerator * (c // d)
         else:
             p, q = c.numerator, c.denominator
             for exp, coef in self.terms.items():

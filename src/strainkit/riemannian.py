@@ -28,8 +28,13 @@ by a nonzero constant leaves equivalent.  The relation einstein =
 scalar * g - 2 * ricci is checked on the numerators 4 R, 4 S and 4 G too,
 before Ricci, scalar and Einstein are each scaled by 1/4 once at the end;
 `christoffel_jet` halves 2 Gamma.  The derivative, Christoffel and
-curvature jets all have an empty background (delta is constant), and a jet
-product with an empty background on either side is one Poly3 product.
+curvature jets all have an empty background (delta is constant), so jet
+arithmetic skips the Poly3 work on those backgrounds: a sum, difference,
+scalar multiple or partial derivative computes only the eps part, a product
+with an empty background on either side is one Poly3 product, and the
+product of two such jets (the quadratic Christoffel terms) is the shared
+zero jet by the jet rule eps^2 = 0, which a sum passes over.  The
+quadratic-term check still compares the two sums.
 
 Pointwise evaluation builds no Fraction between reading the point and
 returning its 19 results (9 Ricci, 1 scalar, 9 Einstein values).  One
@@ -53,14 +58,20 @@ from typing import Sequence
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
 from .fields import AXES, Mat3Field, SymField, _Value, delta
-from .poly import ONE, ZERO, Poly3, Scalar, _coerce, second_jets
+from .poly import ONE, ZERO, ZERO_EXP, Poly3, Scalar, _coerce, second_jets
 
 
 class JetPoly(_Value):
     """First-order jet p0 + eps*p1 with eps^2 = 0.
 
     The public constructor coerces scalar parts to Poly3; arithmetic builds
-    its results with `_of` from parts that are Poly3 already.
+    its results with `_of` from parts that are Poly3 already.  Every
+    derivative, Christoffel and curvature jet of delta + eps*Sigma has an
+    empty background, so arithmetic reads the background before it works on
+    it: +, - and scalar * with an empty background (partial with a constant
+    one) only compute p1, a product with one empty background is one Poly3
+    product, a product of two is the shared zero jet by eps^2 = 0, and a sum
+    with that zero jet returns the other operand.
     """
 
     __slots__ = ("p0", "p1")
@@ -84,12 +95,22 @@ class JetPoly(_Value):
     def __add__(self, other: "JetPoly") -> "JetPoly":
         if type(other) is not JetPoly:
             return NotImplemented
-        return JetPoly._of(self.p0 + other.p0, self.p1 + other.p1)
+        if other is _JET_ZERO:
+            return self
+        if self is _JET_ZERO:
+            return other
+        a0, b0 = self.p0, other.p0
+        if not b0.terms:
+            return JetPoly._of(a0, self.p1 + other.p1)
+        if not a0.terms:
+            return JetPoly._of(b0, self.p1 + other.p1)
+        return JetPoly._of(a0 + b0, self.p1 + other.p1)
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
         if type(other) is not JetPoly:
             return NotImplemented
-        return JetPoly._of(self.p0 - other.p0, self.p1 - other.p1)
+        a0, b0 = self.p0, other.p0
+        return JetPoly._of(a0 - b0 if b0.terms else a0, self.p1 - other.p1)
 
     def __neg__(self) -> "JetPoly":
         return JetPoly._of(-self.p0, -self.p1)
@@ -97,21 +118,29 @@ class JetPoly(_Value):
     def __mul__(self, other: "JetPoly | Scalar") -> "JetPoly":
         if type(other) is JetPoly:
             # eps^2 truncates: only the mixed terms survive at first order.  With
-            # either background empty, (a0 + eps a1)(b0 + eps b1) is a single
-            # product: eps a1 b0 or eps a0 b1.
+            # one background empty, (a0 + eps a1)(b0 + eps b1) is a single
+            # product, eps a1 b0 or eps a0 b1; with both empty it is
+            # eps^2 a1 b1 = 0, the shared zero jet.
             a0, b0 = self.p0, other.p0
             if not a0.terms:
+                if not b0.terms:
+                    return _JET_ZERO
                 return JetPoly._of(ZERO, self.p1 * b0)
             if not b0.terms:
                 return JetPoly._of(ZERO, a0 * other.p1)
             return JetPoly._of(a0 * b0, a0 * other.p1 + self.p1 * b0)
         if isinstance(other, (int, Fraction)):
-            return JetPoly._of(self.p0 * other, self.p1 * other)
+            a0 = self.p0
+            return JetPoly._of(a0 * other if a0.terms else a0, self.p1 * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def partial(self, axis: int) -> "JetPoly":
+        """d/dx_axis of both parts; a constant background differentiates to ZERO."""
+        a0 = self.p0.terms
+        if not a0 or (len(a0) == 1 and ZERO_EXP in a0):
+            return JetPoly._of(ZERO, self.p1.partial(axis))
         return JetPoly._of(self.p0.partial(axis), self.p1.partial(axis))
 
     def is_zero(self) -> bool:
@@ -120,6 +149,8 @@ class JetPoly(_Value):
     def __str__(self) -> str:
         return f"({self.p0}) + eps*({self.p1})"
 
+
+_JET_ZERO = JetPoly._of(ZERO, ZERO)
 
 JetMatrix = tuple[tuple[JetPoly, ...], ...]
 
@@ -133,6 +164,10 @@ def _mat3_mul(a, b):
     """Matrix product; summing from the first term needs no zero of the entry type."""
     return _mat3(lambda i, j: a[i - 1][0] * b[0][j - 1] + a[i - 1][1] * b[1][j - 1]
                  + a[i - 1][2] * b[2][j - 1])
+
+
+# The identity matrix of jets, which `jet_inverse` compares its products with.
+_JET_IDENTITY = _mat3(lambda i, j: JetPoly.constant(delta(i, j)))
 
 
 class MetricJet(_Value):
@@ -167,9 +202,8 @@ def jet_inverse(g: MetricJet) -> MetricJet:
     """Inverse metric jet: delta - eps*Sigma, verified by multiplication."""
     inv = MetricJet(_mat3(
         lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entry(i, j).p1)))
-    ident = _mat3(lambda i, j: JetPoly.constant(delta(i, j)))
     for prod in (_mat3_mul(inv.entries, g.entries), _mat3_mul(g.entries, inv.entries)):
-        if prod != ident:
+        if prod != _JET_IDENTITY:
             raise AssertionError("jet inverse failed its product check")
     return inv
 

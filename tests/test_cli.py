@@ -495,6 +495,27 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def _writer_argv(writer, tmp_path, out):
+    """A CLI call of `writer` that succeeds up to writing the file `out`."""
+    strain = _write(sym_grad(_bent_rod()), tmp_path / "strain.json")
+    return {"reconstruct": ["reconstruct", "--input", strain, "--output", out],
+            "linearize": ["linearize", "--input", strain, "--output", out],
+            "complex": ["complex", "--degree", "3", "--report", out],
+            "verify": ["verify", "--suite", "calculus", "--degree", "1",
+                       "--trials", "1", "--json", out]}[writer]
+
+
+@pytest.mark.parametrize("writer", ["reconstruct", "linearize", "complex", "verify"])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, writer):
+    out = str(tmp_path / "absent" / "out.json")
+    assert main(_writer_argv(writer, tmp_path, out)) == 65
+    captured = capsys.readouterr()
+    assert captured.err == (f"output error: [Errno 2] No such file or directory: "
+                            f"{out!r}\n")
+    assert "wrote" not in captured.out
+    assert not os.path.exists(out)
+
+
 def test_missing_argument_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["reconstruct", "--input", "whatever.json"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from strainkit import connection
+from strainkit import calculus, connection
 from strainkit.calculus import (_potential_numerator, curl, curl_curl, curl_row,
                                 grad, homotopy_antiderivative, sym_grad)
 from strainkit.connection import (WField, WOneForm, flat_sections_basis,
@@ -258,7 +258,7 @@ def _count_calls(monkeypatch, module, name):
 
 def test_saint_venant_takes_each_curl_once(monkeypatch):
     w_curls = _count_calls(monkeypatch, connection, "w_curl")
-    curl_curls = _count_calls(monkeypatch, connection, "curl_curl")
+    curl_curls = _count_calls(monkeypatch, connection, "curl_curl_with_row")
     columns = _count_calls(monkeypatch, connection, "_potential_numerator")
     u = random_field("vec", 4, 3)
     v = saint_venant_reconstruct(sym_grad(u))
@@ -266,10 +266,29 @@ def test_saint_venant_takes_each_curl_once(monkeypatch):
     assert normalize_rigid(v) == normalize_rigid(u)
 
 
+def test_saint_venant_makes_18_vector_curls(monkeypatch):
+    """Cost pin: curl_curl (6 curls), the connection curl (6) and the 6
+    column checks; the strain's row curl serves the residual and the
+    one-form.  An incompatible strain stops after curl_curl."""
+    u = random_field("vec", 4, 3)
+    strain = sym_grad(u)
+    bad = random_field("sym", 3, 300)
+    curls = _count_calls(monkeypatch, calculus, "curl")
+    v = saint_venant_reconstruct(strain)
+    assert len(curls) == 18
+    assert normalize_rigid(v) == normalize_rigid(u)
+    del curls[:]
+    with pytest.raises(CompatibilityError):
+        saint_venant_reconstruct(bad)
+    assert len(curls) == 6
+
+
 def test_saint_venant_curls_each_integrated_column(monkeypatch):
-    """With both closedness checks stubbed to pass, the column curl-free
-    check of the integration still refuses a non-closed one-form."""
-    monkeypatch.setattr(connection, "curl_curl", lambda s: SymField.zero())
+    """With both closedness checks stubbed to pass (the one-form still takes
+    the strain's own row curl), the column curl-free check of the
+    integration still refuses a non-closed one-form."""
+    monkeypatch.setattr(connection, "curl_curl_with_row",
+                        lambda s: (SymField.zero(), curl_row(s.as_matrix())))
     monkeypatch.setattr(connection, "w_curl", lambda psi: WOneForm.zero())
     with pytest.raises(CompatibilityError, match="not curl-free"):
         saint_venant_reconstruct(SymField.unit(1, 1, Fraction(1, 3) * X2 * X2))

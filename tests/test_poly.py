@@ -475,6 +475,27 @@ def test_partial_and_scaling_match_fraction_arithmetic(ta, s):
             assert _fraction_items(p / q) == want
 
 
+@PROPS
+@given(ta=term_maps, tb=term_maps, s=rationals)
+@example(ta={}, tb={}, s=0)                                   # empty operands
+@example(ta={}, tb={(1, 0, 0): Fraction(1, 2)}, s=Fraction(1, 2))
+@example(ta={(2, 0, 1): 3, (0, 0, 0): Fraction(1, 2)},
+         tb={(2, 0, 1): 3, (0, 0, 0): Fraction(1, 2)}, s=Fraction(1, 2))  # cancels
+@example(ta={(0, 1, 0): Fraction(3, 2), (1, 0, 0): 4},
+         tb={(0, 1, 0): Fraction(1, 2), (0, 0, 2): -1}, s=3)  # 3/2 - 1/2 is the int 1
+def test_subtraction_matches_adding_the_negation(ta, tb, s):
+    """a - b against a + (-b), term for term and in insertion order, for
+    polynomial and scalar operands on either side."""
+    a, b, c = Poly3(ta), Poly3(tb), Poly3.constant(s)
+    for x, y in ((a, b), (b, a), (a, a), (a, Poly3(ta)), (a, ZERO), (ZERO, a)):
+        assert _fraction_items(x - y) == _fraction_items(x + (-y))
+    assert not (a - a).terms and not (a - Poly3(ta)).terms
+    assert (a - ZERO) is a
+    assert _fraction_items(a - s) == _fraction_items(a + (-c))
+    assert _fraction_items(s - a) == _fraction_items(c + (-a))
+    assert _fraction_items(a - Fraction(s)) == _fraction_items(a + (-c))
+
+
 def _results(x, y, s):
     """x and y combined by every Poly3 or JetPoly operation, with 0, 1 and s."""
     out = [x + y, y + x, x - y, y - x, x * y, y * x, -x,

@@ -560,3 +560,50 @@ def test_ricci_jet_einstein_check_fires_on_a_perturbed_numerator(monkeypatch):
     monkeypatch.setattr(riemannian, "_check_einstein", perturbed)
     with pytest.raises(ValueError, match=r"einstein jet must equal scalar\*g - 2\*ricci"):
         ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
+
+
+# -- jet arithmetic against the general two-part formulas ---------------------
+
+def _assert_canonical_parts(jet):
+    for part in (jet.p0, jet.p1):
+        assert type(part) is Poly3
+        for coef in part.terms.values():
+            assert coef != 0
+            assert type(coef) is int or (type(coef) is Fraction and coef.denominator > 1)
+
+
+# Backgrounds: empty, constant, one monomial (X1-like, not constant) or general.
+backgrounds = st.one_of(
+    st.just(Poly3()),
+    st.builds(Poly3.constant, st.one_of(st.integers(-4, 4),
+                                        st.fractions(-3, 3, max_denominator=3))),
+    st.builds(Poly3.monomial, st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 3)),
+    jet_parts)
+general_jets = st.one_of(st.builds(JetPoly, backgrounds, jet_parts),
+                         st.just(JetPoly(Poly3(), Poly3())),
+                         st.just(JetPoly(Poly3(), X1) * JetPoly(Poly3(), X2)))
+exact_scalars = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(a=general_jets, b=general_jets, s=exact_scalars)
+@example(a=JetPoly(Poly3(), X1), b=JetPoly(Poly3(), X2), s=2)    # both empty
+@example(a=JetPoly(Poly3(), X1), b=JetPoly(X2, X3), s=0)         # left empty
+@example(a=JetPoly(X1, X2), b=JetPoly(Poly3(), X3), s=Fraction(1, 2))  # right empty
+@example(a=JetPoly(ONE, X1), b=JetPoly(2, X2), s=-1)             # constant
+@example(a=JetPoly(X1, X2), b=JetPoly(X1 + X3, X3), s=Fraction(-3, 2))  # general
+@example(a=JetPoly(Fraction(1, 2) * X1, X2), b=JetPoly(Fraction(1, 2) * X1, X2),
+         s=Fraction(2, 3))                                       # cancelling
+def test_jet_arithmetic_matches_the_two_part_formulas(a, b, s):
+    """+, -, partial and products (with a jet or an exact scalar) equal the
+    general formulas, which run Poly3 arithmetic on both parts."""
+    cases = [(a + b, JetPoly(a.p0 + b.p0, a.p1 + b.p1)),
+             (b + a, JetPoly(b.p0 + a.p0, b.p1 + a.p1)),
+             (a - b, JetPoly(a.p0 + (-b.p0), a.p1 + (-b.p1))),
+             (b - a, JetPoly(b.p0 + (-a.p0), b.p1 + (-a.p1))),
+             (a * b, _three_products(a, b)), (b * a, _three_products(a, b)),
+             (a * s, JetPoly(a.p0 * s, a.p1 * s)), (s * a, JetPoly(a.p0 * s, a.p1 * s))]
+    cases += [(a.partial(k), JetPoly(a.p0.partial(k), a.p1.partial(k))) for k in AXES]
+    for got, want in cases:
+        assert got == want
+        _assert_canonical_parts(got)
