@@ -16,6 +16,12 @@ so `LinOpMatrix.from_operator` fills the columns by index arithmetic on the
 monomial positions, read from a shift table cached per (input bound, output
 bound, derivative); no field operator is applied.
 
+The blocks that the derivation cancels are order 0: on the component-major
+basis each is phi = Phi (x) I_N, a constant matrix Phi of 9 x 9 or 3 x 3
+tensored with the identity on N monomials.  `schur_reduce` recognises that
+form entry by entry and solves Phi alone; any other block, one with a
+derivative term say, is solved whole.
+
 The public `LinOpMatrix` constructor checks every entry it is handed.  The
 builders of this module emit nonzero int columns themselves, so
 `from_operator`, `compose` and the three maps of `schur_reduce` go through
@@ -399,6 +405,15 @@ def schur_reduce(c: ChainComplex, stage: int,
     the surviving slots.  Compositions stay zero and homology is unchanged.
     The solve runs on numerators, as den cancels from phi Z = c; with
     Z = Zn / zden the surviving map is (zden a - b Zn) / (den zden).
+
+    When every cancelled slot has the same bound, one table of N monomials,
+    and phi is Phi (x) I_N entry by entry, only the constant Phi goes through
+    `exactlin.solve_square`, with the identity as right-hand side: Phi^-1 =
+    Yn / zden, and Zn = (Yn (x) I_N) c in one pass over the entries of c.
+    Zn / zden need not be in lowest terms there; `LinOpMatrix._of` brings the
+    surviving map to its lowest terms either way, so both paths return the
+    same matrix.  A singular Phi reports rank N rank(Phi), the rank of phi.
+    Any other phi is solved whole.
     """
     if not 0 <= stage < len(c.maps):
         raise ValueError(f"stage {stage} out of range")
@@ -431,12 +446,25 @@ def schur_reduce(c: ChainComplex, stage: int,
     phi_cols, b_block = [split[j][0] for j in b_cols], [split[j][1] for j in b_cols]
     c_block, a_block = [split[j][0] for j in u_cols], [split[j][1] for j in u_cols]
 
+    # phi = Phi (x) I_N when every cancelled slot has one table of N monomials
+    # and phi's columns say so entry by entry; the general solve serves the rest.
+    bounds = {dom.slots[dom.slot_index(label)].bound for label in domain_labels}
+    bounds |= {cod.slots[cod.slot_index(label)].bound for label in codomain_labels}
+    n_mono = len(_monomial_table(bounds.pop())) if len(bounds) == 1 else 0
+    factor = _constant_factor(phi_cols, n_mono) if n_mono else None
     try:
-        zn_cols, zden = exactlin.solve_square(phi_cols, len(b_cols), c_block)
+        if factor is None:
+            zn_cols, zden = exactlin.solve_square(phi_cols, len(b_cols), c_block)
+        else:
+            y_cols, zden = exactlin.solve_square(factor, len(factor),
+                                                 [{r: 1} for r in range(len(factor))])
+            zn_cols = _kron_identity_mul(y_cols, n_mono, c_block)
     except ValueError as exc:
+        # phi = Phi (x) I_N has rank N rank(Phi), the pivot count of phi itself.
+        rank = exc.rank if factor is None else exc.rank * n_mono
         raise SingularBlockError(
-            f"selected block is not invertible (rank {exc.rank} of {len(b_cols)})",
-            rank=exc.rank, size=len(b_cols)) from exc
+            f"selected block is not invertible (rank {rank} of {len(b_cols)})",
+            rank=rank, size=len(b_cols)) from exc
 
     dropped_dom, dropped_cod = set(domain_labels), set(codomain_labels)
     new_dom = GradedSpace([s for s in dom.slots if s.label not in dropped_dom])
@@ -470,6 +498,52 @@ def schur_reduce(c: ChainComplex, stage: int,
                                               nxt.name + "~", nxt.den)
     base = c.name if c.name.endswith(" (reduced)") else c.name + " (reduced)"
     return ChainComplex(name=base, spaces=new_spaces, maps=new_maps)
+
+
+def _constant_factor(phi_cols: list[dict[int, int]],
+                     n_mono: int) -> list[dict[int, int]] | None:
+    """The int columns of Phi when phi = Phi (x) I_N, else None.
+
+    Positions are component-major, p = component * N + monomial, with
+    N = n_mono.  Column (c, k) of phi must hold column c of Phi at rows
+    (., k) and nothing else, for every k; that is checked entry by entry.
+    """
+    factor = []
+    for start in range(0, len(phi_cols), n_mono):
+        first = phi_cols[start]
+        if any(p % n_mono for p in first):
+            return None
+        for k in range(1, n_mono):
+            if phi_cols[start + k] != {p + k: v for p, v in first.items()}:
+                return None
+        factor.append({p // n_mono: v for p, v in first.items()})
+    return factor
+
+
+def _kron_identity_mul(y_cols: list[dict[int, int]], n_mono: int,
+                       cols: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The int columns of (Y (x) I_N) cols, in one pass over the entries of cols.
+
+    Entry v at row (r, k) of a column adds Y[c, r] v at row (c, k) for each
+    entry of column r of Y; positions are component-major as in
+    `_constant_factor`.
+    """
+    y_terms = [[(c * n_mono, y) for c, y in col.items()] for col in y_cols]
+    out = []
+    for col in cols:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for p, v in col.items():
+            r, k = divmod(p, n_mono)
+            for base, y in y_terms[r]:
+                i = base + k
+                s = get(i, 0) + y * v
+                if s:
+                    acc[i] = s
+                else:
+                    del acc[i]
+        out.append(acc)
+    return out
 
 
 # -- the standard complexes -------------------------------------------------

@@ -325,11 +325,17 @@ _POINT_SPAN = 6
 
 def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
     # Hash-derived seed: stable across processes, unlike hash() on strings.
-    # hashlib is imported here, by its one user, to keep it out of start-up.
-    import hashlib
+    # blake2b is imported here, by its one user, to keep it out of start-up.
+    # CPython's builtin _blake2 module holds the very blake2b that hashlib
+    # exports, without loading OpenSSL's _hashlib as `import hashlib` does;
+    # hashlib is the fallback for a build without it.
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
     material = f"{kind}:{degree}:{seed}".encode()
-    digest = hashlib.blake2b(material, digest_size=8).digest()
+    digest = blake2b(material, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 

@@ -547,14 +547,18 @@ def test_startup_imports_no_dataclasses_inspect_or_hashlib():
     assert not added & {"dataclasses", "inspect", "hashlib"}
 
 
-def test_verify_imports_hashlib_when_it_draws():
+def test_verify_draws_through_builtin_blake2_not_hashlib():
+    """A seeded draw takes blake2b from CPython's builtin `_blake2` module,
+    which `import hashlib` would reach only after loading OpenSSL's
+    `_hashlib`; hashlib stays a fallback for a build without `_blake2`."""
+    modules = "print('_blake2' in sys.modules, 'hashlib' in sys.modules"
     lines = _run_python(
-        _STARTUP + "\nimport sys; print('hashlib' in sys.modules)"
+        _STARTUP + f"\nimport sys; {modules})"
         "\nrc = strainkit.cli.main(['verify', '--suite', 'calculus', '--degree', '2',"
-        " '--trials', '1'])\nprint('hashlib' in sys.modules, rc)")
-    assert lines[0] == "False"
+        f" '--trials', '1'])\n{modules}, rc)")
+    assert lines[0] == "False False"
     assert lines[-2].endswith("checks passed (suite=calculus, degree=2, trials=1, seed=0)")
-    assert lines[-1] == "True 0"
+    assert lines[-1] == "True False 0"
 
 
 def test_console_module_reports_version():

@@ -211,9 +211,29 @@ def test_elimination_row_updates_frozen(monkeypatch):
             for m in build(degree).maps:
                 m.rank()
         assert calls[0] == want, degree
+    # The Schur blocks are solved as their constant factors Phi (see
+    # test_derivation_solves_only_the_constant_factors), so this count holds
+    # the ranks of the derivation and three solves of sizes 9, 3 and 3.
     calls[0] = 0
     derive_elasticity(5)
-    assert calls[0] == 1867
+    assert calls[0] == 1799
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_derivation_solves_only_the_constant_factors(monkeypatch, degree):
+    """Cost pin: every cancelled block of the derivation is phi = Phi (x) I_N,
+    so `schur_reduce` solves the constant Phi, never phi itself, whose size
+    grows with the degree (756, 360 and 168 at degree 7)."""
+    sizes = []
+    solve = exactlin.solve_square
+
+    def recording(phi_cols, size, rhs_cols):
+        sizes.append(size)
+        return solve(phi_cols, size, rhs_cols)
+
+    monkeypatch.setattr(exactlin, "solve_square", recording)
+    derive_elasticity(degree)
+    assert sizes == [9, 3, 3]
 
 
 def test_warm_derivation_builds_three_fractions(monkeypatch):

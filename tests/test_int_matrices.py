@@ -15,6 +15,7 @@ from strainkit import exactlin
 from strainkit.complexes import (ChainComplex, GradedSpace, LinOpMatrix, Slot,
                                  derive_elasticity, schur_reduce)
 from strainkit.errors import SingularBlockError
+from strainkit.poly import monomials_up_to
 
 F = Fraction
 
@@ -201,40 +202,174 @@ def non_unimodular_blocks(draw):
     return rows
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(data=st.data())
-def test_schur_reduce_matches_dense_complement(data):
-    """Blocks [[phi, c], [b, a]] with c = [I | c'], so Z = phi^-1 c has
-    non-integer entries and its denominator zden exceeds 1."""
-    phi = data.draw(non_unimodular_blocks())
+# Slot kinds for the cancelled blocks, as (component count, kind).
+_KINDS = ((1, "scalar"), (3, "vec"), (3, "skew"))
+
+
+def draw_slots(data, prefix: str, ncomp: int, bound: int) -> list[Slot]:
+    """Slots of one bound whose component counts add up to ncomp."""
+    slots = []
+    while ncomp:
+        take, kind = data.draw(st.sampled_from([k for k in _KINDS if k[0] <= ncomp]))
+        slots.append(Slot(f"{prefix}{len(slots)}", kind, bound))
+        ncomp -= take
+    return slots
+
+
+def kron_identity(phi, n_mono: int):
+    """Dense Phi (x) I_N on component-major positions (component, monomial)."""
     n = len(phi)
+    return [[F(phi[r][c]) if k == j else F(0) for c in range(n) for j in range(n_mono)]
+            for r in range(n) for k in range(n_mono)]
+
+
+def derivative_matrix(bound: int, axis: int):
+    """Dense matrix of d/dx_axis on the monomials of degree <= bound."""
+    monos = monomials_up_to(bound)
+    pos = {e: k for k, e in enumerate(monos)}
+    rows = [[0] * len(monos) for _ in monos]
+    for j, e in enumerate(monos):
+        if e[axis]:
+            rows[pos[e[:axis] + (e[axis] - 1,) + e[axis + 1:]]][j] = e[axis]
+    return rows
+
+
+def solve_sizes(monkeypatch) -> list[int]:
+    """The sizes `exactlin.solve_square` is called with from now on."""
+    sizes = []
+    solve = exactlin.solve_square
+
+    def recording(phi_cols, size, rhs_cols):
+        sizes.append(size)
+        return solve(phi_cols, size, rhs_cols)
+
+    monkeypatch.setattr(exactlin, "solve_square", recording)
+    return sizes
+
+
+def reduce_against_dense(data, phi, b_slots: list[Slot], c_slots: list[Slot]) -> list[int]:
+    """Reduce [[phi, c], [b, a]] with c = [I | c'] and compare the surviving
+    map with the dense complement a - b phi^-1 c.  Z = phi^-1 c then has
+    non-integer entries when phi^-1 does.  The cancelled slots b_slots and
+    c_slots span phi; the surviving domain repeats b_slots and adds scalar
+    slots, the surviving codomain has scalar slots.  Returns the sizes that
+    `exactlin.solve_square` was called with."""
+    size = len(phi)
     p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    c = [[F(int(i == k)) for k in range(n)] + row
-         for i, row in enumerate(data.draw(dense_matrices(nrows=n, ncols=q)))]
-    b = data.draw(dense_matrices(nrows=p, ncols=n)) if p else []
-    a = data.draw(dense_matrices(nrows=p, ncols=n + q)) if p else []
+    c = [[F(int(i == k)) for k in range(size)] + row
+         for i, row in enumerate(data.draw(dense_matrices(nrows=size, ncols=q)))]
+    b = data.draw(dense_matrices(nrows=p, ncols=size)) if p else []
+    a = data.draw(dense_matrices(nrows=p, ncols=size + q)) if p else []
     den = data.draw(st.integers(1, 6))
     full = [phi_row + c_row for phi_row, c_row in zip(phi, c)] + \
         [b_row + a_row for b_row, a_row in zip(b, a)]
-    dom = GradedSpace([Slot(f"b{k}", "scalar", 0) for k in range(n)]
-                      + [Slot(f"u{k}", "scalar", 0) for k in range(n + q)])
-    cod = GradedSpace([Slot(f"c{k}", "scalar", 0) for k in range(n)]
-                      + [Slot(f"v{k}", "scalar", 0) for k in range(p)])
+    dom = GradedSpace(b_slots + [Slot("u" + s.label, s.kind, s.bound) for s in b_slots]
+                      + [Slot(f"u{k}", "scalar", 0) for k in range(q)])
+    cod = GradedSpace(c_slots + [Slot(f"v{k}", "scalar", 0) for k in range(p)])
     cx = ChainComplex(name="block", spaces=[dom, cod], maps=[matrix(full, dom, cod, den)])
-    reduced = schur_reduce(cx, 0, [f"b{k}" for k in range(n)], [f"c{k}" for k in range(n)])
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = solve_sizes(mp)
+        reduced = schur_reduce(cx, 0, [s.label for s in b_slots], [s.label for s in c_slots])
 
     z = dense_mul(dense_inverse(phi), c)
     assert any(v.denominator > 1 for row in z for v in row)
     if p:
         bz = dense_mul(b, z)
-        want = [[(F(a[i][j]) - bz[i][j]) / den for j in range(n + q)]
+        want = [[(F(a[i][j]) - bz[i][j]) / den for j in range(size + q)]
                 for i in range(p)]
     else:
         want = []
     got = reduced.maps[0]
-    assert got.shape == (p, n + q)
+    assert got.shape == (p, size + q)
     assert_int_lowest_terms(got)
     assert dense_of(got) == want
+    return sizes
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_schur_reduce_matches_dense_complement(data):
+    """phi = Phi (x) I_N on cancelled slots of one bound 0 to 2: the solve
+    runs on the constant Phi alone."""
+    phi = data.draw(non_unimodular_blocks())
+    bound = data.draw(st.integers(0, 2))
+    b_slots = draw_slots(data, "b", len(phi), bound)
+    c_slots = draw_slots(data, "c", len(phi), bound)
+    kron = kron_identity(phi, len(monomials_up_to(bound)))
+    assert reduce_against_dense(data, kron, b_slots, c_slots) == [len(phi)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_schur_reduce_with_a_derivative_term_matches_dense_complement(data):
+    """phi = Phi (x) I_N + f E_rc (x) d/dx_i is not Phi (x) I_N, so the whole
+    phi is solved.  It stays invertible: phi = (Phi (x) I_N)(1 + n) with
+    n = f Phi^-1 E_rc (x) d/dx_i nilpotent, as d/dx_i is."""
+    phi = data.draw(non_unimodular_blocks())
+    n = len(phi)
+    bound = data.draw(st.integers(1, 2))
+    n_mono = len(monomials_up_to(bound))
+    r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    f = data.draw(st.integers(-3, 3).filter(bool))
+    deriv = derivative_matrix(bound, data.draw(st.integers(0, 2)))
+    block = kron_identity(phi, n_mono)
+    for k in range(n_mono):
+        for j in range(n_mono):
+            block[r * n_mono + k][c * n_mono + j] += f * deriv[k][j]
+    b_slots = draw_slots(data, "b", n, bound)
+    c_slots = draw_slots(data, "c", n, bound)
+    assert reduce_against_dense(data, block, b_slots, c_slots) == [n * n_mono]
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", ["shift", "mixed bounds"])
+def test_blocks_not_of_kronecker_form_are_solved_whole(case, data):
+    """Two invertible blocks with phi = 2 I + s that `schur_reduce` must solve
+    whole.  "shift": s steps each position of component 0 one down, the last
+    into component 1, so every column of a component repeats its first one
+    shifted and only the row positions of that first column rule out
+    Phi (x) I_4.  "mixed bounds": s = 0 on cancelled slots of bounds 1 and 0."""
+    if case == "shift":
+        b_slots = [Slot("b0", "scalar", 1), Slot("b1", "scalar", 1)]
+        c_slots = [Slot("c0", "scalar", 1), Slot("c1", "scalar", 1)]
+    else:
+        b_slots = [Slot("b0", "scalar", 1), Slot("b1", "scalar", 0)]
+        c_slots = [Slot(f"c{k}", "scalar", 0) for k in range(5)]
+    size = sum(s.dim for s in b_slots)
+    shift = case == "shift"
+    block = [[F(2 * (i == j) + (shift and i == j + 1 and j < 4)) for j in range(size)]
+             for i in range(size)]
+    assert reduce_against_dense(data, block, b_slots, c_slots) == [size]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_singular_constant_factor_reports_the_rank_of_phi(data):
+    """A singular Phi in phi = Phi (x) I_N with N >= 2: the error names the
+    rank of phi, N rank(Phi), as solving phi itself would."""
+    n = data.draw(st.integers(2, 4))
+    ints = st.integers(-3, 3)
+    phi = [data.draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n - 1)]
+    mult = data.draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
+    phi.append([sum(m * row[j] for m, row in zip(mult, phi)) for j in range(n)])
+    bound = data.draw(st.integers(1, 2))
+    n_mono = len(monomials_up_to(bound))
+    size = n * n_mono
+    b_slots = draw_slots(data, "b", n, bound)
+    c_slots = draw_slots(data, "c", n, bound)
+    dom, cod = GradedSpace(b_slots), GradedSpace(c_slots)
+    block = matrix(kron_identity(phi, n_mono), dom, cod)
+    rank = exactlin.sparse_rank(block.cols, size)
+    assert rank == n_mono * dense_rank(phi) < size
+    cx = ChainComplex(name="singular", spaces=[dom, cod], maps=[block])
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = solve_sizes(mp)
+        with pytest.raises(SingularBlockError) as info:
+            schur_reduce(cx, 0, [s.label for s in b_slots], [s.label for s in c_slots])
+    assert str(info.value) == f"selected block is not invertible (rank {rank} of {size})"
+    assert (info.value.rank, info.value.size) == (rank, size)
+    assert sizes == [n]
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5])
