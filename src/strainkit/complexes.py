@@ -406,10 +406,11 @@ def schur_reduce(c: ChainComplex, stage: int,
     The solve runs on numerators, as den cancels from phi Z = c; with
     Z = Zn / zden the surviving map is (zden a - b Zn) / (den zden).
 
-    When every cancelled slot has the same bound, one table of N monomials,
-    and phi is Phi (x) I_N entry by entry, only the constant Phi goes through
-    `exactlin.solve_square`, with the identity as right-hand side: Phi^-1 =
-    Yn / zden, and Zn = (Yn (x) I_N) c in one pass over the entries of c.
+    When every cancelled slot has the same bound of at least 1, one table of
+    N > 1 monomials, and phi is Phi (x) I_N entry by entry, only the constant
+    Phi goes through `exactlin.solve_square`, with the identity as
+    right-hand side: Phi^-1 = Yn / zden, and Zn = (Yn (x) I_N) c in one pass
+    over the entries of c.
     Zn / zden need not be in lowest terms there; `LinOpMatrix._of` brings the
     surviving map to its lowest terms either way, so both paths return the
     same matrix.  A singular Phi reports rank N rank(Phi), the rank of phi.
@@ -448,10 +449,11 @@ def schur_reduce(c: ChainComplex, stage: int,
 
     # phi = Phi (x) I_N when every cancelled slot has one table of N monomials
     # and phi's columns say so entry by entry; the general solve serves the rest.
+    # At N = 1 phi is Phi itself, and solving it against c is the cheaper solve.
     bounds = {dom.slots[dom.slot_index(label)].bound for label in domain_labels}
     bounds |= {cod.slots[cod.slot_index(label)].bound for label in codomain_labels}
     n_mono = len(_monomial_table(bounds.pop())) if len(bounds) == 1 else 0
-    factor = _constant_factor(phi_cols, n_mono) if n_mono else None
+    factor = _constant_factor(phi_cols, n_mono) if n_mono > 1 else None
     try:
         if factor is None:
             zn_cols, zden = exactlin.solve_square(phi_cols, len(b_cols), c_block)

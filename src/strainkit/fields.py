@@ -327,12 +327,9 @@ def _seeded_rng(kind: str, degree: int, seed: int) -> random.Random:
     # Hash-derived seed: stable across processes, unlike hash() on strings.
     # blake2b is imported here, by its one user, to keep it out of start-up.
     # CPython's builtin _blake2 module holds the very blake2b that hashlib
-    # exports, without loading OpenSSL's _hashlib as `import hashlib` does;
-    # hashlib is the fallback for a build without it.
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
+    # exports (hashlib itself imports it from there), without loading
+    # OpenSSL's _hashlib as `import hashlib` does.
+    from _blake2 import blake2b
 
     material = f"{kind}:{degree}:{seed}".encode()
     digest = blake2b(material, digest_size=8).digest()

@@ -550,7 +550,7 @@ def test_startup_imports_no_dataclasses_inspect_or_hashlib():
 def test_verify_draws_through_builtin_blake2_not_hashlib():
     """A seeded draw takes blake2b from CPython's builtin `_blake2` module,
     which `import hashlib` would reach only after loading OpenSSL's
-    `_hashlib`; hashlib stays a fallback for a build without `_blake2`."""
+    `_hashlib`."""
     modules = "print('_blake2' in sys.modules, 'hashlib' in sys.modules"
     lines = _run_python(
         _STARTUP + f"\nimport sys; {modules})"

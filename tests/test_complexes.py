@@ -18,6 +18,7 @@ from strainkit.connection import WField, WOneForm, w_curl, w_div, w_grad
 from strainkit.errors import SingularBlockError
 from strainkit.fields import SymField, VecField, random_field
 from strainkit.poly import Poly3, monomials_up_to
+from test_int_matrices import solve_calls
 from strainkit.stencils import operator_stencil
 
 F = Fraction
@@ -224,16 +225,9 @@ def test_derivation_solves_only_the_constant_factors(monkeypatch, degree):
     """Cost pin: every cancelled block of the derivation is phi = Phi (x) I_N,
     so `schur_reduce` solves the constant Phi, never phi itself, whose size
     grows with the degree (756, 360 and 168 at degree 7)."""
-    sizes = []
-    solve = exactlin.solve_square
-
-    def recording(phi_cols, size, rhs_cols):
-        sizes.append(size)
-        return solve(phi_cols, size, rhs_cols)
-
-    monkeypatch.setattr(exactlin, "solve_square", recording)
+    calls = solve_calls(monkeypatch)
     derive_elasticity(degree)
-    assert sizes == [9, 3, 3]
+    assert calls == [(9, 9), (3, 3), (3, 3)]
 
 
 def test_warm_derivation_builds_three_fractions(monkeypatch):

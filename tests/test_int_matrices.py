@@ -234,26 +234,28 @@ def derivative_matrix(bound: int, axis: int):
     return rows
 
 
-def solve_sizes(monkeypatch) -> list[int]:
-    """The sizes `exactlin.solve_square` is called with from now on."""
-    sizes = []
+def solve_calls(monkeypatch) -> list[tuple[int, int]]:
+    """(block size, right-hand side count) of each `exactlin.solve_square`
+    call from now on."""
+    calls = []
     solve = exactlin.solve_square
 
     def recording(phi_cols, size, rhs_cols):
-        sizes.append(size)
+        calls.append((size, len(rhs_cols)))
         return solve(phi_cols, size, rhs_cols)
 
     monkeypatch.setattr(exactlin, "solve_square", recording)
-    return sizes
+    return calls
 
 
-def reduce_against_dense(data, phi, b_slots: list[Slot], c_slots: list[Slot]) -> list[int]:
+def reduce_against_dense(data, phi, b_slots: list[Slot],
+                         c_slots: list[Slot]) -> tuple[list[tuple[int, int]], int]:
     """Reduce [[phi, c], [b, a]] with c = [I | c'] and compare the surviving
     map with the dense complement a - b phi^-1 c.  Z = phi^-1 c then has
     non-integer entries when phi^-1 does.  The cancelled slots b_slots and
     c_slots span phi; the surviving domain repeats b_slots and adds scalar
-    slots, the surviving codomain has scalar slots.  Returns the sizes that
-    `exactlin.solve_square` was called with."""
+    slots, the surviving codomain has scalar slots.  Returns the
+    `solve_calls` record and the column count of c."""
     size = len(phi)
     p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     c = [[F(int(i == k)) for k in range(size)] + row
@@ -268,7 +270,7 @@ def reduce_against_dense(data, phi, b_slots: list[Slot], c_slots: list[Slot]) ->
     cod = GradedSpace(c_slots + [Slot(f"v{k}", "scalar", 0) for k in range(p)])
     cx = ChainComplex(name="block", spaces=[dom, cod], maps=[matrix(full, dom, cod, den)])
     with pytest.MonkeyPatch.context() as mp:
-        sizes = solve_sizes(mp)
+        calls = solve_calls(mp)
         reduced = schur_reduce(cx, 0, [s.label for s in b_slots], [s.label for s in c_slots])
 
     z = dense_mul(dense_inverse(phi), c)
@@ -283,20 +285,22 @@ def reduce_against_dense(data, phi, b_slots: list[Slot], c_slots: list[Slot]) ->
     assert got.shape == (p, size + q)
     assert_int_lowest_terms(got)
     assert dense_of(got) == want
-    return sizes
+    return calls, size + q
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_schur_reduce_matches_dense_complement(data):
-    """phi = Phi (x) I_N on cancelled slots of one bound 0 to 2: the solve
-    runs on the constant Phi alone."""
+    """phi = Phi (x) I_N on cancelled slots of one bound 0 to 2.  At bound 1
+    or 2 the solve runs on the constant Phi alone, against the identity; at
+    bound 0, N = 1 and phi = Phi is solved against c."""
     phi = data.draw(non_unimodular_blocks())
     bound = data.draw(st.integers(0, 2))
     b_slots = draw_slots(data, "b", len(phi), bound)
     c_slots = draw_slots(data, "c", len(phi), bound)
     kron = kron_identity(phi, len(monomials_up_to(bound)))
-    assert reduce_against_dense(data, kron, b_slots, c_slots) == [len(phi)]
+    calls, n_rhs = reduce_against_dense(data, kron, b_slots, c_slots)
+    assert calls == [(len(phi), len(phi) if bound else n_rhs)]
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -318,7 +322,8 @@ def test_schur_reduce_with_a_derivative_term_matches_dense_complement(data):
             block[r * n_mono + k][c * n_mono + j] += f * deriv[k][j]
     b_slots = draw_slots(data, "b", n, bound)
     c_slots = draw_slots(data, "c", n, bound)
-    assert reduce_against_dense(data, block, b_slots, c_slots) == [n * n_mono]
+    calls, n_rhs = reduce_against_dense(data, block, b_slots, c_slots)
+    assert calls == [(n * n_mono, n_rhs)]
 
 
 @settings(max_examples=10, deadline=None, database=None)
@@ -340,7 +345,8 @@ def test_blocks_not_of_kronecker_form_are_solved_whole(case, data):
     shift = case == "shift"
     block = [[F(2 * (i == j) + (shift and i == j + 1 and j < 4)) for j in range(size)]
              for i in range(size)]
-    assert reduce_against_dense(data, block, b_slots, c_slots) == [size]
+    calls, n_rhs = reduce_against_dense(data, block, b_slots, c_slots)
+    assert calls == [(size, n_rhs)]
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -364,12 +370,12 @@ def test_singular_constant_factor_reports_the_rank_of_phi(data):
     assert rank == n_mono * dense_rank(phi) < size
     cx = ChainComplex(name="singular", spaces=[dom, cod], maps=[block])
     with pytest.MonkeyPatch.context() as mp:
-        sizes = solve_sizes(mp)
+        calls = solve_calls(mp)
         with pytest.raises(SingularBlockError) as info:
             schur_reduce(cx, 0, [s.label for s in b_slots], [s.label for s in c_slots])
     assert str(info.value) == f"selected block is not invertible (rank {rank} of {size})"
     assert (info.value.rank, info.value.size) == (rank, size)
-    assert sizes == [n]
+    assert calls == [(n, n)]
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5])
