@@ -27,6 +27,15 @@ builders of this module emit nonzero int columns themselves, so
 `from_operator`, `compose` and the three maps of `schur_reduce` go through
 the trusted door `LinOpMatrix._of`, which only cancels a factor common to
 den and the entries.
+
+A map assembled by `from_operator` keeps its canonical stencil as
+`LinOpMatrix.stencil`; every other map has None there, except the reduced
+maps of `derive_elasticity` that match a hand-coded one.  `verify_complex`
+decides d o d = 0 on two such stencils without a matrix product: since
+`from_operator` refuses any term that lands above a codomain bound, each
+matrix is the exact restriction of its operator to the truncated spaces, a
+product of restrictions is the restriction of the composed operator, and a
+constant-coefficient operator is zero when its merged stencil has no terms.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ from .errors import SingularBlockError
 from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
                      _Value)
 from .poly import Exponent, Poly3, Scalar, _as_int, _canonical, _monomial_table
-from .stencils import (OPERATOR_IDS, OPERATORS, coupled_split_stencils,
-                       make_stencil, operator_stencil)
+from .stencils import (OPERATOR_IDS, OPERATORS, Stencil, compose,
+                       coupled_split_stencils, make_stencil, operator_stencil)
 
 # A skew slot holds the axial vector of a skew matrix, a VecField.
 _KIND_NCOMP = {"scalar": 1, "skew": len(VecField.KEYS),
@@ -184,7 +193,13 @@ class LinOpMatrix:
     Fraction; it drops explicit zeros.  The package's own builders
     (`from_operator`, `compose`, `schur_reduce`) know their columns are
     nonzero ints and use `_of`, which does not rescan them.
+
+    `stencil` is the canonical stencil the matrix is the exact restriction
+    of, set by `from_operator` (and by `derive_elasticity` on a reduced map
+    it finds proportional to a hand-coded one), else None.
     """
+
+    stencil: Stencil | None = None
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
                  cols: list[exactlin.Column], name: str = "", den: int = 1):
@@ -220,7 +235,8 @@ class LinOpMatrix:
         """Assemble the matrix of a constant-coefficient operator from its stencil.
 
         Raises ValueError when a term refers to a slot or component the
-        spaces lack, or lands above the bound of its codomain slot.
+        spaces lack, or lands above the bound of its codomain slot.  The
+        matrix keeps the canonical stencil as `stencil`.
         """
         stencil = make_stencil(stencil)
         den = lcm(*(term[-1].denominator for term in stencil))
@@ -251,7 +267,9 @@ class LinOpMatrix:
         for col0, row0, shifts, _, factor in terms:
             for k, where, n in shifts:
                 cols[col0 + k][row0 + where] = factor * n
-        return cls._of(domain, codomain, cols, name, den)
+        m = cls._of(domain, codomain, cols, name, den)
+        m.stencil = stencil
+        return m
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -365,15 +383,35 @@ class ComplexReport(_Value):
         }
 
 
+@lru_cache(maxsize=64)
+def _composes_to_zero(outer: Stencil, inner: Stencil) -> bool:
+    """Whether outer o inner is the zero operator; decided once per pair."""
+    return not compose(outer, inner)
+
+
 def verify_complex(c: ChainComplex) -> ComplexReport:
     """Check compositions and measure exactness defects, all exactly.
+
+    When two adjacent maps both carry a stencil and `stencils.compose` of
+    the two is empty, the composition is recorded as "0" with no matrix
+    product.  That is sound: `from_operator` refuses any term that lands
+    above a codomain bound, so each matrix is the exact restriction of its
+    operator; a product of restrictions is the restriction of the composed
+    operator; and that operator is zero when its merged stencil has no
+    terms.  Every other pair is multiplied out, so a nonzero composition
+    always gets its matrix residual.
 
     The defect at an interior slot is kernel_dim(outgoing) - rank(incoming);
     zero means exact there.
     """
     residuals = []
     for k in range(len(c.maps) - 1):
-        comp = c.maps[k + 1].compose(c.maps[k])
+        outer, inner = c.maps[k + 1], c.maps[k]
+        if (outer.stencil is not None and inner.stencil is not None
+                and _composes_to_zero(outer.stencil, inner.stencil)):
+            residuals.append("0")
+            continue
+        comp = outer.compose(inner)
         if comp.is_zero():
             residuals.append("0")
         else:
@@ -672,6 +710,12 @@ def derive_elasticity(degree: int) -> DerivationResult:
     skew-stress / first-divergence pair.  The surviving maps are compared
     against the hand-coded operators; each stage must agree up to a single
     nonzero rational factor.
+
+    A reduced map m equal entry by entry to f h, for a hand-coded map h
+    and a nonzero factor f, is the matrix of f stencil(h): the reduced
+    spaces have the slot kinds and bounds of the hand-coded ones.  So m
+    carries that stencil into `verify_complex`, and the derivation
+    multiplies no matrices.
     """
     stages = [build_w_complex(degree)]
     for cancellation in SCHUR_CANCELLATIONS:
@@ -679,6 +723,12 @@ def derive_elasticity(degree: int) -> DerivationResult:
     full, halfway, _, reduced = stages
     hand = build_elasticity_complex(degree)
     factors = [reduced.maps[k].proportionality(hand.maps[k]) for k in range(3)]
+    # At f = 1 m takes h's stencil itself: scaling would build Fractions,
+    # and the verdicts on h's pairs are cached already.
+    for m, h, f in zip(reduced.maps, hand.maps, factors):
+        if f:
+            m.stencil = h.stencil if f == 1 else make_stencil(
+                (*term[:5], f * term[5]) for term in h.stencil)
     return DerivationResult(
         full=full,
         halfway=halfway,

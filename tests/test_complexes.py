@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from strainkit import exactlin
+from strainkit import complexes, exactlin
 from strainkit.calculus import curl, curl_curl, div, div_sym, grad, sym_grad
-from strainkit.complexes import (ChainComplex, GradedSpace, LinOpMatrix,
-                                 OPERATOR_IDS, SkewMat4, Slot,
+from strainkit.complexes import (SCHUR_CANCELLATIONS, ChainComplex, GradedSpace,
+                                 LinOpMatrix, OPERATOR_IDS, SkewMat4, Slot, _chain,
                                  build_elasticity_complex,
                                  build_grad_curl_div_complex, build_w_complex,
                                  derive_elasticity, interior_product,
@@ -19,7 +20,9 @@ from strainkit.errors import SingularBlockError
 from strainkit.fields import SymField, VecField, random_field
 from strainkit.poly import Poly3, monomials_up_to
 from test_int_matrices import solve_calls
-from strainkit.stencils import operator_stencil
+from test_suites import _build_perturbed_w_complex
+from strainkit.stencils import (OPERATORS, compose, coupled_split_stencils,
+                               operator_stencil)
 
 F = Fraction
 
@@ -507,6 +510,207 @@ def test_derivation_lands_on_hand_coded_complex():
     data = result.to_dict()
     assert data["stage_factors"] == ["1", "1", "1"]
     assert data["defects_preserved"] is True
+
+
+# -- compositions decided on stencils ----------------------------------------
+
+
+def mul_calls(monkeypatch) -> list[int]:
+    """Count the matrix products `exactlin.mul_cols` makes from here on."""
+    calls = [0]
+    mul = exactlin.mul_cols
+
+    def counting(a_cols, b_cols):
+        calls[0] += 1
+        return mul(a_cols, b_cols)
+
+    monkeypatch.setattr(exactlin, "mul_cols", counting)
+    return calls
+
+
+def _slot_lists(c: ChainComplex, degree: int) -> list:
+    """The (label, kind, bound - degree) slot lists `_chain` built c from."""
+    return [[(s.label, s.kind, s.bound - degree) for s in space.slots]
+            for space in c.spaces]
+
+
+def _doubled_first_term(stencil):
+    s, c, t, d, alpha, factor = stencil[0]
+    return ((s, c, t, d, alpha, 2 * factor),) + stencil[1:]
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_standard_complexes_and_derivation_multiply_no_matrices(monkeypatch, degree):
+    """Cost pin: every composition of the three standard complexes and of the
+    reduced complex is decided on stencils, with no matrix product."""
+    calls = mul_calls(monkeypatch)
+    result = derive_elasticity(degree)
+    reports = [verify_complex(build(degree)) for build in (
+        build_grad_curl_div_complex, build_elasticity_complex, build_w_complex)]
+    assert calls == [0]
+    assert all(r.compositions_zero for r in reports + [result.full_report,
+                                                        result.reduced_report])
+
+
+def test_each_stencil_pair_is_decided_once(monkeypatch):
+    """`stencils.compose` builds Fractions, so a warm process must not rerun it:
+    the coupled, elasticity and de Rham pairs are composed once each, and the
+    reduced complex reuses the elasticity pairs."""
+    composed = []
+    real = complexes.compose
+    monkeypatch.setattr(complexes, "compose",
+                        lambda outer, inner: composed.append(1) or real(outer, inner))
+    complexes._composes_to_zero.cache_clear()
+    for _ in range(2):
+        derive_elasticity(3)
+        verify_complex(build_grad_curl_div_complex(3))
+    assert len(composed) == 6
+
+
+def test_only_assembled_maps_carry_a_stencil():
+    gradm = matrix_of("grad", 3)
+    assert gradm.stencil == operator_stencil("grad")
+    public = LinOpMatrix(gradm.domain, gradm.codomain, gradm.cols, "grad", gradm.den)
+    trusted = LinOpMatrix._of(gradm.domain, gradm.codomain, gradm.cols, "grad", gradm.den)
+    composed = matrix_of("curl", 2).compose(gradm)
+    assert public.stencil is None and trusted.stencil is None and composed.stencil is None
+    full = build_w_complex(3)
+    assert [m.stencil for m in full.maps] == list(coupled_split_stencils())
+    # schur_reduce rebuilds the stage map and its neighbours; the map it
+    # leaves alone keeps its spaces and so its stencil.
+    for stage, dom_labels, cod_labels in SCHUR_CANCELLATIONS:
+        reduced = schur_reduce(full, stage, dom_labels, cod_labels)
+        assert [m.stencil is None for m in reduced.maps] == \
+            [abs(k - stage) <= 1 for k in range(3)], stage
+
+
+def test_reduced_maps_carry_the_scaled_hand_coded_stencils(monkeypatch):
+    """A reduced map equal to f h carries f stencil(h): against a hand-coded
+    complex built at twice the operators the factors are 1/2, and the
+    scaled stencils are the operator tables again."""
+    ids = ("sym_grad", "curl_curl", "div_sym")
+    slots = _slot_lists(build_elasticity_complex(3), 3)
+
+    def doubled(degree):
+        return _chain("elasticity", degree, slots, ids,
+                      [tuple((*t[:5], 2 * t[5]) for t in operator_stencil(op_id))
+                       for op_id in ids])
+
+    assert [m.stencil for m in derive_elasticity(3).reduced.maps] == \
+        [operator_stencil(op_id) for op_id in ids]
+    monkeypatch.setattr(complexes, "build_elasticity_complex", doubled)
+    calls = mul_calls(monkeypatch)
+    result = derive_elasticity(3)
+    assert result.stage_factors == [F(1, 2)] * 3
+    assert [m.stencil for m in result.reduced.maps] == \
+        [operator_stencil(op_id) for op_id in ids]
+    assert result.reduced_report.composition_residuals == ["0", "0"]
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("name, build, want", [
+    ("elasticity", build_elasticity_complex,
+     ["nonzero composition at stage 0 (max |entry| 6)",
+      "nonzero composition at stage 1 (max |entry| 2)"]),
+    ("coupled", build_w_complex,
+     ["nonzero composition at stage 0 (max |entry| 6)",
+      "nonzero composition at stage 1 (max |entry| 2)"]),
+])
+def test_a_perturbed_table_is_refused_and_multiplied_out(monkeypatch, name, build, want):
+    """One doubled factor of curl_curl, or of the split w_curl, makes both of
+    its compositions nonzero stencils; they are multiplied out and keep the
+    exact residual texts."""
+    standard = build(3)
+    tables = [m.stencil for m in standard.maps]
+    tables[1] = _doubled_first_term(tables[1])
+    c = _chain(name, 3, _slot_lists(standard, 3), [m.name for m in standard.maps],
+               tables)
+    assert [m.stencil for m in c.maps] == tables
+    assert compose(tables[1], tables[0]) and compose(tables[2], tables[1])
+    calls = mul_calls(monkeypatch)
+    assert verify_complex(c).composition_residuals == want
+    assert calls == [2]
+
+
+def test_a_reduced_map_without_a_stage_factor_is_multiplied_out(monkeypatch):
+    """The perturbed w_curl entry leaves the middle reduced map with no
+    factor and so with no stencil: every pair it is in is multiplied out, in
+    the full complex (whose map is public) and in the reduced one."""
+    monkeypatch.setattr(complexes, "build_w_complex", _build_perturbed_w_complex)
+    calls = mul_calls(monkeypatch)
+    result = derive_elasticity(3)
+    assert result.stage_factors == [1, None, 1]
+    assert [m.stencil is None for m in result.reduced.maps] == [False, True, False]
+    assert calls == [4]
+    residuals = ["nonzero composition at stage 0 (max |entry| 1)", "0"]
+    assert result.full_report.composition_residuals == residuals
+    assert result.reduced_report.composition_residuals == residuals
+
+
+_KINDS = ("scalar", "vec", "sym")
+_FACTORS = st.sampled_from([1, -1, 2, -3, F(1, 2), F(-2, 3)])
+
+
+def _fits(term, dom, cod) -> bool:
+    """Whether `from_operator` takes the term: no image above its slot bound."""
+    s, _, t, _, alpha, _ = term
+    order = sum(alpha)
+    return dom[s][1] < order or dom[s][1] - order <= cod[t][1]
+
+
+@st.composite
+def _random_pairs(draw):
+    """Three spaces of one or two slots and two random stencils that fit them."""
+    spaces = [[(draw(st.sampled_from(_KINDS)), draw(st.integers(0, 3)))
+               for _ in range(draw(st.integers(1, 2)))] for _ in range(3)]
+
+    def term(dom, cod):
+        s, t = draw(st.integers(0, len(dom) - 1)), draw(st.integers(0, len(cod) - 1))
+        c = draw(st.integers(0, Slot("", dom[s][0], 0).ncomp - 1))
+        d = draw(st.integers(0, Slot("", cod[t][0], 0).ncomp - 1))
+        alpha = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+        return (s, c, t, d, alpha, draw(_FACTORS))
+
+    stencils = []
+    for k in range(2):
+        terms = [term(spaces[k], spaces[k + 1]) for _ in range(draw(st.integers(0, 5)))]
+        stencils.append([x for x in terms if _fits(x, spaces[k], spaces[k + 1])])
+    return spaces, stencils
+
+
+@st.composite
+def _zero_pairs(draw):
+    """Scaled curl o grad or div o curl on random bounds: zero by construction."""
+    ids = draw(st.sampled_from([("grad", "curl"), ("curl", "div")]))
+    b0 = draw(st.integers(0, 3))
+    b1 = max(b0 - 1, 0) + draw(st.integers(0, 1))
+    b2 = max(b1 - 1, 0) + draw(st.integers(0, 1))
+    spaces = [[(OPERATORS[ids[0]].domain[0][1], b0)],
+              [(OPERATORS[ids[0]].codomain[0][1], b1)],
+              [(OPERATORS[ids[1]].codomain[0][1], b2)]]
+    stencils = [[(*t[:5], f * t[5]) for t in operator_stencil(op_id)]
+                for op_id, f in zip(ids, (draw(_FACTORS), draw(_FACTORS)))]
+    return spaces, stencils
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=st.one_of(_random_pairs(), _zero_pairs()))
+def test_stencil_decisions_match_the_matrix_products(case):
+    """A complex assembled from stencils reports what the same matrices
+    report through the public constructor, which carries no stencil."""
+    slot_lists, stencils = case
+    spaces = [GradedSpace([Slot(f"s{k}", kind, bound)
+                           for k, (kind, bound) in enumerate(slots)])
+              for slots in slot_lists]
+    maps = [LinOpMatrix.from_operator(spaces[k], spaces[k + 1], stencils[k], f"m{k}")
+            for k in range(2)]
+    public = [LinOpMatrix(m.domain, m.codomain, m.cols, m.name, m.den) for m in maps]
+    assert all(m.stencil is not None for m in maps)
+    assert all(m.stencil is None for m in public)
+    got = verify_complex(ChainComplex("c", spaces, maps))
+    assert got.to_dict() == verify_complex(ChainComplex("c", spaces, public)).to_dict()
+    if not compose(stencils[1], stencils[0]):
+        assert got.composition_residuals == ["0"]
 
 
 # -- splitting of two-forms on R^4 --------------------------------------------
