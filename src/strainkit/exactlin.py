@@ -2,25 +2,28 @@
 
 Matrices live as lists of sparse columns ({row: value}).  Operator matrices
 hold ints (a `LinOpMatrix` keeps one denominator beside them); Fractions
-enter only through field coordinates.  One fraction-free elimination serves
-rank and solve: rows are scaled to integers, each update
-``row = a*row - b*pivot_row`` keeps them integral, and a gcd division after
-every update bounds coefficient growth.  The rank is the number of pivots.
-`solve_square` eliminates the rows of [phi | rhs], then back-substitutes in
-reverse pivot order on integer numerators, one lcm and one gcd per pivot,
-and returns int columns over one den in lowest terms.
+enter only through field coordinates.  One fraction-free reduction,
+`_reduce`, serves rank and solve.  It takes vectors one at a time, copies
+each once as integers and reduces it against the pivots found so far: while
+a pivot is stored at the vector's largest index, the vector becomes
+``a*vector - b*pivot``, divided by the gcd of its entries.  A vector that
+reaches an index no pivot holds is stored there as a new pivot, and one
+that vanishes is dropped.  This is the column reduction of persistent
+homology (Edelsbrunner, Letscher and Zomorodian 2002), kept fraction-free as
+in Bareiss (1968).  The rank is the number of pivots.
 
-Columns are eliminated in ascending index order, each on the shortest row
-that holds it and has not been a pivot row; there is no pivot search.
+`sparse_rank` reduces the columns as they are, with no transpose.
+`solve_square` reduces the rows of [phi | rhs], keyed on the phi part only,
+then back-substitutes in ascending pivot index on integer numerators, one
+lcm and one gcd per pivot, and returns int columns over one den in lowest
+terms.
+
 Operator matrices are stencil matrices whose columns come in graded-lex
-monomial order, and in that order the elimination makes as few row updates
-as a Markowitz-style search, within 0.2 % on the maps of the three
-complexes (`test_elimination_row_updates_frozen` pins the counts).  A map
-from each column to the rows holding it lets a step touch only the rows its
-column names, so no step rescans the matrix.
-
-The pivot order changes the work, never the answer: the number of pivots is
-the rank whatever their order, and an invertible block has one solution.
+monomial order, so most columns meet few pivots: over the maps of the three
+complexes the reduction makes 1892 steps at degree 5 and 4809 at degree 7
+(`test_elimination_row_updates_frozen` pins the counts).  The order changes
+the work, never the answer: the number of pivots is the rank whatever the
+order, and an invertible block has one solution.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from typing import Iterable
 
 from .poly import _canonical
 
@@ -56,17 +60,6 @@ def cancel_den(cols: list[dict[int, int]], den: int) -> tuple[list[dict[int, int
     return cols, den
 
 
-def columns_to_int_rows(cols: list[Column]) -> list[dict[int, int]]:
-    """Transpose sparse columns, cleared of denominators by `lowest_terms`,
-    into integer rows; `_eliminate` divides each row it updates by its gcd."""
-    rows: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(lowest_terms(cols)[0]):
-        for i, value in col.items():
-            if value:
-                rows.setdefault(i, {})[j] = value
-    return list(rows.values())
-
-
 def accumulate(acc: Column, factor, col: Column) -> None:
     """acc += factor * col in place; entries that become zero are dropped."""
     for i, v in col.items():
@@ -83,78 +76,70 @@ def accumulate(acc: Column, factor, col: Column) -> None:
                 del acc[i]
 
 
-def _subtract(row: dict, i: int, factor, pivot_items: list, holders: dict) -> None:
-    """row i -= factor * pivot row, keeping `holders` current.
+def _integral(vec: Column) -> dict[int, int]:
+    """An int multiple of vec with its zero entries dropped.
 
-    The pivot column is not in `pivot_items`; the caller has popped it.
+    Raises TypeError for an entry that is not an exact rational, as
+    `poly._canonical` does.
     """
-    for j, v in pivot_items:
-        old = row.get(j)
-        if old is None:
-            row[j] = -factor * v
-            holders[j].append(i)
-        else:
-            s = old - factor * v
-            if s:
-                row[j] = s
-            else:
-                del row[j]
-                holders[j].remove(i)
+    vec = {i: _canonical(v) for i, v in vec.items()}
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {i: v.numerator * (scale // v.denominator) for i, v in vec.items() if v}
 
 
-def _eliminate(rows: dict[int, dict[int, int]],
-               rhs: dict[int, dict[int, int]]) -> list[tuple]:
-    """Eliminate integer rows in place, and their right-hand sides in rhs.
+_INT = {int}
 
-    Returns the pivots in order as (column, value, rest of the pivot row,
-    row index).  A pivot row holds no column pivoted before it.
+
+def _reduce(vectors: Iterable[Column]) -> tuple[dict[int, dict[int, int]], int]:
+    """Reduce each vector against the pivots found so far.
+
+    Returns (pivots, steps): pivots maps each pivot's largest index to the
+    pivot, and steps counts the updates ``a*vector - b*pivot``.  A vector's
+    negative indices never key a pivot; one whose other entries all vanish
+    is dropped.  Every pivot that an update made is primitive (the gcd of
+    its entries is 1); a vector stored with no update keeps its content.
     """
-    holders: dict[int, list[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            holders.setdefault(j, []).append(i)
-    pivots = []
-    for pcol in sorted(holders):
-        held = holders.pop(pcol)
-        if not held:
-            continue
-        p = min(held, key=lambda i: len(rows[i]))
-        held.remove(p)
-        pivot_row = rows.pop(p)
-        pivot_val = pivot_row.pop(pcol)
-        for j in pivot_row:
-            holders[j].remove(p)
-        pivot_items = list(pivot_row.items())
-        pivots.append((pcol, pivot_val, pivot_items, p))
-        for i in held:
-            row = rows[i]
-            factor = row.pop(pcol)
-            g = gcd(pivot_val, factor)
-            scale, factor = pivot_val // g, factor // g
-            if scale != 1:
-                for j in row:
-                    row[j] *= scale
-            _subtract(row, i, factor, pivot_items, holders)
-            if rhs:  # the right-hand side takes the same update
-                b = rhs[i]
-                for k in b:
-                    b[k] *= scale
-                accumulate(b, -factor, rhs[p])
-                g = gcd(*row.values(), *b.values())
+    pivots: dict[int, dict[int, int]] = {}
+    steps = 0
+    for given in vectors:
+        values = given.values()
+        if all(values) and _INT.issuperset(map(type, values)):
+            vec = dict(given)
+        else:  # only a vector that holds a Fraction or a zero is cleared
+            vec = _integral(given)
+        while vec:
+            low = max(vec)
+            if low < 0:
+                break
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = vec
+                break
+            steps += 1
+            a, b = pivot[low], vec[low]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for i in vec:
+                    vec[i] *= a
+            # The entry at low cancels: a*vec[low] == b*pivot[low].
+            for i, v in pivot.items():
+                s = vec.get(i, 0) - b * v
+                if s:
+                    vec[i] = s
+                else:
+                    del vec[i]
+            if vec:
+                g = gcd(*vec.values())
                 if g > 1:
-                    for k in b:
-                        b[k] //= g
-            else:
-                g = gcd(*row.values())
-            if g > 1:
-                for j in row:
-                    row[j] //= g
-    return pivots
+                    for i in vec:
+                        vec[i] //= g
+    return pivots, steps
 
 
 def sparse_rank(cols: list[Column], nrows: int) -> int:
-    """Exact rank: the number of pivots of the fraction-free elimination."""
-    return len(_eliminate(dict(enumerate(columns_to_int_rows(cols))), {}))
+    """Exact rank: the number of pivots the reduction of the columns finds."""
+    return len(_reduce(cols)[0])
 
 
 def solve_square(phi_cols: list[Column], size: int,
@@ -165,43 +150,47 @@ def solve_square(phi_cols: list[Column], size: int,
     Raises ValueError when phi is singular, with the pivot count as its
     `rank`; callers wrap this into a domain error.
     """
-    rows, rhs = {}, {}
-    for i, entries in enumerate(columns_to_int_rows(phi_cols + rhs_cols)):
-        row = {j: v for j, v in entries.items() if j < size}
-        if row:  # a row with no phi entry holds no pivot
-            rows[i] = row
-            rhs[i] = {j - size: v for j, v in entries.items() if j >= size}
-    pivots = _eliminate(rows, rhs)
+    # The rows of [phi | rhs], with right-hand side k at index ~k < 0, so
+    # that the reduction keys each row on its phi part.
+    rows: dict[int, Column] = {}
+    for j, col in enumerate(phi_cols):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    for k, col in enumerate(rhs_cols):
+        for i, v in col.items():
+            if i in rows:  # a row with no phi entry holds no pivot
+                rows[i][~k] = v
+    pivots = _reduce(rows.values())[0]
     if len(pivots) < size:
         exc = ValueError(f"singular block: rank {len(pivots)} of {size}")
         exc.rank = len(pivots)
         raise exc
 
-    # Back-substitute in reverse pivot order: every other column of a pivot
-    # row was pivoted later, so its solution x[j] = num[j] / den[j] is
+    # Back-substitute in ascending pivot index: the other phi entries of the
+    # pivot at j lie below j, so their solutions x[i] = num[i] / den[i] are
     # already known.  Each step brings its terms to the lcm of their dens
     # and cancels one gcd, so every solution is in lowest terms.
     num: dict[int, dict[int, int]] = {}
     den: dict[int, int] = {}
-    for pcol, pivot_val, pivot_items, p in reversed(pivots):
-        scale = lcm(*(den[j] for j, _ in pivot_items))
-        acc = rhs[p]
-        if scale != 1:
-            acc = {k: scale * v for k, v in acc.items()}
-        for j, a in pivot_items:
-            accumulate(acc, -a * (scale // den[j]), num[j])
-        d = scale * pivot_val
+    for j in range(size):
+        pivot = pivots[j]
+        terms = [(i, a) for i, a in pivot.items() if 0 <= i < j]
+        scale = lcm(*(den[i] for i, _ in terms))
+        acc = {~i: scale * v for i, v in pivot.items() if i < 0}
+        for i, a in terms:
+            accumulate(acc, -a * (scale // den[i]), num[i])
+        d = scale * pivot[j]
         g = gcd(d, *acc.values())
         if d < 0:
             g = -g
         if g != 1:
             acc = {k: v // g for k, v in acc.items()}
-        num[pcol], den[pcol] = acc, d // g
+        num[j], den[j] = acc, d // g
     # One den for all columns; each num[j] / den[j] is in lowest terms, so
     # the scaled numerators over their lcm are too.
     common = lcm(*den.values())
     solutions: list[dict[int, int]] = [dict() for _ in rhs_cols]
-    for j in sorted(num):
+    for j in range(size):
         f = common // den[j]
         for k, v in num[j].items():
             solutions[k][j] = v * f

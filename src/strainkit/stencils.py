@@ -94,36 +94,42 @@ def _derivative_index(alpha: Sequence[int]) -> Exponent:
     return alpha
 
 
-def make_stencil(terms: Iterable[Sequence]) -> Stencil:
-    """Canonical stencil: equal terms merged, zero factors dropped, sorted.
-
-    Raises ValueError for a derivative index alpha that is not three entries
-    or has a negative entry, and TypeError for a non-int entry of alpha.
-    """
+def _merge(terms: Iterable[tuple[tuple, Scalar]]) -> Stencil:
+    """Canonical stencil of (key, canonical factor) pairs: equal keys
+    summed, zero factors dropped, sorted."""
     merged: dict[tuple, Scalar] = {}
-    for s, c, t, d, alpha, factor in terms:
-        key = (s, c, t, d, _derivative_index(alpha))
-        factor = _canonical(factor)
+    for key, factor in terms:
         # No arithmetic for a key seen once: a canonical stencil passes
         # through without building a Fraction.
         merged[key] = merged[key] + factor if key in merged else factor
     return tuple((*key, f) for key, f in sorted(merged.items()) if f)
 
 
+def make_stencil(terms: Iterable[Sequence]) -> Stencil:
+    """Canonical stencil: equal terms merged, zero factors dropped, sorted.
+
+    Raises ValueError for a derivative index alpha that is not three entries
+    or has a negative entry, and TypeError for a non-int entry of alpha.
+    """
+    return _merge(((s, c, t, d, _derivative_index(alpha)), _canonical(factor))
+                  for s, c, t, d, alpha, factor in terms)
+
+
 def compose(outer: Iterable[Sequence], inner: Iterable[Sequence]) -> Stencil:
     """Stencil of outer o inner; with constant coefficients derivatives add.
 
-    Each derivative index of either input is checked like `make_stencil`
-    checks one before it is added, so a negative or bool entry cannot hide
-    in a sum.
+    Each derivative index and factor of either input is checked once, as
+    `make_stencil` checks them, so a negative or bool entry cannot hide in
+    a sum.
     """
     after: dict[tuple[int, int], list] = {}
     for t, d, u, e, beta, g in outer:
-        after.setdefault((t, d), []).append((u, e, _derivative_index(beta), g))
-    inner = [(s, c, t, d, _derivative_index(alpha), f) for s, c, t, d, alpha, f in inner]
-    return make_stencil((s, c, u, e, tuple(a + b for a, b in zip(alpha, beta)), f * g)
-                        for s, c, t, d, alpha, f in inner
-                        for u, e, beta, g in after.get((t, d), ()))
+        after.setdefault((t, d), []).append((u, e, _derivative_index(beta), _canonical(g)))
+    inner = [(s, c, t, d, _derivative_index(alpha), _canonical(f))
+             for s, c, t, d, alpha, f in inner]
+    return _merge(((s, c, u, e, (a1 + b1, a2 + b2, a3 + b3)), _canonical(f * g))
+                  for s, c, t, d, (a1, a2, a3), f in inner
+                  for u, e, (b1, b2, b3), g in after.get((t, d), ()))
 
 
 def _d(*axes: int) -> Exponent:

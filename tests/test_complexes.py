@@ -194,33 +194,59 @@ def test_rank_matches_dense_reference():
 
 
 def test_elimination_row_updates_frozen(monkeypatch):
-    """Pins the cost of the pivot rule, which no answer reveals.
+    """Pins the cost of the pivot order, which no answer reveals.
 
-    Each call of `exactlin._subtract` is one row update.  The counts are
-    deterministic; pivoting each column on its first holder instead of the
-    shortest one makes about 15 % more updates and fails here.
+    A step is one update ``a*vector - b*pivot`` of `exactlin._reduce`.  The
+    counts are deterministic; keying each pivot on its smallest index
+    instead of its largest makes 2660 and 6625 steps and fails here.
     """
-    calls = [0]
-    subtract = exactlin._subtract
+    steps = [0]
+    reduce = exactlin._reduce
 
-    def counting(*args):
-        calls[0] += 1
-        return subtract(*args)
+    def counting(vectors):
+        pivots, n = reduce(vectors)
+        steps[0] += n
+        return pivots, n
 
-    monkeypatch.setattr(exactlin, "_subtract", counting)
-    for degree, want in ((5, 1922), (7, 4897)):
-        calls[0] = 0
+    monkeypatch.setattr(exactlin, "_reduce", counting)
+    for degree, want in ((5, 1892), (7, 4809)):
+        steps[0] = 0
         for build in (build_grad_curl_div_complex, build_elasticity_complex,
                       build_w_complex):
             for m in build(degree).maps:
                 m.rank()
-        assert calls[0] == want, degree
+        assert steps[0] == want, degree
     # The Schur blocks are solved as their constant factors Phi (see
     # test_derivation_solves_only_the_constant_factors), so this count holds
     # the ranks of the derivation and three solves of sizes 9, 3 and 3.
-    calls[0] = 0
+    steps[0] = 0
     derive_elasticity(5)
-    assert calls[0] == 1799
+    assert steps[0] == 1769
+
+
+def _ranks_from_dimensions(cx: ChainComplex, kernel: int) -> list[int]:
+    """The ranks of an exact complex with a kernel of the given dimension
+    at its first space, from the dimensions of its spaces alone."""
+    dims = [space.dim for space in cx.spaces]
+    ranks = [dims[0] - kernel]
+    for dim in dims[1:-1]:
+        ranks.append(dim - ranks[-1])
+    return ranks
+
+
+@pytest.mark.parametrize("degree", range(3, 10))
+def test_ranks_equal_the_dimension_counts(degree):
+    """A differential check of exact rank that needs no elimination: each
+    truncated complex is exact in its interior and onto at its end, with
+    the constants (de Rham) or the six rigid motions as its kernel."""
+    derived = derive_elasticity(degree)
+    for cx, kernel in ((build_grad_curl_div_complex(degree), 1),
+                       (build_elasticity_complex(degree), 6),
+                       (build_w_complex(degree), 6),
+                       (derived.halfway, 6), (derived.reduced, 6)):
+        ranks = [m.rank() for m in cx.maps]
+        assert ranks == _ranks_from_dimensions(cx, kernel), cx.name
+        assert ranks[-1] == cx.spaces[-1].dim, cx.name
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
@@ -236,7 +262,7 @@ def test_derivation_solves_only_the_constant_factors(monkeypatch, degree):
 def test_warm_derivation_builds_three_fractions(monkeypatch):
     """Cost pin, not a correctness check: once the stencil and monomial
     caches are warm, derive_elasticity(5) builds exactly its three stage
-    factors as Fractions.  Assembly, elimination, the Schur solves and the
+    factors as Fractions.  Assembly, reduction, the Schur solves and the
     proportionality comparisons run on ints; back-substituting in Fraction
     and dividing per entry built 2070.
 

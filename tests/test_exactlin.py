@@ -136,12 +136,20 @@ def test_cols_are_zero():
     assert not exactlin.cols_are_zero([{}, {3: Fraction(1, 2)}])
 
 
-def test_columns_to_int_rows_clears_denominators():
-    cols = [{0: Fraction(1, 2), 1: Fraction(3)}, {0: Fraction(-2, 5)}]
-    rows = exactlin.columns_to_int_rows(cols)
-    for row in rows:
-        for v in row.values():
-            assert isinstance(v, int)
+def test_fraction_columns_are_cleared_per_column():
+    """A column enters the reduction as ints: an int column as given, a
+    column holding a Fraction or a zero as an int multiple without zeros,
+    and a bool or a float entry is refused."""
+    int_col, frac_col = {1: 4, 0: -6}, {0: Fraction(1, 2), 2: 0, 1: Fraction(-2, 3)}
+    pivots, steps = exactlin._reduce([int_col, frac_col])
+    # 6 * frac_col = {0: 3, 1: -4}; adding int_col leaves {0: -3}, whose
+    # gcd division makes the pivot {0: -1}.
+    assert (pivots, steps) == ({1: int_col, 0: {0: -1}}, 1)
+    assert pivots[1] is not int_col
+    assert exactlin._reduce([{0: Fraction(3, 6), 1: 0}]) == ({0: {0: 1}}, 0)
+    for entry in (True, 0.5):
+        with pytest.raises(TypeError, match="exact rational"):
+            exactlin.sparse_rank([{0: 1}, {0: entry}], 1)
 
 
 def test_int_entries_match_fraction_entries():
@@ -274,3 +282,50 @@ def test_solve_square_singular_names_dense_rank(data):
     assert want < n
     with pytest.raises(ValueError, match=fr"^singular block: rank {want} of {n}$"):
         exactlin.solve_square(cols_from_dense(rows), n, [{0: Fraction(1)}])
+
+
+# -- invariants of the reduction over int and Fraction matrices ----------------
+
+@st.composite
+def int_or_fraction_dense(draw):
+    """A `sparse_dense` matrix, or the int matrix of its numerators."""
+    rows = draw(sparse_dense(max_dim=25))
+    if draw(st.booleans()):
+        rows = [[v.numerator for v in row] for row in rows]
+    return rows
+
+
+def typed_cols(rows):
+    """Sparse columns that keep the type of each entry."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(len(rows[0]))]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_rank_is_invariant_under_transpose_permutation_and_scaling(data):
+    rows = data.draw(int_or_fraction_dense())
+    nrows, ncols = len(rows), len(rows[0])
+    rank = exactlin.sparse_rank(typed_cols(rows), nrows)
+    transpose = [list(col) for col in zip(*rows)]
+    assert exactlin.sparse_rank(typed_cols(transpose), ncols) == rank
+    perm = data.draw(st.permutations(range(ncols)))
+    scale = data.draw(st.lists(nonzero | st.integers(-5, 5).filter(bool),
+                               min_size=ncols, max_size=ncols))
+    moved = [[scale[j] * row[j] for j in perm] for row in rows]
+    assert exactlin.sparse_rank(typed_cols(moved), nrows) == rank
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=int_or_fraction_dense())
+def test_every_updated_pivot_is_primitive(rows):
+    """The gcd division after each update bounds coefficient growth: a
+    pivot is either a column stored as it came in, or primitive."""
+    cols = typed_cols(rows)
+    pivots, _ = exactlin._reduce(cols)
+    assert len(pivots) == dense_rank([[Fraction(v) for v in row] for row in rows])
+    cleared = [exactlin._integral(col) for col in cols]
+    for low, pivot in pivots.items():
+        assert all(type(v) is int and v for v in pivot.values())
+        assert max(pivot) == low
+        assert gcd(*pivot.values()) == 1 or pivot in cleared

@@ -388,13 +388,13 @@ def test_derived_maps_hold_ints_in_lowest_terms(degree):
 
 def test_singular_block_is_eliminated_once(monkeypatch):
     calls = []
-    eliminate = exactlin._eliminate
+    reduce = exactlin._reduce
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return eliminate(rows, rhs)
+    def counting(vectors):
+        calls.append(len(vectors))
+        return reduce(vectors)
 
-    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    monkeypatch.setattr(exactlin, "_reduce", counting)
     dom, cod = space("a", 2), space("c", 2)
     # The block [[1, 2], [2, 4]], rank 1.
     cx = ChainComplex(name="singular", spaces=[dom, cod],

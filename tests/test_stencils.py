@@ -144,8 +144,7 @@ def _column_major_assembly(domain, codomain, stencil):
 
 
 def _assert_same_assembly(mat, stencil):
-    """Equal cols, den and entry order in every column: the row order that
-    the elimination sees, and so its pivot order, is unchanged."""
+    """Equal cols, den and entry order in every column."""
     want = _column_major_assembly(mat.domain, mat.codomain, stencil)
     assert mat.den == want.den
     assert [list(col.items()) for col in mat.cols] == \
@@ -333,6 +332,17 @@ def test_compose_checks_each_derivative_index_before_adding(alpha, error):
     with pytest.raises(error, match="derivative index"):
         compose(bad, d1)
     with pytest.raises(error, match="derivative index"):
+        compose(d1, bad)
+
+
+@pytest.mark.parametrize("factor", [True, 0.5], ids=["bool", "float"])
+def test_compose_refuses_a_factor_that_is_no_exact_rational(factor):
+    # Unchecked, a bool factor composed as the int 1.
+    bad = [(0, 0, 0, 0, (0, 0, 0), factor)]
+    d1 = operator_stencil("grad")[:1]
+    with pytest.raises(TypeError, match="exact rational"):
+        compose(bad, d1)
+    with pytest.raises(TypeError, match="exact rational"):
         compose(d1, bad)
 
 
