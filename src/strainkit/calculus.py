@@ -70,12 +70,7 @@ def curl(x: VecField) -> VecField:
                         out[exp] = s if type(s) is int else _canonical(s)
                     else:
                         del out[exp]
-    parts = []
-    for out in outs:
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        parts.append(p)
-    return VecField(parts)
+    return VecField([Poly3._of(out) for out in outs])
 
 
 def div(x: VecField) -> Poly3:
@@ -195,6 +190,4 @@ def _potential_numerator(x: VecField) -> tuple[Poly3, int]:
                 out[lifted] = s if type(s) is int else _canonical(s)
             else:
                 del out[lifted]
-    f = Poly3.__new__(Poly3)
-    f.terms = out
-    return f, m
+    return Poly3._of(out), m

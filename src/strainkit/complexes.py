@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 from . import exactlin
 from .errors import SingularBlockError
 from .fields import (Mat3Field, SymField, VecField, _random_rationals, _seeded_rng,
-                     _Value)
+                     _Record, _Value)
 from .poly import Exponent, Poly3, Scalar, _as_int, _canonical, _monomial_table
 from .stencils import (OPERATOR_IDS, OPERATORS, Stencil, compose,
                        coupled_split_stencils, make_stencil, operator_stencil)
@@ -326,14 +326,10 @@ class LinOpMatrix:
         return Fraction(s0 * other.den, v0 * self.den)
 
 
-class ChainComplex(_Value):
+class ChainComplex(_Record):
     """Spaces and maps with the usual adjacency: maps[k]: spaces[k] -> spaces[k+1]."""
 
     __slots__ = ("name", "spaces", "maps")
-    # A mutable record: fields may be reassigned, so it has no hash.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, name: str, spaces: list[GradedSpace],
                  maps: list[LinOpMatrix]) -> None:
@@ -347,15 +343,11 @@ class ChainComplex(_Value):
                 raise ValueError(f"map {k} has the wrong codomain")
 
 
-class ComplexReport(_Value):
+class ComplexReport(_Record):
     """Exact diagnostic data for one complex."""
 
     __slots__ = ("name", "slot_info", "ranks", "kernel_dims", "composition_residuals",
                  "defects")
-    # A mutable record: fields may be reassigned, so it has no hash.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, name: str, slot_info: list[list[dict]], ranks: list[int],
                  kernel_dims: list[int], composition_residuals: list[str],
@@ -663,15 +655,11 @@ SCHUR_CANCELLATIONS = ((1, ("xi",), ("theta1",)),
                        (2, ("theta2_skew",), ("z1",)))
 
 
-class DerivationResult(_Value):
+class DerivationResult(_Record):
     """Everything produced while deriving the elasticity complex."""
 
     __slots__ = ("full", "halfway", "reduced", "hand_coded", "stage_factors",
                  "full_report", "reduced_report")
-    # A mutable record: fields may be reassigned, so it has no hash.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, full: ChainComplex, halfway: ChainComplex, reduced: ChainComplex,
                  hand_coded: ChainComplex, stage_factors: list[Fraction | None],

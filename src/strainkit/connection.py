@@ -30,8 +30,7 @@ from math import lcm
 
 from .calculus import _potential_numerator, curl_curl_with_row, curl_row
 from .errors import CompatibilityError
-from .fields import (AXES, Mat3Field, SymField, VecField, _Field, delta, eps,
-                     random_field)
+from .fields import AXES, Mat3Field, SymField, VecField, _Field, eps, random_field
 from .poly import Poly3, _as_int, _canonical
 
 
@@ -93,14 +92,17 @@ def w_curl(psi: WOneForm) -> WOneForm:
     """Connection curl of a one-form.
 
     First slot: eps_i^{jk} d_j Sigma_{kl} - Xi_{li} + delta_{il} tr(Xi); in
-    matrix terms curl_row(Sigma) - Xi^T + delta tr(Xi).  Second slot:
-    curl_row(Xi).
+    matrix terms curl_row(Sigma) - Xi^T + delta tr(Xi), with tr(Xi) added on
+    the diagonal only.  Second slot: curl_row(Xi).
     """
-    tr = psi.xi.trace()
-    slot1 = curl_row(psi.sigma) - psi.xi.transpose() \
-        + Mat3Field.from_entries(lambda i, l: tr * delta(i, l))
-    slot2 = curl_row(psi.xi)
-    return WOneForm(slot1, slot2)
+    curl_sigma, xi = curl_row(psi.sigma), psi.xi
+    tr = xi.trace()
+
+    def entry(i: int, l: int) -> Poly3:
+        e = curl_sigma.entry(i, l) - xi.entry(l, i)
+        return e + tr if i == l else e
+
+    return WOneForm(Mat3Field.from_entries(entry), curl_row(xi))
 
 
 def w_div(theta: WOneForm) -> WField:

@@ -88,9 +88,7 @@ def _poly_from_terms(raw, where: str) -> Poly3:
             raise FieldFormatError(f"duplicate exponent {_brief(exp)} in component {where!r}")
         if coef:
             terms[key] = coef
-    poly = Poly3.__new__(Poly3)
-    poly.terms = terms
-    return poly
+    return Poly3._of(terms)
 
 
 def _kind_parts(field) -> tuple[str, tuple[Poly3, ...]]:

@@ -38,8 +38,7 @@ class _Value:
 
     Values are frozen: `__init__` sets each field once with
     object.__setattr__, and assignment or deletion afterwards raises
-    AttributeError.  A mutable record restores object's `__setattr__` and
-    `__delattr__` and sets `__hash__` to None.
+    AttributeError.  A mutable record derives from `_Record` instead.
     """
 
     __slots__ = ()
@@ -72,6 +71,15 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Value):
+    """A mutable record: fields may be reassigned, so it has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 class _Field(_Value):
@@ -355,9 +363,7 @@ def _random_poly(rng: random.Random, degree: int) -> Poly3:
         need = len(exps) - len(coefs)
     # The exponents are a monomial table's and the coefficients nonzero
     # ints, so the terms are canonical as they stand.
-    poly = Poly3.__new__(Poly3)
-    poly.terms = {exp: c for exp, c in zip(exps, coefs) if c}
-    return poly
+    return Poly3._of({exp: c for exp, c in zip(exps, coefs) if c})
 
 
 def random_field(kind: str, degree: int, seed: int):

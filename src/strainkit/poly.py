@@ -18,6 +18,10 @@ map and has degree -1 by convention.  Monomials are ordered
 graded-lexicographically with x1 > x2 > x3; display lists the leading term
 first.
 
+The constructor checks and canonicalizes its terms.  `Poly3._of` is the one
+trusted door: the arithmetic here and the package's builders of canonical
+terms (curl, potentials, random draws, field files) wrap them unchecked.
+
 `Poly3` values are immutable: no code changes `.terms` once a polynomial is
 built.  So an operation may return one of its operands, or the shared ZERO,
 instead of a copy: p + 0, 0 + p and p - 0 return p, p * 1 returns p, and a
@@ -79,6 +83,18 @@ class Poly3:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict[Exponent, Scalar]) -> "Poly3":
+        """Trusted door: the polynomial of `terms`, kept unchecked and uncopied.
+
+        terms must be canonical: triples of non-negative ints mapped to
+        nonzero coefficients, each an int when integral and else a Fraction
+        with denominator > 1.  The caller must not change the dict afterwards.
+        """
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, value: Scalar) -> "Poly3":
         return cls({ZERO_EXP: value})
 
@@ -109,16 +125,12 @@ class Poly3:
                 out[exp] = s if type(s) is int else _canonical(s)
             else:
                 del out[exp]
-        res = Poly3.__new__(Poly3)
-        res.terms = out
-        return res
+        return Poly3._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        res = Poly3.__new__(Poly3)
-        res.terms = {exp: -coef for exp, coef in self.terms.items()}
-        return res
+        return Poly3._of({exp: -coef for exp, coef in self.terms.items()})
 
     def __sub__(self, other: "Poly3 | Scalar") -> "Poly3":
         if type(other) is not Poly3:
@@ -132,9 +144,7 @@ class Poly3:
                 out[exp] = s if type(s) is int else _canonical(s)
             else:
                 del out[exp]
-        res = Poly3.__new__(Poly3)
-        res.terms = out
-        return res
+        return Poly3._of(out)
 
     def __rsub__(self, other: Scalar) -> "Poly3":
         return _coerce(other) - self
@@ -160,9 +170,7 @@ class Poly3:
                     out[exp] = s if type(s) is int else _canonical(s)
                 else:
                     del out[exp]
-        res = Poly3.__new__(Poly3)
-        res.terms = out
-        return res
+        return Poly3._of(out)
 
     __rmul__ = __mul__
 
@@ -197,9 +205,7 @@ class Poly3:
                 else:
                     v = coef * c
                     out[exp] = v if type(v) is int else _canonical(v)
-        res = Poly3.__new__(Poly3)
-        res.terms = out
-        return res
+        return Poly3._of(out)
 
     def __truediv__(self, other: Scalar) -> "Poly3":
         c = _canonical(other)
@@ -253,9 +259,7 @@ class Poly3:
             for exp, v in out.items():
                 if type(v) is not int:
                     out[exp] = _canonical(v)
-        res = Poly3.__new__(Poly3)
-        res.terms = out
-        return res
+        return Poly3._of(out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (p1, p2, p3).

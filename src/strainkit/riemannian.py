@@ -20,14 +20,14 @@ Each intermediate is formed once per call.  A jet curvature call builds one
 inverse, the 27 derivative jets d_m g_ij, the 27 brackets
 d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
 every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
-are computed), cancelling quadratic terms and einstein = scalar * g - 2 * ricci.
-Each check compares canonical values with ==, which builds no difference.
-The jet route carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and
-runs the Gamma and quadratic-term checks on these numerators, which scaling
-by a nonzero constant leaves equivalent.  The relation einstein =
-scalar * g - 2 * ricci is checked on the numerators 4 R, 4 S and 4 G too,
-before Ricci, scalar and Einstein are each scaled by 1/4 once at the end;
-`christoffel_jet` halves 2 Gamma.  The derivative, Christoffel and
+are computed) and cancelling quadratic terms.  Each check compares
+canonical values with ==, which builds no difference.  The jet route
+carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and runs the
+Gamma and quadratic-term checks on these numerators, which scaling by a
+nonzero constant leaves equivalent.  Einstein is built as
+scalar * g - 2 * ricci on the numerators 4 S and 4 R, and Ricci, scalar
+and Einstein are each scaled by 1/4 once at the end; `christoffel_jet`
+halves 2 Gamma.  The derivative, Christoffel and
 curvature jets all have an empty background (delta is constant), so jet
 arithmetic skips the Poly3 work on those backgrounds: a sum, difference,
 scalar multiple or partial derivative computes only the eps part, a product
@@ -264,16 +264,20 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
 class CurvatureJet(_Value):
     """Ricci, scalar and Einstein jets of a metric jet.
 
-    The public constructor re-checks the defining relation
-    einstein = scalar * g - 2 * ricci (`_check_einstein`); `ricci_jet`,
-    which checks it on its numerators, builds through `_of`.
+    The public constructor checks the defining relation
+    einstein = scalar * g - 2 * ricci entry by entry on its input;
+    `ricci_jet`, which builds Einstein by that relation, uses `_of`.
     """
 
     __slots__ = ("metric", "ricci", "scalar", "einstein")
 
     def __init__(self, metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
                  einstein: JetMatrix) -> None:
-        _check_einstein(metric, ricci, scalar, einstein)
+        for i in AXES:
+            for j in AXES:
+                expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
+                if einstein[i - 1][j - 1] != expect:
+                    raise ValueError("einstein jet must equal scalar*g - 2*ricci")
         self._set(metric, ricci, scalar, einstein)
 
     @classmethod
@@ -291,16 +295,6 @@ class CurvatureJet(_Value):
         object.__setattr__(self, "einstein", einstein)
 
 
-def _check_einstein(metric: MetricJet, ricci: JetMatrix, scalar: JetPoly,
-                    einstein: JetMatrix) -> None:
-    """Raise ValueError unless einstein = scalar * g - 2 * ricci entry by entry."""
-    for i in AXES:
-        for j in AXES:
-            expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
-            if einstein[i - 1][j - 1] != expect:
-                raise ValueError("einstein jet must equal scalar*g - 2*ricci")
-
-
 def ricci_jet(g: MetricJet) -> CurvatureJet:
     """Curvature jets of delta + eps*Sigma.
 
@@ -310,11 +304,9 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k).  The two
     quadratic sums of 2 Gamma are computed in jet arithmetic and asserted
     equal, so they cancel at first order and are not added.
-    The scalar and Einstein jets follow as 4 S and 4 G, and the defining
-    relation 4 G = 4 S g - 2 (4 R) is checked on these integer numerators,
-    which scaling by 1/4 leaves equivalent.  Ricci, scalar and Einstein are
-    then each scaled by 1/4 once, and the result is built through the
-    trusted `CurvatureJet._of`.
+    The scalar and Einstein jets follow as 4 S and 4 G = 4 S g - 2 (4 R).
+    Ricci, scalar and Einstein are then each scaled by 1/4 once and built
+    through the trusted `CurvatureJet._of`.
     """
     ginv = jet_inverse(g)
     gamma = _christoffel(g, ginv)
@@ -336,7 +328,6 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
                           for k in AXES for l in AXES])
     einstein = _mat3(
         lambda i, j: scalar * g.entry(i, j) - ricci[i - 1][j - 1] * 2)
-    _check_einstein(g, ricci, scalar, einstein)
     quarter = Fraction(1, 4)
     return CurvatureJet._of(
         g, _mat3(lambda i, j: ricci[i - 1][j - 1] * quarter), scalar * quarter,

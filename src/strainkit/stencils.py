@@ -96,12 +96,13 @@ def _derivative_index(alpha: Sequence[int]) -> Exponent:
 
 def _merge(terms: Iterable[tuple[tuple, Scalar]]) -> Stencil:
     """Canonical stencil of (key, canonical factor) pairs: equal keys
-    summed, zero factors dropped, sorted."""
+    summed, each sum canonical (1/2 + 1/2 is the int 1), zero factors
+    dropped, sorted."""
     merged: dict[tuple, Scalar] = {}
     for key, factor in terms:
         # No arithmetic for a key seen once: a canonical stencil passes
         # through without building a Fraction.
-        merged[key] = merged[key] + factor if key in merged else factor
+        merged[key] = _canonical(merged[key] + factor) if key in merged else factor
     return tuple((*key, f) for key, f in sorted(merged.items()) if f)
 
 

@@ -28,7 +28,7 @@ from .connection import (WField, WOneForm, flat_sections_basis,
                          rigid_motion, saint_venant_reconstruct, w_curl,
                          w_div, w_grad, w_poincare)
 from .errors import CompatibilityError
-from .fields import (AXES, Mat3Field, SymField, VecField, _Value, delta, eps,
+from .fields import (AXES, Mat3Field, SymField, VecField, _Record, _Value, delta, eps,
                      random_field, random_point)
 from .poly import Poly3
 from .riemannian import (JetPoly, MetricJet, PolyMetric, bianchi_check, jet_inverse,
@@ -74,14 +74,10 @@ class CheckRecord(_Value):
                 "residual": self.residual, "elapsed": self.elapsed}
 
 
-class VerificationReport(_Value):
+class VerificationReport(_Record):
     """Outcome of a suite run; records are sorted by check name."""
 
     __slots__ = ("config", "records")
-    # A mutable record: fields may be reassigned, so it has no hash.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, config: SuiteConfig, records: list[CheckRecord] | None = None) -> None:
         self.config = config

@@ -529,39 +529,6 @@ def test_jet_product_with_exact_scalars():
     assert jet * Fraction(1, 2) == JetPoly(Fraction(1, 2), X1 / 2)
 
 
-def test_ricci_jet_checks_the_einstein_relation_on_numerators(monkeypatch):
-    g = MetricJet.from_strain(random_field("sym", 3, 17))
-    want = ricci_jet(g)
-    seen = []
-    real = riemannian._check_einstein
-
-    def recording(metric, ricci, scalar, einstein):
-        seen.append((ricci, scalar, einstein))
-        real(metric, ricci, scalar, einstein)
-
-    monkeypatch.setattr(riemannian, "_check_einstein", recording)
-    assert ricci_jet(g) == want
-    # One check, on 4 R, 4 S and 4 G before the 1/4 scaling.
-    [(ricci, scalar, einstein)] = seen
-    assert scalar == want.scalar * 4
-    for i in range(3):
-        for j in range(3):
-            assert ricci[i][j] == want.ricci[i][j] * 4
-            assert einstein[i][j] == want.einstein[i][j] * 4
-
-
-def test_ricci_jet_einstein_check_fires_on_a_perturbed_numerator(monkeypatch):
-    real = riemannian._check_einstein
-
-    def perturbed(metric, ricci, scalar, einstein):
-        bad = ((einstein[0][0] + JetPoly(Poly3(), X1),) + einstein[0][1:],) + einstein[1:]
-        real(metric, ricci, scalar, bad)
-
-    monkeypatch.setattr(riemannian, "_check_einstein", perturbed)
-    with pytest.raises(ValueError, match=r"einstein jet must equal scalar\*g - 2\*ricci"):
-        ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
-
-
 # -- jet arithmetic against the general two-part formulas ---------------------
 
 def _assert_canonical_parts(jet):

@@ -299,6 +299,16 @@ def test_make_stencil_merges_and_drops_zeros():
     assert make_stencil(terms) == ((0, 0, 0, 1, (0, 1, 0), 3),)
 
 
+def test_summed_factors_are_canonical():
+    # == cannot tell Fraction(1, 1) from 1, so the types are checked.
+    half = (0, 0, 0, 0, (1, 0, 0), Fraction(1, 2))
+    [(*_, factor)] = make_stencil([half, half])
+    assert type(factor) is int and factor == 1
+    for stencil in coupled_split_stencils():
+        for *_, f in stencil:
+            assert type(f) is int or (type(f) is Fraction and f.denominator > 1)
+
+
 @pytest.mark.parametrize("alpha,error,message", [
     ((-1, 0, 0), ValueError, r"negative derivative index in \(-1, 0, 0\)"),
     ((0, 2, -1), ValueError, "negative derivative index"),
