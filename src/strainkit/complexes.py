@@ -67,6 +67,7 @@ class Slot(_Value):
     __slots__ = ("label", "kind", "bound")
 
     def __init__(self, label: str, kind: str, bound: int) -> None:
+        bound = _as_int(bound, "bound")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "bound", bound)
@@ -120,11 +121,11 @@ class GradedSpace:
         start = self.offsets[k]
         return range(start, start + self.slots[k].dim)
 
-    def to_coords(self, values: Sequence) -> exactlin.Column:
+    def to_coords(self, values: Sequence) -> exactlin.Coords:
         """Sparse coordinates of a tuple of per-slot field values."""
         if len(values) != len(self.slots):
             raise ValueError("value tuple does not match the slot list")
-        coords: exactlin.Column = {}
+        coords: exactlin.Coords = {}
         for k, (slot, value) in enumerate(zip(self.slots, values)):
             base = self.offsets[k]
             nmono = len(self._monos[k])
@@ -202,7 +203,7 @@ class LinOpMatrix:
     stencil: Stencil | None = None
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
-                 cols: list[exactlin.Column], name: str = "", den: int = 1):
+                 cols: list[exactlin.Coords], name: str = "", den: int = 1):
         if len(cols) != domain.dim:
             raise ValueError("column count must match the domain dimension")
         if type(den) is not int or den < 1:
@@ -216,7 +217,7 @@ class LinOpMatrix:
 
     @classmethod
     def _of(cls, domain: GradedSpace, codomain: GradedSpace,
-            cols: list[dict[int, int]], name: str, den: int) -> "LinOpMatrix":
+            cols: list[exactlin.Column], name: str, den: int) -> "LinOpMatrix":
         """Trusted door for the package's own builders.
 
         cols must be int columns with no zero entries, one per domain
@@ -278,12 +279,14 @@ class LinOpMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.cols[j].get(i, 0), self.den)
 
-    def apply_coords(self, coords: exactlin.Column) -> exactlin.Column:
-        """Image of a coordinate column; its values must be exact rationals."""
-        if not {int}.issuperset(map(type, coords.values())):  # some value is not an int
-            coords = {i: _canonical(v) for i, v in coords.items()}
+    def apply_coords(self, coords: exactlin.Coords) -> exactlin.Coords:
+        """Image of a coordinate column; its values must be exact rationals.
+
+        The image holds ints where integral and Fractions elsewhere."""
+        (coords,), scale = exactlin.lowest_terms([coords])
         out = exactlin.mul_cols(self.cols, [coords])[0]
-        return out if self.den == 1 else {i: Fraction(v, self.den) for i, v in out.items()}
+        den = self.den * scale
+        return out if den == 1 else {i: _canonical(Fraction(v, den)) for i, v in out.items()}
 
     def compose(self, inner: "LinOpMatrix", name: str = "") -> "LinOpMatrix":
         """self o inner."""
@@ -486,10 +489,9 @@ def schur_reduce(c: ChainComplex, stage: int,
     factor = _constant_factor(phi_cols, n_mono) if n_mono > 1 else None
     try:
         if factor is None:
-            zn_cols, zden = exactlin.solve_square(phi_cols, len(b_cols), c_block)
+            zn_cols, zden = exactlin.solve_square(phi_cols, c_block)
         else:
-            y_cols, zden = exactlin.solve_square(factor, len(factor),
-                                                 [{r: 1} for r in range(len(factor))])
+            y_cols, zden = exactlin.solve_square(factor, [{r: 1} for r in range(len(factor))])
             zn_cols = _kron_identity_mul(y_cols, n_mono, c_block)
     except ValueError as exc:
         # phi = Phi (x) I_N has rank N rank(Phi), the pivot count of phi itself.
@@ -532,8 +534,8 @@ def schur_reduce(c: ChainComplex, stage: int,
     return ChainComplex(name=base, spaces=new_spaces, maps=new_maps)
 
 
-def _constant_factor(phi_cols: list[dict[int, int]],
-                     n_mono: int) -> list[dict[int, int]] | None:
+def _constant_factor(phi_cols: list[exactlin.Column],
+                     n_mono: int) -> list[exactlin.Column] | None:
     """The int columns of Phi when phi = Phi (x) I_N, else None.
 
     Positions are component-major, p = component * N + monomial, with
@@ -552,8 +554,8 @@ def _constant_factor(phi_cols: list[dict[int, int]],
     return factor
 
 
-def _kron_identity_mul(y_cols: list[dict[int, int]], n_mono: int,
-                       cols: list[dict[int, int]]) -> list[dict[int, int]]:
+def _kron_identity_mul(y_cols: list[exactlin.Column], n_mono: int,
+                       cols: list[exactlin.Column]) -> list[exactlin.Column]:
     """The int columns of (Y (x) I_N) cols, in one pass over the entries of cols.
 
     Entry v at row (r, k) of a column adds Y[c, r] v at row (c, k) for each
@@ -563,7 +565,7 @@ def _kron_identity_mul(y_cols: list[dict[int, int]], n_mono: int,
     y_terms = [[(c * n_mono, y) for c, y in col.items()] for col in y_cols]
     out = []
     for col in cols:
-        acc: dict[int, int] = {}
+        acc: exactlin.Column = {}
         get = acc.get
         for p, v in col.items():
             r, k = divmod(p, n_mono)
@@ -587,6 +589,7 @@ MIN_COMPLEX_DEGREE = 3
 
 def _spaces(name: str, degree: int, slot_lists) -> list[GradedSpace]:
     """Graded spaces at a degree; every bound must be at least 0."""
+    degree = _as_int(degree, "degree")
     least = -min(shift for slots in slot_lists for _, _, shift in slots)
     if degree < least:
         raise ValueError(f"{name} needs degree >= {least}")
@@ -730,7 +733,12 @@ def derive_elasticity(degree: int) -> DerivationResult:
 
 # -- splitting of two-forms on R^4 ------------------------------------------
 
-_IDX4 = (1, 2, 3, 4)
+def _check_index4(index: int) -> int:
+    """index as an int 1..4, read as `poly._check_axis` reads an axis 1..3."""
+    index = _as_int(index, "index")
+    if not 1 <= index <= 4:
+        raise ValueError(f"index must be 1, 2, 3 or 4, got {index!r}")
+    return index
 
 
 class SkewMat4(_Value):
@@ -761,7 +769,7 @@ class SkewMat4(_Value):
         return cls(((0,) * 4,) * 4)
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i - 1][j - 1]
+        return self.entries[_check_index4(i) - 1][_check_index4(j) - 1]
 
     def __add__(self, other: "SkewMat4") -> "SkewMat4":
         return SkewMat4(tuple(tuple(a + b for a, b in zip(r1, r2))

@@ -1,16 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices live as lists of sparse columns ({row: value}).  Operator matrices
-hold ints (a `LinOpMatrix` keeps one denominator beside them); Fractions
-enter only through field coordinates.  One fraction-free reduction,
-`_reduce`, serves rank and solve.  It takes vectors one at a time, copies
-each once as integers and reduces it against the pivots found so far: while
-a pivot is stored at the vector's largest index, the vector becomes
-``a*vector - b*pivot``, divided by the gcd of its entries.  A vector that
-reaches an index no pivot holds is stored there as a new pivot, and one
-that vanishes is dropped.  This is the column reduction of persistent
-homology (Edelsbrunner, Letscher and Zomorodian 2002), kept fraction-free as
-in Bareiss (1968).  The rank is the number of pivots.
+Matrices live as lists of sparse columns ({row: value}) of ints with no
+zero entries; a `LinOpMatrix` keeps one denominator beside them.  Rational
+columns become ints in one place, `lowest_terms`; nothing else checks its
+input.  One fraction-free reduction, `_reduce`, serves rank and solve.  It
+takes vectors one at a time, copies each once and reduces it against the
+pivots found so far: while a pivot is stored at the vector's largest index,
+the vector becomes ``a*vector - b*pivot``, divided by the gcd of its
+entries.  A vector that reaches an index no pivot holds is stored there as
+a new pivot, and one that vanishes is dropped.  This is the column
+reduction of persistent homology (Edelsbrunner, Letscher and Zomorodian
+2002), kept fraction-free as in Bareiss (1968).  The rank is the number of
+pivots.
 
 `sparse_rank` reduces the columns as they are, with no transpose.
 `solve_square` reduces the rows of [phi | rhs], keyed on the phi part only,
@@ -28,19 +29,23 @@ order, and an invertible block has one solution.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .poly import _canonical
+from .poly import Scalar, _canonical
 
-# Ints in operator matrices and solutions; Fractions in field coordinates.
-Column = dict[int, int | Fraction]
+# Operator matrices and solutions: ints, no zero entries.
+Column = dict[int, int]
+# Field coordinates: exact rationals, cleared to a Column by `lowest_terms`.
+Coords = dict[int, Scalar]
 
 
-def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]], int]:
-    """(int columns, den) in lowest terms for the matrix cols / den."""
+def lowest_terms(cols: list[Coords], den: int = 1) -> tuple[list[Column], int]:
+    """(int columns, den) in lowest terms for the matrix cols / den.
+
+    Zero entries are kept; a bool or a float entry raises TypeError.
+    """
     values = chain.from_iterable(map(dict.values, cols))
     if not {int}.issuperset(map(type, values)):  # some entry is not an int
         # _canonical rejects a bool or a float entry with TypeError.
@@ -51,7 +56,7 @@ def lowest_terms(cols: list[Column], den: int = 1) -> tuple[list[dict[int, int]]
     return cancel_den(cols, den)
 
 
-def cancel_den(cols: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]], int]:
+def cancel_den(cols: list[Column], den: int) -> tuple[list[Column], int]:
     """Int columns over den with the gcd of den and every entry divided out."""
     g = gcd(den, *chain.from_iterable(map(dict.values, cols))) if den > 1 else 1
     if g > 1:
@@ -76,37 +81,20 @@ def accumulate(acc: Column, factor, col: Column) -> None:
                 del acc[i]
 
 
-def _integral(vec: Column) -> dict[int, int]:
-    """An int multiple of vec with its zero entries dropped.
-
-    Raises TypeError for an entry that is not an exact rational, as
-    `poly._canonical` does.
-    """
-    vec = {i: _canonical(v) for i, v in vec.items()}
-    scale = lcm(*(v.denominator for v in vec.values()))
-    return {i: v.numerator * (scale // v.denominator) for i, v in vec.items() if v}
-
-
-_INT = {int}
-
-
-def _reduce(vectors: Iterable[Column]) -> tuple[dict[int, dict[int, int]], int]:
+def _reduce(vectors: Iterable[Column]) -> tuple[dict[int, Column], int]:
     """Reduce each vector against the pivots found so far.
 
+    Every vector must hold ints with no zero entries; nothing checks it.
     Returns (pivots, steps): pivots maps each pivot's largest index to the
     pivot, and steps counts the updates ``a*vector - b*pivot``.  A vector's
     negative indices never key a pivot; one whose other entries all vanish
     is dropped.  Every pivot that an update made is primitive (the gcd of
     its entries is 1); a vector stored with no update keeps its content.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, Column] = {}
     steps = 0
     for given in vectors:
-        values = given.values()
-        if all(values) and _INT.issuperset(map(type, values)):
-            vec = dict(given)
-        else:  # only a vector that holds a Fraction or a zero is cleared
-            vec = _integral(given)
+        vec = dict(given)
         while vec:
             low = max(vec)
             if low < 0:
@@ -142,9 +130,8 @@ def sparse_rank(cols: list[Column], nrows: int) -> int:
     return len(_reduce(cols)[0])
 
 
-def solve_square(phi_cols: list[Column], size: int,
-                 rhs_cols: list[Column]) -> tuple[list[dict[int, int]], int]:
-    """Solve phi * X = rhs column by column, exactly.
+def solve_square(phi_cols: list[Column], rhs_cols: list[Column]) -> tuple[list[Column], int]:
+    """Solve phi * X = rhs column by column, exactly; phi is square.
 
     Returns (int columns, den) in lowest terms with X = columns / den.
     Raises ValueError when phi is singular, with the pivot count as its
@@ -161,6 +148,7 @@ def solve_square(phi_cols: list[Column], size: int,
             if i in rows:  # a row with no phi entry holds no pivot
                 rows[i][~k] = v
     pivots = _reduce(rows.values())[0]
+    size = len(phi_cols)
     if len(pivots) < size:
         exc = ValueError(f"singular block: rank {len(pivots)} of {size}")
         exc.rank = len(pivots)
@@ -170,7 +158,7 @@ def solve_square(phi_cols: list[Column], size: int,
     # pivot at j lie below j, so their solutions x[i] = num[i] / den[i] are
     # already known.  Each step brings its terms to the lcm of their dens
     # and cancels one gcd, so every solution is in lowest terms.
-    num: dict[int, dict[int, int]] = {}
+    num: dict[int, Column] = {}
     den: dict[int, int] = {}
     for j in range(size):
         pivot = pivots[j]
@@ -189,7 +177,7 @@ def solve_square(phi_cols: list[Column], size: int,
     # One den for all columns; each num[j] / den[j] is in lowest terms, so
     # the scaled numerators over their lcm are too.
     common = lcm(*den.values())
-    solutions: list[dict[int, int]] = [dict() for _ in rhs_cols]
+    solutions: list[Column] = [dict() for _ in rhs_cols]
     for j in range(size):
         f = common // den[j]
         for k, v in num[j].items():

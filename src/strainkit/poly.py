@@ -226,6 +226,9 @@ class Poly3:
         return bool(self.terms)
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, and the zero polynomial 0: hash alike.
+        if self.terms.keys() <= {ZERO_EXP}:
+            return hash(self.terms.get(ZERO_EXP, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- queries -----------------------------------------------------------

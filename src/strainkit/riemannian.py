@@ -58,7 +58,7 @@ from typing import Sequence
 from .calculus import curl_curl, div_sym
 from .errors import SingularMetricError
 from .fields import AXES, Mat3Field, SymField, _Value, delta
-from .poly import ONE, ZERO, ZERO_EXP, Poly3, Scalar, _coerce, second_jets
+from .poly import ONE, ZERO, ZERO_EXP, Poly3, Scalar, _check_axis, _coerce, second_jets
 
 
 class JetPoly(_Value):
@@ -192,16 +192,16 @@ class MetricJet(_Value):
             lambda i, j: JetPoly(Poly3.constant(delta(i, j)), sigma.entry(i, j))))
 
     def entry(self, i: int, j: int) -> JetPoly:
-        return self.entries[i - 1][j - 1]
+        return self.entries[_check_axis(i) - 1][_check_axis(j) - 1]
 
     def strain(self) -> SymField:
-        return SymField.from_entries(lambda i, j: self.entry(i, j).p1)
+        return SymField.from_entries(lambda i, j: self.entries[i - 1][j - 1].p1)
 
 
 def jet_inverse(g: MetricJet) -> MetricJet:
     """Inverse metric jet: delta - eps*Sigma, verified by multiplication."""
     inv = MetricJet(_mat3(
-        lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entry(i, j).p1)))
+        lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entries[i - 1][j - 1].p1)))
     for prod in (_mat3_mul(inv.entries, g.entries), _mat3_mul(g.entries, inv.entries)):
         if prod != _JET_IDENTITY:
             raise AssertionError("jet inverse failed its product check")
@@ -218,25 +218,24 @@ class ChristoffelJet(_Value):
         for i in AXES:
             for j in AXES:
                 for k in AXES:
-                    g = self.entry(i, j, k)
+                    g = gamma[i - 1][j - 1][k - 1]
                     if not g.p0.is_zero():
                         raise ValueError("Christoffel jets of delta + eps*Sigma have no "
                                          "background part")
-                    if g.p1 != self.entry(j, i, k).p1:
+                    if g.p1 != gamma[j - 1][i - 1][k - 1].p1:
                         raise ValueError("Christoffel symbols must be symmetric in the "
                                          "lower indices")
 
     def entry(self, i: int, j: int, k: int) -> JetPoly:
-        return self.gamma[i - 1][j - 1][k - 1]
+        return self.gamma[_check_axis(i) - 1][_check_axis(j) - 1][_check_axis(k) - 1]
 
 
 def christoffel_jet(g: MetricJet) -> ChristoffelJet:
     """Gamma_ij^k = (1/2) g^{kl} [d_i g_jl + d_j g_il - d_l g_ij] in jets."""
     doubled = _christoffel(g, jet_inverse(g))
     half = Fraction(1, 2)
-    return ChristoffelJet(tuple(
-        tuple(tuple(doubled.entry(i, j, k) * half for k in AXES) for j in AXES)
-        for i in AXES))
+    return ChristoffelJet(tuple(tuple(tuple(v * half for v in row) for row in plane)
+                                for plane in doubled.gamma))
 
 
 def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
@@ -249,7 +248,7 @@ def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
     compare computed values.
     """
     triples = [(i, j, l) for i in AXES for j in AXES for l in AXES]
-    dg = {(m, i, j): g.entry(i, j).partial(m) for m, i, j in triples}
+    dg = {(m, i, j): g.entries[i - 1][j - 1].partial(m) for m, i, j in triples}
     bracket = {(i, j, l): dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for i, j, l in triples}
 
     def gamma(i: int, j: int, k: int) -> JetPoly:
@@ -275,7 +274,7 @@ class CurvatureJet(_Value):
                  einstein: JetMatrix) -> None:
         for i in AXES:
             for j in AXES:
-                expect = scalar * metric.entry(i, j) - ricci[i - 1][j - 1] * 2
+                expect = scalar * metric.entries[i - 1][j - 1] - ricci[i - 1][j - 1] * 2
                 if einstein[i - 1][j - 1] != expect:
                     raise ValueError("einstein jet must equal scalar*g - 2*ricci")
         self._set(metric, ricci, scalar, einstein)
@@ -309,25 +308,25 @@ def ricci_jet(g: MetricJet) -> CurvatureJet:
     through the trusted `CurvatureJet._of`.
     """
     ginv = jet_inverse(g)
-    gamma = _christoffel(g, ginv)
-    # 2 Gamma_jk^k summed over k.
-    trace = {j: reduce(add, [gamma.entry(j, k, k) for k in AXES]) for j in AXES}
+    # gamma[i - 1][j - 1][k - 1] is 2 Gamma_ij^k; trace[j - 1] sums 2 Gamma_jk^k over k.
+    gamma = _christoffel(g, ginv).gamma
+    trace = [reduce(add, [row[k] for k, row in enumerate(plane)]) for plane in gamma]
 
     def ricci_entry(i: int, j: int) -> JetPoly:
-        plus = reduce(add, [gamma.entry(i, k, m) * gamma.entry(j, m, k)
-                            for k in AXES for m in AXES])
-        minus = reduce(add, [gamma.entry(i, j, m) * trace[m] for m in AXES])
+        gi, gj = gamma[i - 1], gamma[j - 1]
+        plus = reduce(add, [gi[k][m] * gj[m][k] for k in range(3) for m in range(3)])
+        minus = reduce(add, [v * t for v, t in zip(gi[j - 1], trace)])
         if plus != minus:
             raise AssertionError("quadratic Christoffel terms must vanish at first order")
-        lead = trace[j].partial(i) - reduce(
-            add, [gamma.entry(i, j, k).partial(k) for k in AXES])
+        lead = trace[j - 1].partial(i) - reduce(
+            add, [v.partial(k) for k, v in zip(AXES, gi[j - 1])])
         return lead * 2
 
     ricci = _mat3(ricci_entry)
-    scalar = reduce(add, [ginv.entry(k, l) * ricci[k - 1][l - 1]
-                          for k in AXES for l in AXES])
+    scalar = reduce(add, [v * r for vs, rs in zip(ginv.entries, ricci)
+                          for v, r in zip(vs, rs)])
     einstein = _mat3(
-        lambda i, j: scalar * g.entry(i, j) - ricci[i - 1][j - 1] * 2)
+        lambda i, j: scalar * g.entries[i - 1][j - 1] - ricci[i - 1][j - 1] * 2)
     quarter = Fraction(1, 4)
     return CurvatureJet._of(
         g, _mat3(lambda i, j: ricci[i - 1][j - 1] * quarter), scalar * quarter,

@@ -266,7 +266,7 @@ def _check_flat_sections_in_kernel(cfg: SuiteConfig):
 def _check_flat_sections_independent(cfg: SuiteConfig):
     space = GradedSpace([Slot("x", "vec", 1), Slot("y", "vec", 0)])
     cols = [space.to_coords((s.x, s.y)) for s in flat_sections_basis()]
-    rank = exactlin.sparse_rank(cols, space.dim)
+    rank = exactlin.sparse_rank(exactlin.lowest_terms(cols)[0], space.dim)
     if rank != 6:
         yield f"rank {rank} of 6"
 
@@ -410,7 +410,7 @@ def _rigid_kernel(report):
     return check
 
 
-def _coords(space: GradedSpace, value) -> exactlin.Column:
+def _coords(space: GradedSpace, value) -> exactlin.Coords:
     """Coordinates of a field; a coupled field fills the slots named after its summands."""
     if len(space.slots) == 1:
         return space.to_coords((value,))

@@ -68,6 +68,18 @@ def test_slot_validation():
         Slot("a", "vec", -2)
 
 
+@pytest.mark.parametrize("value", [True, 2.0, 1.5])
+def test_degrees_and_bounds_are_ints(value):
+    """matrix_of("grad", True) once built the degree-1 matrix, and
+    Slot("a", "vec", 1.5).dim was 19.0."""
+    with pytest.raises(TypeError, match="degree must be an int"):
+        matrix_of("grad", value)
+    with pytest.raises(TypeError, match="degree must be an int"):
+        build_elasticity_complex(value)
+    with pytest.raises(TypeError, match="bound must be an int"):
+        Slot("a", "vec", value)
+
+
 def test_graded_space_layout():
     space = GradedSpace([Slot("u", "vec", 1), Slot("p", "scalar", 2)])
     assert space.dim == 12 + 10
@@ -382,12 +394,19 @@ def test_apply_coords_takes_exact_rationals_only(value):
 
 
 def test_apply_coords_reads_ints_and_fractions_as_before():
+    """The image is canonical: an int where integral, else a Fraction."""
+    def typed(coords):
+        return {i: (v, type(v)) for i, v in coords.items()}
+
     m = matrix_of("grad", 3)
-    assert m.apply_coords({1: 2}) == {20: 2}
-    assert m.apply_coords({1: F(1, 2), 5: 3}) == {20: F(1, 2), 11: 3, 22: 3}
-    assert m.apply_coords({5: F(4, 2)}) == {11: 2, 22: 2}
+    assert typed(m.apply_coords({1: 2})) == {20: (2, int)}
+    assert typed(m.apply_coords({1: F(1, 2), 5: 3})) == \
+        {20: (F(1, 2), F), 11: (3, int), 22: (3, int)}
+    assert typed(m.apply_coords({5: F(4, 2)})) == {11: (2, int), 22: (2, int)}
     one = GradedSpace([Slot("a", "scalar", 0)])
-    assert LinOpMatrix(one, one, [{0: F(1, 2)}]).apply_coords({0: F(2, 3)}) == {0: F(1, 3)}
+    half = LinOpMatrix(one, one, [{0: F(1, 2)}])
+    assert typed(half.apply_coords({0: F(2, 3)})) == {0: (F(1, 3), F)}
+    assert typed(half.apply_coords({0: 4})) == {0: (2, int)}
 
 
 # -- standard complexes -------------------------------------------------------
@@ -749,6 +768,21 @@ def test_skew4_validation():
     rows[0][1] = F(1)
     with pytest.raises(ValueError):
         SkewMat4(tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("index,error", [
+    (0, ValueError), (5, ValueError), (True, TypeError), (1.0, TypeError),
+])
+def test_skew4_indices_are_ints_from_1_to_4(index, error):
+    """random_skew4(0).entry(0, 1) once returned the entry (4, 1), and
+    entry(5, 1) raised IndexError."""
+    omega = random_skew4(0)
+    with pytest.raises(error, match="index must be"):
+        omega.entry(index, 1)
+    with pytest.raises(error, match="index must be"):
+        omega.entry(1, index)
+    assert [[omega.entry(i, j) for j in (1, 2, 3, 4)] for i in (1, 2, 3, 4)] == \
+        [list(row) for row in omega.entries]
 
 
 def test_wedge_and_interior_product_small_cases():

@@ -54,6 +54,19 @@ def cols_from_dense(rows):
     return cols
 
 
+def rank(cols, nrows):
+    """`sparse_rank` of Fraction columns, cleared to ints as one matrix:
+    scaling the matrix leaves its rank unchanged."""
+    return exactlin.sparse_rank(exactlin.lowest_terms(cols)[0], nrows)
+
+
+def solve(phi, rhs):
+    """`solve_square` of Fraction columns, with phi and rhs cleared to ints
+    together: scaling both by one factor leaves the solution unchanged."""
+    cols = exactlin.lowest_terms(phi + rhs)[0]
+    return exactlin.solve_square(cols[:len(phi)], cols[len(phi):])
+
+
 def random_dense(rng, nrows, ncols, density=0.6):
     return [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
              if rng.random() < density else Fraction(0)
@@ -62,9 +75,9 @@ def random_dense(rng, nrows, ncols, density=0.6):
 
 def test_rank_known_cases():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert exactlin.sparse_rank(cols_from_dense(ident), 3) == 3
+    assert rank(cols_from_dense(ident), 3) == 3
     singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert exactlin.sparse_rank(cols_from_dense(singular), 3) == 2
+    assert rank(cols_from_dense(singular), 3) == 2
     assert exactlin.sparse_rank([], 5) == 0
     assert exactlin.sparse_rank([{}, {}], 4) == 0
 
@@ -75,15 +88,14 @@ def test_rank_matches_dense_reference():
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         rows = random_dense(rng, nrows, ncols)
-        got = exactlin.sparse_rank(cols_from_dense(rows), nrows)
-        assert got == dense_rank(rows)
+        assert rank(cols_from_dense(rows), nrows) == dense_rank(rows)
 
 
 def test_rank_with_huge_fractions():
     # gcd control must survive deliberately awkward denominators
     rows = [[Fraction(10 ** 12 + 1, 7), Fraction(1, 10 ** 9)],
             [Fraction(3), Fraction(10 ** 15, 11)]]
-    assert exactlin.sparse_rank(cols_from_dense(rows), 2) == 2
+    assert rank(cols_from_dense(rows), 2) == 2
 
 
 def test_solve_square_round_trip():
@@ -97,7 +109,7 @@ def test_solve_square_round_trip():
         phi = cols_from_dense(rows)
         rhs_dense = random_dense(rng, n, rng.randint(1, 3), density=0.9)
         rhs = cols_from_dense(rhs_dense)
-        cols, den = exactlin.solve_square(phi, n, rhs)
+        cols, den = solve(phi, rhs)
         sols = [{j: Fraction(v, den) for j, v in col.items()} for col in cols]
         # verify phi * solution == rhs exactly
         for sol, want in zip(sols, rhs):
@@ -112,7 +124,7 @@ def test_solve_square_round_trip():
 def test_solve_square_rejects_singular():
     rows = [[1, 2], [2, 4]]
     with pytest.raises(ValueError):
-        exactlin.solve_square(cols_from_dense(rows), 2, [{0: Fraction(1)}])
+        solve(cols_from_dense(rows), [{0: Fraction(1)}])
 
 
 def test_mul_cols_is_matrix_product():
@@ -123,8 +135,10 @@ def test_mul_cols_is_matrix_product():
         b = random_dense(rng, m, k)
         product = [[sum(a[i][l] * b[l][j] for l in range(m)) for j in range(k)]
                    for i in range(n)]
-        got = exactlin.mul_cols(cols_from_dense(a), cols_from_dense(b))
-        assert got == [
+        a_cols, a_den = exactlin.lowest_terms(cols_from_dense(a))
+        b_cols, b_den = exactlin.lowest_terms(cols_from_dense(b))
+        got = exactlin.mul_cols(a_cols, b_cols)
+        assert [{i: Fraction(v, a_den * b_den) for i, v in col.items()} for col in got] == [
             {i: v for i, v in enumerate(col) if v != 0}
             for col in ([[product[i][j] for i in range(n)] for j in range(k)])
         ]
@@ -133,43 +147,7 @@ def test_mul_cols_is_matrix_product():
 def test_cols_are_zero():
     assert exactlin.cols_are_zero([{}, {}])
     assert exactlin.cols_are_zero([])
-    assert not exactlin.cols_are_zero([{}, {3: Fraction(1, 2)}])
-
-
-def test_fraction_columns_are_cleared_per_column():
-    """A column enters the reduction as ints: an int column as given, a
-    column holding a Fraction or a zero as an int multiple without zeros,
-    and a bool or a float entry is refused."""
-    int_col, frac_col = {1: 4, 0: -6}, {0: Fraction(1, 2), 2: 0, 1: Fraction(-2, 3)}
-    pivots, steps = exactlin._reduce([int_col, frac_col])
-    # 6 * frac_col = {0: 3, 1: -4}; adding int_col leaves {0: -3}, whose
-    # gcd division makes the pivot {0: -1}.
-    assert (pivots, steps) == ({1: int_col, 0: {0: -1}}, 1)
-    assert pivots[1] is not int_col
-    assert exactlin._reduce([{0: Fraction(3, 6), 1: 0}]) == ({0: {0: 1}}, 0)
-    for entry in (True, 0.5):
-        with pytest.raises(TypeError, match="exact rational"):
-            exactlin.sparse_rank([{0: 1}, {0: entry}], 1)
-
-
-def test_int_entries_match_fraction_entries():
-    # Integral Poly3 coefficients, and so field coordinates, are plain ints.
-    rng = random.Random(83)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        int_cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
-        frac_cols = cols_from_dense(rows)
-        rank = exactlin.sparse_rank(int_cols, n)
-        assert rank == exactlin.sparse_rank(frac_cols, n) == dense_rank(rows)
-        assert exactlin.mul_cols(int_cols, int_cols) == exactlin.mul_cols(frac_cols, frac_cols)
-        if rank < n:
-            continue
-        rhs = [{rng.randrange(n): rng.randint(1, 5)}]
-        sols, den = exactlin.solve_square(int_cols, n, rhs)
-        assert (sols, den) == exactlin.solve_square(frac_cols, n, rhs)
-        assert all(type(v) is int for v in sols[0].values())
-        assert apply_cols(int_cols, sols[0]) == {i: den * v for i, v in rhs[0].items()}
+    assert not exactlin.cols_are_zero([{}, {3: 2}])
 
 
 # -- properties over sparse matrices up to 40 x 40 -----------------------------
@@ -236,7 +214,7 @@ def apply_cols(phi, sol):
 @settings(max_examples=60, deadline=None, database=None)
 @given(rows=sparse_dense())
 def test_sparse_rank_matches_dense_rank(rows):
-    assert exactlin.sparse_rank(cols_from_dense(rows), len(rows)) == dense_rank(rows)
+    assert rank(cols_from_dense(rows), len(rows)) == dense_rank(rows)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -245,7 +223,7 @@ def test_solve_square_round_trips(data):
     rows = data.draw(invertible_dense())
     rhs = cols_from_dense(data.draw(sparse_dense(nrows=len(rows), max_dim=6)))
     phi = cols_from_dense(rows)
-    cols, den = exactlin.solve_square(phi, len(rows), rhs)
+    cols, den = solve(phi, rhs)
     sols = [{j: Fraction(v, den) for j, v in col.items()} for col in cols]
     assert [apply_cols(phi, sol) for sol in sols] == rhs
 
@@ -258,7 +236,7 @@ def test_solve_square_returns_int_columns_in_lowest_terms(data):
     rows = data.draw(invertible_dense())
     rhs = cols_from_dense(data.draw(sparse_dense(nrows=len(rows), max_dim=6)))
     phi = cols_from_dense(rows)
-    num, den = exactlin.solve_square(phi, len(rows), rhs)
+    num, den = solve(phi, rhs)
     values = [v for col in num for v in col.values()]
     assert type(den) is int and den >= 1
     assert all(type(v) is int and v for v in values)
@@ -281,7 +259,7 @@ def test_solve_square_singular_names_dense_rank(data):
     want = dense_rank(rows)
     assert want < n
     with pytest.raises(ValueError, match=fr"^singular block: rank {want} of {n}$"):
-        exactlin.solve_square(cols_from_dense(rows), n, [{0: Fraction(1)}])
+        solve(cols_from_dense(rows), [{0: Fraction(1)}])
 
 
 # -- invariants of the reduction over int and Fraction matrices ----------------
@@ -306,14 +284,14 @@ def typed_cols(rows):
 def test_rank_is_invariant_under_transpose_permutation_and_scaling(data):
     rows = data.draw(int_or_fraction_dense())
     nrows, ncols = len(rows), len(rows[0])
-    rank = exactlin.sparse_rank(typed_cols(rows), nrows)
+    got = rank(typed_cols(rows), nrows)
     transpose = [list(col) for col in zip(*rows)]
-    assert exactlin.sparse_rank(typed_cols(transpose), ncols) == rank
+    assert rank(typed_cols(transpose), ncols) == got
     perm = data.draw(st.permutations(range(ncols)))
     scale = data.draw(st.lists(nonzero | st.integers(-5, 5).filter(bool),
                                min_size=ncols, max_size=ncols))
     moved = [[scale[j] * row[j] for j in perm] for row in rows]
-    assert exactlin.sparse_rank(typed_cols(moved), nrows) == rank
+    assert rank(typed_cols(moved), nrows) == got
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -321,11 +299,10 @@ def test_rank_is_invariant_under_transpose_permutation_and_scaling(data):
 def test_every_updated_pivot_is_primitive(rows):
     """The gcd division after each update bounds coefficient growth: a
     pivot is either a column stored as it came in, or primitive."""
-    cols = typed_cols(rows)
+    cols = exactlin.lowest_terms(typed_cols(rows))[0]
     pivots, _ = exactlin._reduce(cols)
     assert len(pivots) == dense_rank([[Fraction(v) for v in row] for row in rows])
-    cleared = [exactlin._integral(col) for col in cols]
     for low, pivot in pivots.items():
         assert all(type(v) is int and v for v in pivot.values())
         assert max(pivot) == low
-        assert gcd(*pivot.values()) == 1 or pivot in cleared
+        assert gcd(*pivot.values()) == 1 or pivot in cols

@@ -240,9 +240,9 @@ def solve_calls(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     solve = exactlin.solve_square
 
-    def recording(phi_cols, size, rhs_cols):
-        calls.append((size, len(rhs_cols)))
-        return solve(phi_cols, size, rhs_cols)
+    def recording(phi_cols, rhs_cols):
+        calls.append((len(phi_cols), len(rhs_cols)))
+        return solve(phi_cols, rhs_cols)
 
     monkeypatch.setattr(exactlin, "solve_square", recording)
     return calls

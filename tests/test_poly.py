@@ -257,6 +257,16 @@ def test_hash_consistency():
     assert a != X1 * X2
 
 
+@pytest.mark.parametrize("value", [0, 2, Fraction(1, 2)])
+def test_constant_hashes_like_its_scalar(value):
+    """Poly3.constant(2) == 2 held while the two hashed apart, so the set
+    {Poly3.constant(2), 2} had two elements."""
+    p = Poly3.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1
+    assert hash(X1 + value) == hash(X1 + value) and len({X1 + value, value}) == 2
+
+
 def test_coefficient_lookup():
     p = 5 * X1 * X3 - Fraction(2, 7) * X2 * X2
     assert p.coefficient((1, 0, 1)) == 5

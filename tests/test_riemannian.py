@@ -452,12 +452,29 @@ def test_ricci_jet_checks_quadratic_terms(monkeypatch):
         """Christoffel stand-in with a background part, which ChristoffelJet
         itself would reject: Gamma_12^1 = Gamma_11^2 = x1."""
 
-        def entry(self, i, j, k):
-            return JetPoly(X1 if (i, j, k) in ((1, 2, 1), (1, 1, 2)) else Poly3(), Poly3())
+        gamma = tuple(tuple(tuple(
+            JetPoly(X1 if (i, j, k) in ((1, 2, 1), (1, 1, 2)) else Poly3(), Poly3())
+            for k in AXES) for j in AXES) for i in AXES)
 
     monkeypatch.setattr(riemannian, "_christoffel", lambda g, ginv: Background())
     with pytest.raises(AssertionError, match="quadratic"):
         ricci_jet(MetricJet.from_strain(random_field("sym", 2, 9)))
+
+
+@pytest.mark.parametrize("index,error", [
+    (0, ValueError), (4, ValueError), (True, TypeError), (1.0, TypeError),
+])
+def test_jet_indices_are_ints_from_1_to_3(index, error):
+    """MetricJet.entry(0, 0) once returned the entry (3, 3), and
+    ChristoffelJet.entry(0, 1, 1) the entry (3, 1, 1)."""
+    g = MetricJet.from_strain(random_field("sym", 2, 9))
+    gamma = christoffel_jet(g)
+    for get in (lambda: g.entry(index, 1), lambda: g.entry(1, index),
+                lambda: gamma.entry(index, 1, 1), lambda: gamma.entry(1, 1, index)):
+        with pytest.raises(error, match="axis must be"):
+            get()
+    assert g.entry(3, 1) is g.entries[2][0]
+    assert gamma.entry(3, 1, 2) is gamma.gamma[2][0][1]
 
 
 def test_linearized_einstein_checks_background(monkeypatch):
