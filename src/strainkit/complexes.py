@@ -741,6 +741,14 @@ def _check_index4(index: int) -> int:
     return index
 
 
+def _vec4(v: Sequence) -> list[Scalar]:
+    """v as 4 canonical rationals; ValueError for a vector of any other length."""
+    v = [_canonical(c) for c in v]
+    if len(v) != 4:
+        raise ValueError(f"expected a vector of 4 entries, got {len(v)}")
+    return v
+
+
 class SkewMat4(_Value):
     """Skew 4x4 rational matrix; a two-form on R^4.  Entries are stored
     like Poly3 coefficients: int when integral, else Fraction."""
@@ -759,8 +767,7 @@ class SkewMat4(_Value):
 
     @classmethod
     def from_wedge(cls, v: Sequence, a: Sequence) -> "SkewMat4":
-        v = [_canonical(c) for c in v]
-        a = [_canonical(c) for c in a]
+        v, a = _vec4(v), _vec4(a)
         return cls(tuple(tuple(v[i] * a[j] - v[j] * a[i] for j in range(4))
                          for i in range(4)))
 
@@ -785,18 +792,19 @@ class SkewMat4(_Value):
 
 def interior_product(v: Sequence, omega: SkewMat4) -> tuple[Scalar, ...]:
     """(v contracted into omega)_j = sum_i v_i omega_ij."""
-    v = [_canonical(c) for c in v]
-    return tuple(sum(v[i] * omega.entries[i][j] for i in range(4)) for j in range(4))
+    v = _vec4(v)
+    return tuple(_canonical(sum(v[i] * omega.entries[i][j] for i in range(4)))
+                 for j in range(4))
 
 
 def wedge_with_vector(v: Sequence, omega: SkewMat4) -> dict[tuple[int, int, int], Scalar]:
     """Components of the three-form v ^ omega, indexed by i < j < k (1-based)."""
-    v = [_canonical(c) for c in v]
+    v = _vec4(v)
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                out[(i + 1, j + 1, k + 1)] = (
+                out[(i + 1, j + 1, k + 1)] = _canonical(
                     v[i] * omega.entries[j][k]
                     - v[j] * omega.entries[i][k]
                     + v[k] * omega.entries[i][j])
@@ -811,7 +819,7 @@ def lambda2_split(v: Sequence, omega: SkewMat4) -> tuple[SkewMat4, SkewMat4]:
     The split does not see the sign of v.  Both postconditions are checked
     componentwise before returning.
     """
-    v = [_canonical(c) for c in v]
+    v = _vec4(v)
     norm2 = sum(c * c for c in v)
     if norm2 == 0:
         raise ValueError("the direction vector must be nonzero")

@@ -19,12 +19,14 @@ scalar * g - 2 * Ricci throughout.
 Each intermediate is formed once per call.  A jet curvature call builds one
 inverse, the 27 derivative jets d_m g_ij, the 27 brackets
 d_i g_jl + d_j g_il - d_l g_ij and the 3 traces Gamma_jk^k, and still runs
-every check: the two-sided inverse product, symmetric Gamma (all 27 symbols
-are computed) and cancelling quadratic terms.  Each check compares
-canonical values with ==, which builds no difference.  The jet route
-carries 2 Gamma and 4 Ricci, integer jets when Sigma is, and runs the
-Gamma and quadratic-term checks on these numerators, which scaling by a
-nonzero constant leaves equivalent.  Einstein is built as
+its checks: symmetric Gamma (all 27 symbols are computed) and cancelling
+quadratic terms.  Each check compares canonical values with ==, which
+builds no difference.  The inverse delta - eps*Sigma is not multiplied
+back: the MetricJet door admits only the background delta and a symmetric
+Sigma, which make it exact.  The jet route carries 2 Gamma and 4 Ricci,
+integer jets when Sigma is, and runs the Gamma and quadratic-term checks on
+these numerators, which scaling by a nonzero constant leaves equivalent.
+Einstein is built as
 scalar * g - 2 * ricci on the numerators 4 S and 4 R, and Ricci, scalar
 and Einstein are each scaled by 1/4 once at the end; `christoffel_jet`
 halves 2 Gamma.  The derivative, Christoffel and
@@ -160,16 +162,6 @@ def _mat3(entry):
     return tuple(tuple(entry(i, j) for j in AXES) for i in AXES)
 
 
-def _mat3_mul(a, b):
-    """Matrix product; summing from the first term needs no zero of the entry type."""
-    return _mat3(lambda i, j: a[i - 1][0] * b[0][j - 1] + a[i - 1][1] * b[1][j - 1]
-                 + a[i - 1][2] * b[2][j - 1])
-
-
-# The identity matrix of jets, which `jet_inverse` compares its products with.
-_JET_IDENTITY = _mat3(lambda i, j: JetPoly.constant(delta(i, j)))
-
-
 class MetricJet(_Value):
     """Metric jet delta + eps*Sigma; the eps^0 part must be exactly delta."""
 
@@ -199,13 +191,14 @@ class MetricJet(_Value):
 
 
 def jet_inverse(g: MetricJet) -> MetricJet:
-    """Inverse metric jet: delta - eps*Sigma, verified by multiplication."""
-    inv = MetricJet(_mat3(
+    """Inverse metric jet delta - eps*Sigma.
+
+    MetricJet admits only a background of exactly delta and a symmetric
+    Sigma, so (delta + eps*Sigma)(delta - eps*Sigma) = delta by eps^2 = 0 on
+    either side; no product is formed to confirm it.
+    """
+    return MetricJet(_mat3(
         lambda i, j: JetPoly(Poly3.constant(delta(i, j)), -g.entries[i - 1][j - 1].p1)))
-    for prod in (_mat3_mul(inv.entries, g.entries), _mat3_mul(g.entries, inv.entries)):
-        if prod != _JET_IDENTITY:
-            raise AssertionError("jet inverse failed its product check")
-    return inv
 
 
 class ChristoffelJet(_Value):
@@ -240,7 +233,7 @@ def christoffel_jet(g: MetricJet) -> ChristoffelJet:
 
 def _christoffel(g: MetricJet, ginv: MetricJet) -> ChristoffelJet:
     """Doubled Christoffel jets 2 Gamma_ij^k = g^{kl} [bracket] from g and its
-    verified inverse, integer when Sigma is.
+    inverse, integer when Sigma is.
 
     Each derivative jet d_m g_ij and each of the 27 brackets is formed once;
     2 Gamma_ij^k is still computed for all 27 (i, j, k), so the symmetry and
@@ -297,8 +290,10 @@ class CurvatureJet(_Value):
 def ricci_jet(g: MetricJet) -> CurvatureJet:
     """Curvature jets of delta + eps*Sigma.
 
-    One inverse (with its two-sided product check) serves the Christoffel
-    jets and the scalar, and the three traces Gamma_jk^k are formed once.
+    One inverse serves the Christoffel jets and the scalar, and the three
+    traces Gamma_jk^k are formed once.  Nothing returned depends on the
+    inverse's eps part: Gamma multiplies it by brackets with no background,
+    the scalar multiplies it by Ricci with no background, and eps^2 = 0.
     The route carries 2 Gamma and 4 Ricci, integer jets when Sigma is
     integer: 4 R_ij = 2 (d_i (2 Gamma)_jk^k - d_k (2 Gamma)_ij^k).  The two
     quadratic sums of 2 Gamma are computed in jet arithmetic and asserted

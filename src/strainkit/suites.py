@@ -30,7 +30,7 @@ from .connection import (WField, WOneForm, flat_sections_basis,
 from .errors import CompatibilityError
 from .fields import (AXES, Mat3Field, SymField, VecField, _Record, _Value, delta, eps,
                      random_field, random_point)
-from .poly import Poly3
+from .poly import Poly3, _as_int
 from .riemannian import (JetPoly, MetricJet, PolyMetric, bianchi_check, jet_inverse,
                          linearized_einstein, pointwise_curvature, ricci_jet)
 from .stencils import OPERATORS
@@ -557,6 +557,8 @@ def check_names(suite: str = "all") -> list[str]:
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run every check of the configured suite and collect exact residuals."""
+    for field in ("degree", "trials", "seed"):
+        _as_int(getattr(config, field), field)
     suites = _selected(config.suite)
     if config.degree < MIN_DEGREE:
         raise ValueError(f"degree must be >= {MIN_DEGREE}")

@@ -794,6 +794,32 @@ def test_wedge_and_interior_product_small_cases():
     assert all(v == 0 for key, v in three_form.items() if key != (1, 2, 3))
 
 
+_VEC4_ENTRIES = {
+    "SkewMat4.from_wedge(v, a)": lambda v: SkewMat4.from_wedge(v, (0, 1, 0, 0)),
+    "SkewMat4.from_wedge(a, v)": lambda v: SkewMat4.from_wedge((0, 1, 0, 0), v),
+    "interior_product": lambda v: interior_product(v, random_skew4(0)),
+    "wedge_with_vector": lambda v: wedge_with_vector(v, random_skew4(0)),
+    "lambda2_split": lambda v: lambda2_split(v, random_skew4(0)),
+}
+
+
+@pytest.mark.parametrize("v", [(1, 0, 0), (1, 0, 0, 0, 5)], ids=["len3", "len5"])
+@pytest.mark.parametrize("entry", sorted(_VEC4_ENTRIES))
+def test_vector_entries_take_four_entries_only(entry, v):
+    """A fifth entry is not dropped, nor a missing fourth an IndexError."""
+    with pytest.raises(ValueError, match=f"4 entries, got {len(v)}"):
+        _VEC4_ENTRIES[entry](v)
+
+
+def test_vector_products_return_canonical_scalars():
+    omega = random_skew4(0)
+    assert [type(c) for c in interior_product((1, 0, 0, 0), omega)] == \
+        [int, int, Fraction, int]
+    assert [type(c) for c in wedge_with_vector((1, 0, 0, 0), omega).values()] == \
+        [Fraction, int, Fraction, int]
+    assert all(type(c) is int for c in interior_product((3, 0, 0, 0), omega))
+
+
 def test_lambda2_split_hand_example():
     rows = [[F(0)] * 4 for _ in range(4)]
     rows[0][1], rows[1][0] = F(1), F(-1)

@@ -209,6 +209,16 @@ def test_run_suite_rejects_a_corrupt_name_outside_the_suite():
         run_suite(SuiteConfig(suite="calculus", corrupt="complex.lambda2_split"))
 
 
+@pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("field", ["degree", "trials", "seed"])
+@pytest.mark.parametrize("suite", ["calculus", "complex"])
+def test_run_suite_reads_its_counts_as_ints(suite, field, value):
+    """True is not read as 1, nor 1.5 passed on to range()."""
+    with pytest.raises(TypeError, match=f"{field} must be an int, got "
+                                        f"{type(value).__name__}"):
+        run_suite(SuiteConfig(suite=suite, **{field: value}))
+
+
 @pytest.mark.parametrize("call", [suites.check_names,
                                   lambda name: run_suite(SuiteConfig(suite=name))],
                          ids=["check_names", "run_suite"])
