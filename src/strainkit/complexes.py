@@ -396,6 +396,12 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
     terms.  Every other pair is multiplied out, so a nonzero composition
     always gets its matrix residual.
 
+    The maps are ranked in order.  When composition k is "0", the rank of
+    maps[k+1] skips each column whose index is the largest index of a pivot
+    of maps[k] (see `exactlin`): that pivot lies in im maps[k], inside
+    ker maps[k+1], so the column is a combination of earlier columns and
+    the rank is unchanged.  A nonzero composition clears nothing.
+
     The defect at an interior slot is kernel_dim(outgoing) - rank(incoming);
     zero means exact there.
     """
@@ -413,7 +419,13 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
             worst = Fraction(max(abs(v) for col in comp.cols for v in col.values()),
                              comp.den)
             residuals.append(f"nonzero composition at stage {k} (max |entry| {worst})")
-    ranks = [m.rank() for m in c.maps]
+    ranks = []
+    cleared: set[int] = set()
+    for m, residual in zip(c.maps, residuals + [None]):
+        cols = [col for j, col in enumerate(m.cols) if j not in cleared] if cleared else m.cols
+        lows: set[int] = set()
+        ranks.append(exactlin.sparse_rank(cols, m.codomain.dim, lows))
+        cleared = lows if residual == "0" else set()
     kdims = [m.domain.dim - r for m, r in zip(c.maps, ranks)]
     defects = [kdims[s] - ranks[s - 1] for s in range(1, len(c.maps))]
     return ComplexReport(

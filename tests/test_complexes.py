@@ -206,7 +206,8 @@ def test_rank_matches_dense_reference():
 
 
 def test_elimination_row_updates_frozen(monkeypatch):
-    """Pins the cost of the pivot order, which no answer reveals.
+    """Pins the cost of the pivot order and of clearing, which no answer
+    reveals.
 
     A step is one update ``a*vector - b*pivot`` of `exactlin._reduce`.  The
     counts are deterministic; keying each pivot on its smallest index
@@ -228,12 +229,107 @@ def test_elimination_row_updates_frozen(monkeypatch):
             for m in build(degree).maps:
                 m.rank()
         assert steps[0] == want, degree
+    # `verify_complex` skips the columns that the previous map's pivots
+    # clear, so the same maps take 329 and 849 steps there.
+    for degree, want in ((5, 329), (7, 849)):
+        steps[0] = 0
+        for build in (build_grad_curl_div_complex, build_elasticity_complex,
+                      build_w_complex):
+            verify_complex(build(degree))
+        assert steps[0] == want, degree
     # The Schur blocks are solved as their constant factors Phi (see
     # test_derivation_solves_only_the_constant_factors), so this count holds
-    # the ranks of the derivation and three solves of sizes 9, 3 and 3.
+    # the cleared ranks of the derivation's two verifications, of the full
+    # and the reduced complex, and three solves of sizes 9, 3 and 3.
     steps[0] = 0
     derive_elasticity(5)
-    assert steps[0] == 1769
+    assert steps[0] == 311
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_a_nonzero_composition_clears_nothing(monkeypatch, degree):
+    """The perturbed coupled complex composes to nonzero at stage 0 and to
+    zero at stage 1: only the last map loses columns, one per pivot of the
+    middle map."""
+    c = _build_perturbed_w_complex(degree)
+    seen = []  # the column count of each rank
+    sparse_rank = exactlin.sparse_rank
+
+    def recording(cols, nrows, lows=None):
+        seen.append(len(cols))
+        return sparse_rank(cols, nrows, lows)
+
+    monkeypatch.setattr(exactlin, "sparse_rank", recording)
+    report = verify_complex(c)
+    assert report.composition_residuals[0] != "0"
+    assert report.composition_residuals[1] == "0"
+    dims = [m.domain.dim for m in c.maps]
+    assert seen == [dims[0], dims[1], dims[2] - report.ranks[1]]
+    assert report.ranks == [m.rank() for m in c.maps]
+
+
+def test_a_toy_complex_that_does_not_compose_to_zero_keeps_its_ranks():
+    """[1] -> [1] -> [1]: the pivot of the first map sits at the one column
+    of the second, and clearing it with no zero composition would report
+    rank 0 for a map of rank 1."""
+    spaces = [GradedSpace([Slot(f"s{k}", "scalar", 0)]) for k in range(3)]
+    maps = [LinOpMatrix(spaces[k], spaces[k + 1], [{0: 1}], f"d{k}") for k in range(2)]
+    report = verify_complex(ChainComplex("toy", spaces, maps))
+    assert report.composition_residuals == ["nonzero composition at stage 0 (max |entry| 1)"]
+    assert report.ranks == [1, 1]
+
+
+@st.composite
+def _integer_complexes(draw):
+    """A small integer complex with d o d = 0 and its known ranks.
+
+    In standard form, map k sends basis vector r_{k-1} + i of space k to
+    basis vector i of space k+1 for i < r_k, so the first r_{k-1} vectors
+    of space k, the image of map k-1, go to zero.  Each space is then
+    changed by a random unimodular U_k, a permutation followed by
+    elementary operations, and map k becomes U_{k+1} D_k U_k^-1;
+    compositions stay zero.
+    """
+    nmaps = draw(st.integers(1, 4))
+    dims, ranks = [draw(st.integers(1, 5))], []
+    for _ in range(nmaps):
+        room = dims[-1] - (ranks[-1] if ranks else 0)
+        dim = draw(st.integers(1, 5))
+        ranks.append(draw(st.integers(0, min(room, dim))))
+        dims.append(dim)
+    perms = [draw(st.permutations(range(n))) for n in dims]
+    ops = [draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.integers(-3, 3)), max_size=3 * n))
+           for n in dims]
+    mats = []
+    for k in range(nmaps):
+        before = ranks[k - 1] if k else 0
+        rows = [[0] * dims[k] for _ in range(dims[k + 1])]
+        for i in range(ranks[k]):
+            rows[perms[k + 1][i]][perms[k][before + i]] = 1
+        for t, s, c in ops[k + 1]:  # U_{k+1} D: row t += c * row s
+            if t != s:
+                rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+        for t, s, c in ops[k]:  # D U_k^-1: column s -= c * column t
+            if t != s:
+                for row in rows:
+                    row[s] -= c * row[t]
+        mats.append(rows)
+    return dims, ranks, mats
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_integer_complexes())
+def test_cleared_ranks_of_random_integer_complexes(cx):
+    dims, ranks, mats = cx
+    spaces = [GradedSpace([Slot(f"s{i}", "scalar", 0) for i in range(n)]) for n in dims]
+    maps = [LinOpMatrix(spaces[k], spaces[k + 1],
+                        [{i: row[j] for i, row in enumerate(rows)} for j in range(dims[k])],
+                        f"d{k}")
+            for k, rows in enumerate(mats)]
+    report = verify_complex(ChainComplex("random", spaces, maps))
+    assert report.compositions_zero
+    assert report.ranks == [dense_rank_reference(m) for m in maps] == ranks
 
 
 def _ranks_from_dimensions(cx: ChainComplex, kernel: int) -> list[int]:
@@ -250,7 +346,9 @@ def _ranks_from_dimensions(cx: ChainComplex, kernel: int) -> list[int]:
 def test_ranks_equal_the_dimension_counts(degree):
     """A differential check of exact rank that needs no elimination: each
     truncated complex is exact in its interior and onto at its end, with
-    the constants (de Rham) or the six rigid motions as its kernel."""
+    the constants (de Rham) or the six rigid motions as its kernel.  The
+    ranks of `verify_complex`, which clears columns, equal those of
+    `LinOpMatrix.rank`, which reduces them all."""
     derived = derive_elasticity(degree)
     for cx, kernel in ((build_grad_curl_div_complex(degree), 1),
                        (build_elasticity_complex(degree), 6),
@@ -259,6 +357,7 @@ def test_ranks_equal_the_dimension_counts(degree):
         ranks = [m.rank() for m in cx.maps]
         assert ranks == _ranks_from_dimensions(cx, kernel), cx.name
         assert ranks[-1] == cx.spaces[-1].dim, cx.name
+        assert verify_complex(cx).ranks == ranks, cx.name
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
@@ -673,8 +772,10 @@ def test_a_perturbed_table_is_refused_and_multiplied_out(monkeypatch, name, buil
     assert [m.stencil for m in c.maps] == tables
     assert compose(tables[1], tables[0]) and compose(tables[2], tables[1])
     calls = mul_calls(monkeypatch)
-    assert verify_complex(c).composition_residuals == want
+    report = verify_complex(c)
+    assert report.composition_residuals == want
     assert calls == [2]
+    assert report.ranks == [m.rank() for m in c.maps]
 
 
 def test_a_reduced_map_without_a_stage_factor_is_multiplied_out(monkeypatch):

@@ -82,6 +82,15 @@ def test_rank_known_cases():
     assert exactlin.sparse_rank([{}, {}], 4) == 0
 
 
+def test_rank_hands_back_the_largest_index_of_each_pivot():
+    # The second column reduces to zero against the first; the third is
+    # stored at row 1, its largest index, and the fourth at row 0.
+    lows = {7}
+    cols = [{0: 1, 2: 3}, {0: -2, 2: -6}, {0: 5, 1: 1}, {0: 4}]
+    assert exactlin.sparse_rank(cols, 3, lows) == 3
+    assert lows == {7, 2, 1, 0}
+
+
 def test_rank_matches_dense_reference():
     rng = random.Random(71)
     for _ in range(25):
